@@ -15,7 +15,6 @@ from .accountant import (
     PrivacyLedger,
     advanced_composition,
     classical_gaussian_epsilon,
-    compose,
     delta_for_eps,
     eps_for_delta,
     per_query_moment,
@@ -65,6 +64,7 @@ from .pipeline import (
     ExperimentConfig,
     ExperimentReport,
     QueryResult,
+    config_from_dict,
     emit_report,
     read_report,
     run_experiment,
@@ -80,7 +80,6 @@ from .sensitivity import (
 )
 from .votes import (
     BoostedVotes,
-    QueryRecord,
     VoteHistogram,
     argmax,
     boost,

@@ -13,7 +13,6 @@ __all__ = [
     "MomentCurve",
     "LedgerEntry",
     "PrivacyLedger",
-    "compose",
     "delta_for_eps",
     "eps_for_delta",
     "advanced_composition",
@@ -270,8 +269,3 @@ class PrivacyLedger:
             ))
         return ledger
 
-
-def compose(ledger: PrivacyLedger, entry: LedgerEntry) -> PrivacyLedger:
-    """Append one per-query record; the accumulated curve is the pointwise sum."""
-    ledger.record(entry)
-    return ledger

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,33 +19,9 @@ from .noise import (
     required_constant_laplace,
     union_flip_bound,
 )
-from .pipeline import MECHANISMS, ExperimentConfig, emit_report, run_experiment
+from .pipeline import MECHANISMS, ExperimentConfig, config_from_dict, emit_report, run_experiment
 from .sensitivity import brute_force_local, brute_force_smooth, local_sensitivity, smooth_sensitivity
 from .votes import VoteHistogram
-
-# config-file keys mirror the CLI flags; "c" is accepted as shorthand
-_CONFIG_ALIASES = {"c": "boost_constant", "classes": "num_classes", "out": "out_dir"}
-_CONFIG_FIELDS = {
-    "mechanism", "seed", "queries", "num_classes", "teachers", "teacher_accuracy",
-    "predictions", "truth", "boost_constant", "gamma", "sigma", "scale",
-    "beta", "tau", "delta", "out_dir",
-}
-
-
-def _load_config_file(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: expected a JSON object of config fields")
-    out = {}
-    for key, value in raw.items():
-        key = _CONFIG_ALIASES.get(key, key)
-        if key not in _CONFIG_FIELDS:
-            raise ValueError(f"{path}: unknown config field {key!r}")
-        out[key] = value
-    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,19 +70,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    fields = dict(_load_config_file(args.config)) if args.config else {}
-    for name in _CONFIG_FIELDS:
-        value = getattr(args, name, None)
+    raw = {}
+    if args.config:
+        try:
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: not valid JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config}: expected a JSON object of config fields")
+    for f in fields(ExperimentConfig):  # flags override the file
+        value = getattr(args, f.name, None)
         if value is not None:
-            fields[name] = value
-    if "mechanism" not in fields:
-        raise ValueError("a mechanism is required (flag --mechanism or config file)")
-    if "seed" not in fields:
-        raise ValueError("a seed is required (flag --seed or config file)")
-    config = ExperimentConfig(**fields)
+            raw[f.name] = value
+    config = config_from_dict(raw, args.config or "command line")
     report = run_experiment(config)
-    print(f"mechanism={report.mechanism} queries={report.query_count} "
-          f"seed={report.seed} runtime={report.runtime_seconds:.2f}s")
+    print(f"mechanism={config.mechanism} queries={report.query_count} "
+          f"seed={config.seed} runtime={report.runtime_seconds:.2f}s")
     if report.mechanism_accuracy_pct is not None:
         print(f"accuracy: clean={report.clean_accuracy_pct:.2f}% "
               f"mechanism={report.mechanism_accuracy_pct:.2f}% "
@@ -113,11 +93,11 @@ def _cmd_run(args) -> int:
     if report.eps_simple is not None:
         print(f"privacy: eps_simple={report.eps_simple:.6g} "
               f"eps_advanced={report.eps_advanced:.6g} "
-              f"eps_moments={report.eps_moments:.6g} (delta={report.delta:g})")
+              f"eps_moments={report.eps_moments:.6g} (delta={config.delta:g})")
     if report.gaussian_epsilon_per_query is not None:
         print(f"privacy: gaussian eps/query={report.gaussian_epsilon_per_query:.6g} "
               f"total={report.gaussian_epsilon_total:.6g}")
-    elif report.mechanism == "nzc-gaussian":
+    elif config.mechanism == "nzc-gaussian":
         print("privacy: gaussian bound inapplicable at this sigma/delta (needs eps < 1)")
     if config.out_dir:
         paths = emit_report(report, config.out_dir)

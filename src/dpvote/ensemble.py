@@ -155,7 +155,7 @@ def load_predictions(path, num_classes: Optional[int] = None,
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != PREDICTION_HEADER:
         raise ValueError(f"{path}:1: expected header {PREDICTION_HEADER!r}")
-    seen: dict[tuple[int, int], int] = {}
+    seen: dict[tuple[int, int], tuple[int, int]] = {}  # (query, teacher) -> (line number, label)
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -171,8 +171,8 @@ def load_predictions(path, num_classes: Optional[int] = None,
             raise ValueError(f"{path}:{lineno}: label {label} out of range [0, {num_classes})")
         if (q, t) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate prediction for query {q}, teacher {t} "
-                             f"(first seen on line {seen[(q, t)]})")
-        seen[(q, t)] = lineno
+                             f"(first seen on line {seen[(q, t)][0]})")
+        seen[(q, t)] = (lineno, label)
     if not seen:
         raise ValueError(f"{path}: no predictions found")
     query_ids = tuple(sorted({q for q, _ in seen}))
@@ -182,14 +182,10 @@ def load_predictions(path, num_classes: Optional[int] = None,
             if (q, t) not in seen:
                 raise ValueError(f"{path}: missing prediction for query {q}, teacher {t}")
     labels = np.zeros((len(query_ids), len(teacher_ids)), dtype=np.int64)
-    by_line = {v: k for k, v in seen.items()}
     qpos = {q: i for i, q in enumerate(query_ids)}
     tpos = {t: i for i, t in enumerate(teacher_ids)}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        f = line.split(",")
-        labels[qpos[int(f[0])], tpos[int(f[1])]] = int(f[2])
+    for (q, t), (_, label) in seen.items():
+        labels[qpos[q], tpos[t]] = label
     inferred = num_classes if num_classes is not None else int(labels.max()) + 1
     if inferred < 2:
         inferred = 2

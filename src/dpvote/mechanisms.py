@@ -8,14 +8,13 @@ ledger writes.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .accountant import LedgerEntry
-from .noise import MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, sample_laplace
+from .noise import MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks, sample_laplace
 from .sensitivity import SensitivityEstimate, enumerate_neighbors, smooth_sensitivity
 from .votes import VoteHistogram, argmax, boost
 
@@ -29,9 +28,6 @@ __all__ = [
     "flip_probability_mc",
     "dp_ratio_check",
 ]
-
-_CHUNK = 250_000
-
 
 @dataclass(frozen=True)
 class MechanismOutcome:
@@ -168,18 +164,9 @@ def flip_probability_mc(
         raise ValueError(f"trials must be positive, got {trials}")
     baseline = argmax(votes)
     boosted = boost(votes, boost_constant).as_array()
-    gen = ensure_generator(rng)
-    flips = 0
-    done = 0
-    while done < trials:
-        m = min(_CHUNK, trials - done)
-        noise = spec.sample(gen, size=(m, votes.num_classes))
-        labels = np.argmax(boosted + noise, axis=1)
-        flips += int(np.count_nonzero(labels != baseline))
-        done += m
-    p = flips / trials
-    se = math.sqrt(p * (1.0 - p) / trials)
-    return MonteCarloEstimate(estimate=p, standard_error=se, hits=flips, trials=trials)
+    flips = sum(int(np.count_nonzero(np.argmax(boosted + noise, axis=1) != baseline))
+                for noise in noise_blocks(spec, votes.num_classes, trials, rng))
+    return MonteCarloEstimate.from_hits(flips, trials)
 
 
 @dataclass(frozen=True)
@@ -192,17 +179,11 @@ class DpRatioResult:
     noise_scale: float
 
 
-def _label_distribution(boosted: np.ndarray, noise_scale: float, trials: int,
+def _label_distribution(boosted: np.ndarray, spec: NoiseSpec, trials: int,
                         gen: np.random.Generator) -> np.ndarray:
     num_classes = boosted.size
-    counts = np.zeros(num_classes, dtype=np.int64)
-    done = 0
-    while done < trials:
-        m = min(_CHUNK, trials - done)
-        noise = gen.laplace(0.0, noise_scale, (m, num_classes))
-        labels = np.argmax(boosted + noise, axis=1)
-        counts += np.bincount(labels, minlength=num_classes)
-        done += m
+    counts = sum(np.bincount(np.argmax(boosted + noise, axis=1), minlength=num_classes)
+                 for noise in noise_blocks(spec, num_classes, trials, gen))
     # add-one smoothing keeps ratios finite when a label never shows up
     return (counts + 1.0) / (trials + num_classes)
 
@@ -232,13 +213,11 @@ def dp_ratio_check(
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     sens_value = smooth_sensitivity(votes, boost_constant, beta).value if sensitivity is None else float(sensitivity)
-    if not sens_value > 0.0:
-        raise ValueError(f"sensitivity must be positive, got {sens_value!r}")
-    noise_scale = sens_value / gamma
+    spec = NoiseSpec("laplace", gamma=gamma, sensitivity=sens_value)
     gen = ensure_generator(rng)
     neighbors = enumerate_neighbors(votes)
     distributions = [
-        _label_distribution(boost(h, boost_constant).as_array(), noise_scale, trials, gen)
+        _label_distribution(boost(h, boost_constant).as_array(), spec, trials, gen)
         for h in neighbors
     ]
     center = distributions[0]
@@ -247,5 +226,5 @@ def dp_ratio_check(
         max_log_ratio=max(ratios),
         neighbor_log_ratios=ratios,
         trials=trials,
-        noise_scale=noise_scale,
+        noise_scale=spec.scale,
     )

@@ -198,11 +198,26 @@ class MonteCarloEstimate:
     hits: int
     trials: int
 
+    @classmethod
+    def from_hits(cls, hits: int, trials: int) -> "MonteCarloEstimate":
+        p = hits / trials
+        return cls(estimate=p, standard_error=math.sqrt(p * (1.0 - p) / trials),
+                   hits=hits, trials=trials)
 
-def _binomial_estimate(hits: int, trials: int) -> MonteCarloEstimate:
-    p = hits / trials
-    se = math.sqrt(p * (1.0 - p) / trials)
-    return MonteCarloEstimate(estimate=p, standard_error=se, hits=hits, trials=trials)
+
+_MC_BLOCK = 250_000  # rows per draw; bounds the peak memory of a Monte-Carlo oracle
+
+
+def noise_blocks(spec: NoiseSpec, num_classes: int, trials: int, rng: RngLike):
+    """Yield ``trials`` rows of noise in consecutive (rows, num_classes) blocks from one generator.
+
+    Every Monte-Carlo oracle draws through here.  The block size only bounds
+    peak memory: numpy's Laplace and normal samplers give the same values
+    drawn in blocks as in one (trials, num_classes) array.
+    """
+    gen = ensure_generator(rng)
+    for start in range(0, trials, _MC_BLOCK):
+        yield spec.sample(gen, size=(min(_MC_BLOCK, trials - start), num_classes))
 
 
 def exceedance_probability_mc(
@@ -211,20 +226,13 @@ def exceedance_probability_mc(
     threshold: float,
     trials: int,
     rng: RngLike,
-    chunk: int = 250_000,
 ) -> MonteCarloEstimate:
     """Monte-Carlo estimate of Pr(max_j |noise_j| >= threshold) over ``num_classes`` coordinates."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if num_classes < 1:
         raise ValueError(f"need at least one class, got {num_classes}")
-    gen = ensure_generator(rng)
     c = float(threshold)
-    hits = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        noise = spec.sample(gen, size=(m, num_classes))
-        hits += int(np.count_nonzero(np.max(np.abs(noise), axis=1) >= c))
-        done += m
-    return _binomial_estimate(hits, trials)
+    hits = sum(int(np.count_nonzero(np.max(np.abs(noise), axis=1) >= c))
+               for noise in noise_blocks(spec, num_classes, trials, rng))
+    return MonteCarloEstimate.from_hits(hits, trials)

@@ -11,8 +11,12 @@ serial.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -36,6 +40,7 @@ __all__ = [
     "ExperimentConfig",
     "QueryResult",
     "ExperimentReport",
+    "config_from_dict",
     "run_experiment",
     "emit_report",
     "read_report",
@@ -47,15 +52,26 @@ DEFAULT_DISTANCE_GRID = (1, 2, 3, 5, 10, 25, 50, 100)
 # substream domains, one per independent randomness consumer
 _TRUTH, _VOTES, _MECH = 0, 1, 2
 
+# config-file shorthands, mirroring the CLI flags --c, --classes and --out
+_CONFIG_ALIASES = {"c": "boost_constant", "classes": "num_classes", "out": "out_dir"}
+
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run depends on; exactly one ensemble source must be set."""
+    """Everything a run depends on; exactly one ensemble source must be set.
+
+    A report carries the config as the run resolved it: ``queries`` is the
+    number of queries answered and ``teacher_accuracy`` the per-teacher
+    accuracy of the synthetic ensemble (None for a prediction file).  Field
+    metadata ``summary`` names the field's key in summary.json; None keeps
+    the field out of it.
+    """
 
     mechanism: str
     seed: int
-    queries: Optional[int] = None  # None with a prediction file means "all queries in the file"
     num_classes: int = 10
+    # None with a prediction file means "all queries in the file"
+    queries: Optional[int] = field(default=None, metadata={"summary": "query_count"})
     teachers: Optional[int] = None
     teacher_accuracy: Optional[float] = None
     predictions: Optional[str] = None
@@ -67,10 +83,14 @@ class ExperimentConfig:
     beta: float = 1.0
     tau: float = 1e-9
     delta: float = 1e-5
-    out_dir: Optional[str] = None
-    distance_grid: tuple[int, ...] = DEFAULT_DISTANCE_GRID
+    out_dir: Optional[str] = field(default=None, metadata={"summary": None})
+    # summary.json keeps the grid as the n column of qualified_fractions
+    distance_grid: tuple[int, ...] = field(default=DEFAULT_DISTANCE_GRID,
+                                           metadata={"summary": None})
 
     def validate(self) -> None:
+        for name in _CONFIG_TYPES:
+            _check_type(name, getattr(self, name))
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}; choose one of {MECHANISMS}")
         if (self.teachers is None) == (self.predictions is None):
@@ -105,7 +125,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class QueryResult:
-    """Per-query record emitted to the report."""
+    """Per-query record emitted to the report; the field order is the queries.csv column order."""
 
     query_id: int
     returned_label: int
@@ -116,23 +136,79 @@ class QueryResult:
     epsilon: Optional[float]  # per-query pure-DP cost; None for Gaussian runs
 
 
+def _field_types(cls) -> dict[str, tuple[type, bool]]:
+    """Field name -> (base type, whether None is allowed), read from the annotations."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        hint = hints[f.name]
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        optional = len(args) < len(typing.get_args(hint))
+        out[f.name] = (args[0] if optional else typing.get_origin(hint) or hint, optional)
+    return out
+
+
+_CONFIG_TYPES = _field_types(ExperimentConfig)
+_QUERY_TYPES = _field_types(QueryResult)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+# declared base type -> (what the error message asks for, check)
+_TYPE_CHECKS = {
+    int: ("an integer", _is_int),
+    float: ("a finite number", _is_finite),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
+}
+
+
+def _check_type(name: str, value) -> None:
+    """Raise a one-line ValueError unless ``value`` fits the declared type of config field ``name``."""
+    base, optional = _CONFIG_TYPES[name]
+    wanted, fits = _TYPE_CHECKS[base]
+    if not (optional if value is None else fits(value)):
+        raise ValueError(f"config field {name} must be {wanted}{' or null' if optional else ''}, "
+                         f"got {value!r}")
+
+
+def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
+    """Build and validate a config from JSON-style keys.
+
+    Keys are the ExperimentConfig field names plus the shorthands ``c``,
+    ``classes`` and ``out``; when two keys name one field, the later wins.
+    Every error is a one-line ValueError; ``source`` names the input in it.
+    """
+    values = {}
+    for key, value in raw.items():
+        name = _CONFIG_ALIASES.get(key, key)
+        if name not in _CONFIG_TYPES:
+            raise ValueError(f"{source}: unknown config field {key!r}")
+        if isinstance(value, list) and _CONFIG_TYPES[name][0] is tuple:
+            value = tuple(value)  # JSON has no tuples
+        values[name] = value
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in values:
+            raise ValueError(f"{source}: config field {f.name} is required")
+    config = ExperimentConfig(**values)
+    config.validate()
+    return config
+
+
 @dataclass
 class ExperimentReport:
-    mechanism: str
-    seed: int
-    num_classes: int
-    query_count: int
-    teachers: Optional[int]
-    teacher_accuracy: Optional[float]
-    predictions: Optional[str]
-    truth: Optional[str]
-    boost_constant: float
-    gamma: Optional[float]
-    sigma: Optional[float]
-    scale: Optional[float]
-    beta: float
-    tau: float
-    delta: float
+    config: ExperimentConfig  # as resolved by the run; see ExperimentConfig
     clean_accuracy_pct: Optional[float]
     mechanism_accuracy_pct: Optional[float]
     agreement_pct: Optional[float]
@@ -145,6 +221,10 @@ class ExperimentReport:
     results: tuple[QueryResult, ...]
     ledger: PrivacyLedger = field(compare=False, repr=False, default_factory=PrivacyLedger)
     runtime_seconds: float = field(compare=False, default=0.0)
+
+    @property
+    def query_count(self) -> int:
+        return len(self.results)
 
 
 def _build_histograms(config: ExperimentConfig, root: RngStream):
@@ -237,21 +317,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         gauss_total = gauss_q * len(histograms) if gauss_q is not None else None
 
     return ExperimentReport(
-        mechanism=config.mechanism,
-        seed=config.seed,
-        num_classes=config.num_classes,
-        query_count=len(histograms),
-        teachers=config.teachers,
-        teacher_accuracy=accuracy_used if config.teachers is not None else None,
-        predictions=config.predictions,
-        truth=config.truth,
-        boost_constant=config.boost_constant,
-        gamma=config.gamma,
-        sigma=config.sigma,
-        scale=config.scale,
-        beta=config.beta,
-        tau=config.tau,
-        delta=config.delta,
+        config=replace(config, queries=len(histograms), teacher_accuracy=accuracy_used),
         clean_accuracy_pct=clean_pct,
         mechanism_accuracy_pct=mech_pct,
         agreement_pct=agree_pct,
@@ -273,18 +339,24 @@ def _round12(value: Optional[float]) -> Optional[float]:
     return float(f"{float(value):.12g}")
 
 
-def _fmt12(value) -> str:
+def _fmt12(value, base: type) -> str:
     if value is None:
         return ""
-    if isinstance(value, int):
-        return str(value)
-    return f"{float(value):.12g}"
+    if base is float:
+        return f"{float(value):.12g}"
+    return str(value)
 
 
 SUMMARY_FILE = "summary.json"
 QUERIES_FILE = "queries.csv"
 LEDGER_FILE = "ledger.csv"
-_QUERY_COLUMNS = "query_id,returned_label,clean_label,truth_label,gap,sensitivity,epsilon"
+# (field name, summary.json key, declared base type) of each config field in the summary
+_SUMMARY_FIELDS = tuple(
+    (f.name, f.metadata.get("summary", f.name), _CONFIG_TYPES[f.name][0])
+    for f in fields(ExperimentConfig) if f.metadata.get("summary", f.name) is not None
+)
+_QUERY_HEADER = ",".join(_QUERY_TYPES)
+_query_row = attrgetter(*_QUERY_TYPES)
 
 
 def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
@@ -292,22 +364,11 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary = {
-        "mechanism": report.mechanism,
-        "seed": report.seed,
-        "num_classes": report.num_classes,
-        "query_count": report.query_count,
-        "teachers": report.teachers,
-        "teacher_accuracy": _round12(report.teacher_accuracy),
-        "predictions": report.predictions,
-        "truth": report.truth,
-        "boost_constant": _round12(report.boost_constant),
-        "gamma": _round12(report.gamma),
-        "sigma": _round12(report.sigma),
-        "scale": _round12(report.scale),
-        "beta": _round12(report.beta),
-        "tau": _round12(report.tau),
-        "delta": _round12(report.delta),
+    summary = {}
+    for name, key, base in _SUMMARY_FIELDS:
+        value = getattr(report.config, name)
+        summary[key] = _round12(value) if base is float else value
+    summary.update({
         "clean_accuracy_pct": _round12(report.clean_accuracy_pct),
         "mechanism_accuracy_pct": _round12(report.mechanism_accuracy_pct),
         "agreement_pct": _round12(report.agreement_pct),
@@ -321,21 +382,14 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
             "gaussian_epsilon_per_query": _round12(report.gaussian_epsilon_per_query),
             "gaussian_epsilon_total": _round12(report.gaussian_epsilon_total),
         },
-    }
+    })
     summary_path = out / SUMMARY_FILE
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
-    lines = [_QUERY_COLUMNS]
+    bases = [base for base, _ in _QUERY_TYPES.values()]
+    lines = [_QUERY_HEADER]
     for r in report.results:
-        lines.append(",".join([
-            str(r.query_id),
-            str(r.returned_label),
-            str(r.clean_label),
-            "" if r.truth_label is None else str(r.truth_label),
-            str(r.gap),
-            _fmt12(r.sensitivity),
-            _fmt12(r.epsilon),
-        ]))
+        lines.append(",".join(_fmt12(v, base) for v, base in zip(_query_row(r), bases)))
     queries_path = out / QUERIES_FILE
     queries_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -345,47 +399,36 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
 
 
 def read_report(out_dir) -> ExperimentReport:
-    """Parse a report directory back into an ExperimentReport (runtime is not stored)."""
+    """Parse a report directory back into an ExperimentReport (runtime and out_dir are not stored)."""
     out = Path(out_dir)
     summary = json.loads((out / SUMMARY_FILE).read_text(encoding="utf-8"))
 
     results = []
     lines = (out / QUERIES_FILE).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _QUERY_COLUMNS:
+    if not lines or lines[0] != _QUERY_HEADER:
         raise ValueError(f"{out / QUERIES_FILE}: unrecognized header")
-    for line in lines[1:]:
-        f = line.split(",")
-        results.append(QueryResult(
-            query_id=int(f[0]),
-            returned_label=int(f[1]),
-            clean_label=int(f[2]),
-            truth_label=int(f[3]) if f[3] else None,
-            gap=int(f[4]),
-            sensitivity=float(f[5]),
-            epsilon=float(f[6]) if f[6] else None,
-        ))
+    types = list(_QUERY_TYPES.values())
+    for lineno, line in enumerate(lines[1:], start=2):
+        cells = line.split(",")
+        if len(cells) != len(types):
+            raise ValueError(f"{out / QUERIES_FILE}:{lineno}: expected {len(types)} fields, "
+                             f"got {len(cells)}")
+        results.append(QueryResult(*(
+            None if optional and not cell else base(cell)
+            for cell, (base, optional) in zip(cells, types)
+        )))
 
+    qualified = tuple((e["n"], e["fraction"]) for e in summary["qualified_fractions"])
+    values = {name: summary[key] for name, key, _ in _SUMMARY_FIELDS}
+    if qualified:
+        values["distance_grid"] = tuple(n for n, _ in qualified)
     privacy = summary["privacy"]
     return ExperimentReport(
-        mechanism=summary["mechanism"],
-        seed=summary["seed"],
-        num_classes=summary["num_classes"],
-        query_count=summary["query_count"],
-        teachers=summary["teachers"],
-        teacher_accuracy=summary["teacher_accuracy"],
-        predictions=summary["predictions"],
-        truth=summary["truth"],
-        boost_constant=summary["boost_constant"],
-        gamma=summary["gamma"],
-        sigma=summary["sigma"],
-        scale=summary["scale"],
-        beta=summary["beta"],
-        tau=summary["tau"],
-        delta=summary["delta"],
+        config=config_from_dict(values, str(out / SUMMARY_FILE)),
         clean_accuracy_pct=summary["clean_accuracy_pct"],
         mechanism_accuracy_pct=summary["mechanism_accuracy_pct"],
         agreement_pct=summary["agreement_pct"],
-        qualified_fractions=tuple((e["n"], e["fraction"]) for e in summary["qualified_fractions"]),
+        qualified_fractions=qualified,
         eps_moments=privacy["eps_moments"],
         eps_simple=privacy["eps_simple"],
         eps_advanced=privacy["eps_advanced"],

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "VoteHistogram",
     "BoostedVotes",
-    "QueryRecord",
     "argmax",
     "gap",
     "is_distance_n",
@@ -75,23 +74,6 @@ class BoostedVotes:
     @property
     def num_classes(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class QueryRecord:
-    """One answered query: the histogram, the label returned, and optional truth."""
-
-    query_id: int
-    histogram: VoteHistogram
-    returned_label: int
-    ground_truth_label: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        n = self.histogram.num_classes
-        if not 0 <= self.returned_label < n:
-            raise ValueError(f"returned label {self.returned_label} out of range [0, {n})")
-        if self.ground_truth_label is not None and not 0 <= self.ground_truth_label < n:
-            raise ValueError(f"ground truth label {self.ground_truth_label} out of range [0, {n})")
 
 
 def argmax(votes: VoteHistogram) -> int:

@@ -11,7 +11,6 @@ from dpvote import (
     PrivacyLedger,
     advanced_composition,
     classical_gaussian_epsilon,
-    compose,
     delta_for_eps,
     eps_for_delta,
     per_query_moment,
@@ -69,7 +68,7 @@ class TestCompose:
         gamma = 0.125
         ledger = PrivacyLedger()
         for _ in range(7):
-            compose(ledger, LedgerEntry("lnmax", sensitivity=1.0, gamma=gamma))
+            ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=gamma))
         single = MomentCurve.for_laplace(gamma)
         total = ledger.moment_curve()
         assert all(t == 7 * s for t, s in zip(total.alpha, single.alpha))

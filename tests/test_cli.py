@@ -62,6 +62,38 @@ class TestRunCommand:
         assert "unknown config field" in capsys.readouterr().err
 
 
+    _BASE = {"mechanism": "lnmax", "teachers": 5, "queries": 3, "gamma": 1.0, "seed": 1}
+
+    @pytest.mark.parametrize("overrides, flags, field", [
+        ({"teachers": "5"}, [], "teachers"),
+        ({"gamma": "1.0"}, [], "gamma"),
+        ({"queries": 2.5}, [], "queries"),
+        ({"teachers": True}, [], "teachers"),
+        ({"seed": 1.0}, [], "seed"),
+        ({"beta": float("nan")}, [], "beta"),
+        ({"distance_grid": [1, 2.5]}, [], "distance_grid"),
+        ({"mechanism": "nzc-laplace"}, ["--c", "inf"], "boost_constant"),
+        ({"gamma": None}, ["--scale", "inf"], "scale"),
+    ])
+    def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, overrides, flags, field):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**self._BASE, **overrides}), encoding="utf-8")
+        code = run_cli(["run", "--config", str(config_path), *flags])
+        err = capsys.readouterr().err
+        assert code != 0
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert field in err
+
+    def test_config_file_float_fields_accept_integers_and_grid_list(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config = {**self._BASE, "gamma": 1, "distance_grid": [0, 4]}
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert run_cli(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["gamma"] == 1.0
+        assert [row["n"] for row in summary["qualified_fractions"]] == [0, 4]
+
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
         code = run_cli(["verify", "--seed", "7", "--instances", "300", "--trials", "50000"])

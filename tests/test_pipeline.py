@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -164,15 +165,26 @@ class TestEmitAndRead:
             assert paths[key].read_bytes() == again[key].read_bytes()
 
     def test_round_trip_recovers_fields(self, tmp_path):
-        report = run_experiment(small_config(queries=25))
+        # off-default values, so a config field the writer or reader drops shows up
+        report = run_experiment(small_config(
+            queries=25, num_classes=7, teacher_accuracy=0.75, beta=0.5, tau=1e-6,
+            delta=1e-4, distance_grid=(0, 3), out_dir=str(tmp_path / "r")))
         emit_report(report, tmp_path / "r")
         parsed = read_report(tmp_path / "r")
-        assert parsed.mechanism == report.mechanism
+        assert parsed.config == replace(report.config, out_dir=None)
         assert parsed.query_count == report.query_count
         assert parsed.agreement_pct == pytest.approx(report.agreement_pct, rel=1e-9)
         assert [r.query_id for r in parsed.results] == [r.query_id for r in report.results]
         assert [r.returned_label for r in parsed.results] == [
             r.returned_label for r in report.results]
+
+    def test_short_query_row_is_rejected_with_its_line(self, tmp_path):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        lines = paths["queries"].read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        paths["queries"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"queries.csv:3: expected 7 fields, got 6"):
+            read_report(tmp_path / "r")
 
     def test_qualified_table_has_one_row_per_grid_entry(self, tmp_path):
         report = run_experiment(small_config(queries=30))

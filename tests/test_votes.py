@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpvote import BoostedVotes, QueryRecord, VoteHistogram, argmax, boost, gap, is_distance_n
+from dpvote import BoostedVotes, VoteHistogram, argmax, boost, gap, is_distance_n
 
 histograms = st.lists(st.integers(0, 40), min_size=2, max_size=8).filter(lambda c: sum(c) >= 1)
 
@@ -102,20 +102,6 @@ class TestProperties:
         if is_distance_n(v, n):
             for smaller in range(n):
                 assert is_distance_n(v, smaller)
-
-
-class TestQueryRecord:
-    def test_valid(self):
-        r = QueryRecord(0, VoteHistogram([4, 1]), returned_label=0, ground_truth_label=1)
-        assert r.returned_label == 0
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            QueryRecord(0, VoteHistogram([4, 1]), returned_label=2)
-
-    def test_truth_out_of_range(self):
-        with pytest.raises(ValueError):
-            QueryRecord(0, VoteHistogram([4, 1]), returned_label=0, ground_truth_label=5)
 
 
 def test_boosted_votes_array_roundtrip():
