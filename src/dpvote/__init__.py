@@ -74,12 +74,10 @@ from .sensitivity import (
     brute_force_local,
     brute_force_smooth,
     enumerate_neighbors,
-    global_sensitivity,
     local_sensitivity,
     smooth_sensitivity,
 )
 from .votes import (
-    BoostedVotes,
     VoteHistogram,
     argmax,
     boost,

@@ -241,31 +241,49 @@ class PrivacyLedger:
 
     @classmethod
     def load(cls, path) -> "PrivacyLedger":
+        """Read an exported ledger; every error is one line naming ``path:line``.
+
+        The epsilon and moment columns are derived from gamma, so only the
+        gamma, sigma and sensitivity cells are read back.
+        """
         text = Path(path).read_text(encoding="utf-8")
-        lines = [line for line in text.splitlines() if line]
-        if not lines:
+        lines = text.splitlines()
+        if not any(lines):
             raise ValueError(f"{path}: empty ledger file")
         header = lines[0].split(",")
         fixed = ["index", "mechanism", "gamma", "sigma", "sensitivity", "epsilon"]
         if header[: len(fixed)] != fixed:
-            raise ValueError(f"{path}: unrecognized ledger header")
+            raise ValueError(f"{path}:1: unrecognized ledger header")
         orders = []
         for name in header[len(fixed):]:
-            if not name.startswith("alpha_"):
-                raise ValueError(f"{path}: unrecognized ledger column {name!r}")
-            orders.append(int(name[len("alpha_"):]))
-        ledger = cls(orders)
+            order = name[len("alpha_"):]
+            if not (name.startswith("alpha_") and order.isdigit()):
+                raise ValueError(f"{path}:1: unrecognized ledger column {name!r}")
+            orders.append(int(order))
+        try:
+            ledger = cls(orders)
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: {exc}") from None
         for lineno, line in enumerate(lines[1:], start=2):
-            fields = line.split(",")
-            if len(fields) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(fields)}")
-            gamma = float(fields[2]) if fields[2] else None
-            sigma = float(fields[3]) if fields[3] else None
-            ledger.record(LedgerEntry(
-                mechanism=fields[1],
-                sensitivity=float(fields[4]),
-                gamma=gamma,
-                sigma=sigma,
-            ))
+            if not line:
+                continue
+            cells = line.split(",")
+            try:
+                if len(cells) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
+                gamma, sigma = (_parse_number(cells[i], fixed[i]) if cells[i] else None for i in (2, 3))
+                sensitivity = _parse_number(cells[4], "sensitivity")
+                ledger.record(LedgerEntry(cells[1], sensitivity, gamma=gamma, sigma=sigma))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
         return ledger
 
+
+def _parse_number(cell: str, name: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {cell!r}")
+    return value

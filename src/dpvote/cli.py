@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--sigma", type=float, help="Gaussian std multiplier")
     run.add_argument("--scale", type=float, help="raw noise scale (alternative to gamma/sigma)")
     run.add_argument("--beta", type=float)
-    run.add_argument("--tau", type=float, help="tolerated flip probability")
     run.add_argument("--delta", type=float)
     run.add_argument("--seed", type=int)
     run.add_argument("--predictions", help="CSV of query_id,teacher_id,label")
@@ -194,7 +193,7 @@ def _cmd_account(args) -> int:
     gaussian_entries = [e for e in ledger.entries if e.sigma is not None]
     if gaussian_entries:
         print(f"gaussian entries: {len(gaussian_entries)} "
-              f"(convert per-query with the classical calibration; see docs)")
+              f"(convert per-query with dpvote.classical_gaussian_epsilon(sigma, delta))")
     return 0
 
 

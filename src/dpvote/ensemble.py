@@ -117,10 +117,6 @@ class PredictionTable:
     def teacher_count(self) -> int:
         return len(self.teacher_ids)
 
-    def histogram(self, query_id: int) -> VoteHistogram:
-        row = self.labels[self.query_ids.index(query_id)]
-        return VoteHistogram(np.bincount(row, minlength=self.num_classes))
-
     def histograms(self) -> list[VoteHistogram]:
         return [
             VoteHistogram(np.bincount(row, minlength=self.num_classes))

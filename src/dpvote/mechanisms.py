@@ -7,14 +7,14 @@ ledger writes.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .accountant import LedgerEntry
-from .noise import MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks, sample_laplace
+from .noise import (MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks,
+                    sample_gaussian, sample_laplace)
 from .sensitivity import SensitivityEstimate, enumerate_neighbors, smooth_sensitivity
 from .votes import VoteHistogram, argmax, boost
 
@@ -36,7 +36,6 @@ class MechanismOutcome:
     returned_label: int
     sensitivity_used: SensitivityEstimate
     ledger_entry: LedgerEntry
-    noise_digest: Optional[str] = None
 
 
 def noisy_argmax(values, noise) -> int:
@@ -48,108 +47,59 @@ def noisy_argmax(values, noise) -> int:
     return int(np.argmax(values + noise))
 
 
-def _digest(noise: np.ndarray) -> str:
-    return hashlib.blake2b(np.ascontiguousarray(noise).tobytes(), digest_size=8).hexdigest()
+def _release(mechanism: str, values: np.ndarray, sens: SensitivityEstimate,
+             param: Optional[float], raw_scale: Optional[float], rng: RngLike) -> MechanismOutcome:
+    """Noisy argmax of ``values`` with noise calibrated to ``sens``, charged to the ledger.
 
-
-def _resolve_scale(sensitivity: float, gamma: Optional[float], scale: Optional[float], what: str):
-    """Turn (gamma | raw scale) into (noise scale, effective gamma).
-
-    The two parameterizations coexist because experiments sometimes pin the
-    noise magnitude directly; the ledger always carries the effective gamma
-    = sensitivity / scale so accounting stays consistent either way.
+    nzc-gaussian adds Gaussian noise of std sens * sigma; the other mechanisms
+    add Laplace noise of scale sens / gamma.  ``param`` is gamma or sigma.
+    Pinning the noise magnitude with ``raw_scale`` instead is allowed because
+    experiments sometimes fix it directly; the ledger then carries the
+    effective parameter it implies, so accounting stays consistent either way.
     """
-    if (gamma is None) == (scale is None):
-        raise ValueError(f"{what}: pass exactly one of gamma or scale")
-    if gamma is not None:
-        if not gamma > 0.0:
-            raise ValueError(f"{what}: gamma must be positive, got {gamma!r}")
-        return sensitivity / gamma, float(gamma)
-    if not scale > 0.0:
-        raise ValueError(f"{what}: scale must be positive, got {scale!r}")
-    return float(scale), sensitivity / scale
+    gaussian = mechanism == "nzc-gaussian"
+    param_name, scale_name = ("sigma", "std") if gaussian else ("gamma", "scale")
+    if (param is None) == (raw_scale is None):
+        raise ValueError(f"{mechanism}: pass exactly one of {param_name} or {scale_name}")
+    name, given = (param_name, param) if param is not None else (scale_name, raw_scale)
+    if not given > 0.0:
+        raise ValueError(f"{mechanism}: {name} must be positive, got {given!r}")
+    if param is not None:
+        scale = sens.value * param if gaussian else sens.value / param
+        param = float(param)
+    else:
+        scale = float(raw_scale)
+        param = scale / sens.value if gaussian else sens.value / scale
+    sample = sample_gaussian if gaussian else sample_laplace
+    noise = sample(scale, rng, size=values.size)
+    return MechanismOutcome(
+        returned_label=noisy_argmax(values, noise),
+        sensitivity_used=sens,
+        ledger_entry=LedgerEntry(mechanism, sensitivity=sens.value, **{param_name: param}),
+    )
 
 
-def lnmax(
-    votes: VoteHistogram,
-    gamma: Optional[float],
-    delta_f: float,
-    rng: RngLike,
-    *,
-    scale: Optional[float] = None,
-    digest: bool = False,
-) -> MechanismOutcome:
+def lnmax(votes: VoteHistogram, gamma: Optional[float], delta_f: float, rng: RngLike, *,
+          scale: Optional[float] = None) -> MechanismOutcome:
     """Baseline noisy argmax: Laplace(delta_f / gamma) added to the raw counts."""
     if not delta_f > 0.0:
         raise ValueError(f"lnmax: delta_f must be positive, got {delta_f!r}")
-    noise_scale, eff_gamma = _resolve_scale(float(delta_f), gamma, scale, "lnmax")
-    noise = sample_laplace(noise_scale, rng, size=votes.num_classes)
-    label = noisy_argmax(votes.as_array(), noise)
-    return MechanismOutcome(
-        returned_label=label,
-        sensitivity_used=SensitivityEstimate(kind="global", value=float(delta_f)),
-        ledger_entry=LedgerEntry("lnmax", sensitivity=float(delta_f), gamma=eff_gamma),
-        noise_digest=_digest(noise) if digest else None,
-    )
+    sens = SensitivityEstimate(kind="global", value=float(delta_f))
+    return _release("lnmax", votes.as_array(), sens, gamma, scale, rng)
 
 
-def nzc_laplace(
-    votes: VoteHistogram,
-    boost_constant: float,
-    gamma: Optional[float],
-    beta: float,
-    rng: RngLike,
-    *,
-    scale: Optional[float] = None,
-    digest: bool = False,
-) -> MechanismOutcome:
+def nzc_laplace(votes: VoteHistogram, boost_constant: float, gamma: Optional[float], beta: float,
+                rng: RngLike, *, scale: Optional[float] = None) -> MechanismOutcome:
     """Boosted noisy argmax with Laplace noise scaled to the smooth sensitivity."""
     sens = smooth_sensitivity(votes, boost_constant, beta)
-    noise_scale, eff_gamma = _resolve_scale(sens.value, gamma, scale, "nzc_laplace")
-    boosted = boost(votes, boost_constant)
-    noise = sample_laplace(noise_scale, rng, size=votes.num_classes)
-    label = noisy_argmax(boosted.as_array(), noise)
-    return MechanismOutcome(
-        returned_label=label,
-        sensitivity_used=sens,
-        ledger_entry=LedgerEntry("nzc-laplace", sensitivity=sens.value, gamma=eff_gamma),
-        noise_digest=_digest(noise) if digest else None,
-    )
+    return _release("nzc-laplace", boost(votes, boost_constant), sens, gamma, scale, rng)
 
 
-def nzc_gaussian(
-    votes: VoteHistogram,
-    boost_constant: float,
-    sigma: Optional[float],
-    beta: float,
-    rng: RngLike,
-    *,
-    std: Optional[float] = None,
-    digest: bool = False,
-) -> MechanismOutcome:
+def nzc_gaussian(votes: VoteHistogram, boost_constant: float, sigma: Optional[float], beta: float,
+                 rng: RngLike, *, std: Optional[float] = None) -> MechanismOutcome:
     """Boosted noisy argmax with Gaussian noise of std = smooth sensitivity * sigma."""
     sens = smooth_sensitivity(votes, boost_constant, beta)
-    if (sigma is None) == (std is None):
-        raise ValueError("nzc_gaussian: pass exactly one of sigma or std")
-    if sigma is not None:
-        if not sigma > 0.0:
-            raise ValueError(f"nzc_gaussian: sigma must be positive, got {sigma!r}")
-        noise_std = sens.value * sigma
-        eff_sigma = float(sigma)
-    else:
-        if not std > 0.0:
-            raise ValueError(f"nzc_gaussian: std must be positive, got {std!r}")
-        noise_std = float(std)
-        eff_sigma = noise_std / sens.value
-    boosted = boost(votes, boost_constant)
-    noise = noise_std * ensure_generator(rng).standard_normal(votes.num_classes)
-    label = noisy_argmax(boosted.as_array(), noise)
-    return MechanismOutcome(
-        returned_label=label,
-        sensitivity_used=sens,
-        ledger_entry=LedgerEntry("nzc-gaussian", sensitivity=sens.value, sigma=eff_sigma),
-        noise_digest=_digest(noise) if digest else None,
-    )
+    return _release("nzc-gaussian", boost(votes, boost_constant), sens, sigma, std, rng)
 
 
 def flip_probability_mc(
@@ -163,7 +113,7 @@ def flip_probability_mc(
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     baseline = argmax(votes)
-    boosted = boost(votes, boost_constant).as_array()
+    boosted = boost(votes, boost_constant)
     flips = sum(int(np.count_nonzero(np.argmax(boosted + noise, axis=1) != baseline))
                 for noise in noise_blocks(spec, votes.num_classes, trials, rng))
     return MonteCarloEstimate.from_hits(flips, trials)
@@ -217,7 +167,7 @@ def dp_ratio_check(
     gen = ensure_generator(rng)
     neighbors = enumerate_neighbors(votes)
     distributions = [
-        _label_distribution(boost(h, boost_constant).as_array(), spec, trials, gen)
+        _label_distribution(boost(h, boost_constant), spec, trials, gen)
         for h in neighbors
     ]
     center = distributions[0]

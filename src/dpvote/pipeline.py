@@ -32,7 +32,7 @@ from .ensemble import (
 )
 from .mechanisms import lnmax, nzc_gaussian, nzc_laplace
 from .noise import RngStream
-from .votes import VoteHistogram, argmax, gap
+from .votes import VoteHistogram, argmax, check_boost_constant, gap
 
 __all__ = [
     "MECHANISMS",
@@ -81,7 +81,6 @@ class ExperimentConfig:
     sigma: Optional[float] = None
     scale: Optional[float] = None  # raw noise scale; alternative to gamma/sigma calibration
     beta: float = 1.0
-    tau: float = 1e-9
     delta: float = 1e-5
     out_dir: Optional[str] = field(default=None, metadata={"summary": None})
     # summary.json keeps the grid as the n column of qualified_fractions
@@ -105,12 +104,9 @@ class ExperimentConfig:
             raise ValueError(f"query budget must be non-negative, got {self.queries}")
         if self.num_classes < 2:
             raise ValueError(f"need at least two classes, got {self.num_classes}")
-        if not self.boost_constant >= 0.0:
-            raise ValueError(f"boost constant must be non-negative, got {self.boost_constant!r}")
+        check_boost_constant(self.boost_constant)
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta!r}")
-        if not 0.0 < self.tau < 1.0:
-            raise ValueError(f"tau must lie in (0, 1), got {self.tau!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if self.mechanism in ("lnmax", "nzc-laplace"):
@@ -355,6 +351,10 @@ _SUMMARY_FIELDS = tuple(
     (f.name, f.metadata.get("summary", f.name), _CONFIG_TYPES[f.name][0])
     for f in fields(ExperimentConfig) if f.metadata.get("summary", f.name) is not None
 )
+# ExperimentReport figures in summary.json: top-level, then inside "privacy"
+_ACCURACY_KEYS = ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct")
+_PRIVACY_KEYS = ("eps_moments", "eps_simple", "eps_advanced",
+                 "gaussian_epsilon_per_query", "gaussian_epsilon_total")
 _QUERY_HEADER = ",".join(_QUERY_TYPES)
 _query_row = attrgetter(*_QUERY_TYPES)
 
@@ -368,21 +368,11 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     for name, key, base in _SUMMARY_FIELDS:
         value = getattr(report.config, name)
         summary[key] = _round12(value) if base is float else value
-    summary.update({
-        "clean_accuracy_pct": _round12(report.clean_accuracy_pct),
-        "mechanism_accuracy_pct": _round12(report.mechanism_accuracy_pct),
-        "agreement_pct": _round12(report.agreement_pct),
-        "qualified_fractions": [
-            {"n": n, "fraction": _round12(frac)} for n, frac in report.qualified_fractions
-        ],
-        "privacy": {
-            "eps_moments": _round12(report.eps_moments),
-            "eps_simple": _round12(report.eps_simple),
-            "eps_advanced": _round12(report.eps_advanced),
-            "gaussian_epsilon_per_query": _round12(report.gaussian_epsilon_per_query),
-            "gaussian_epsilon_total": _round12(report.gaussian_epsilon_total),
-        },
-    })
+    summary.update({key: _round12(getattr(report, key)) for key in _ACCURACY_KEYS})
+    summary["qualified_fractions"] = [
+        {"n": n, "fraction": _round12(frac)} for n, frac in report.qualified_fractions
+    ]
+    summary["privacy"] = {key: _round12(getattr(report, key)) for key in _PRIVACY_KEYS}
     summary_path = out / SUMMARY_FILE
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
@@ -418,22 +408,19 @@ def read_report(out_dir) -> ExperimentReport:
             for cell, (base, optional) in zip(cells, types)
         )))
 
-    qualified = tuple((e["n"], e["fraction"]) for e in summary["qualified_fractions"])
-    values = {name: summary[key] for name, key, _ in _SUMMARY_FIELDS}
+    try:
+        qualified = tuple((e["n"], e["fraction"]) for e in summary["qualified_fractions"])
+        values = {name: summary[key] for name, key, _ in _SUMMARY_FIELDS}
+        figures = {key: summary[key] for key in _ACCURACY_KEYS}
+        figures.update((key, summary["privacy"][key]) for key in _PRIVACY_KEYS)
+    except KeyError as exc:
+        raise ValueError(f"{out / SUMMARY_FILE}: missing key {exc.args[0]!r}") from None
     if qualified:
         values["distance_grid"] = tuple(n for n, _ in qualified)
-    privacy = summary["privacy"]
     return ExperimentReport(
         config=config_from_dict(values, str(out / SUMMARY_FILE)),
-        clean_accuracy_pct=summary["clean_accuracy_pct"],
-        mechanism_accuracy_pct=summary["mechanism_accuracy_pct"],
-        agreement_pct=summary["agreement_pct"],
         qualified_fractions=qualified,
-        eps_moments=privacy["eps_moments"],
-        eps_simple=privacy["eps_simple"],
-        eps_advanced=privacy["eps_advanced"],
-        gaussian_epsilon_per_query=privacy["gaussian_epsilon_per_query"],
-        gaussian_epsilon_total=privacy["gaussian_epsilon_total"],
         results=tuple(results),
         ledger=PrivacyLedger.load(out / LEDGER_FILE),
+        **figures,
     )

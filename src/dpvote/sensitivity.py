@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .votes import VoteHistogram, is_distance_n
+from .votes import VoteHistogram, check_boost_constant
 
 __all__ = [
     "SensitivityEstimate",
-    "global_sensitivity",
     "local_sensitivity",
     "smooth_sensitivity",
     "enumerate_neighbors",
@@ -28,30 +27,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SensitivityEstimate:
-    """A sensitivity value together with how it was classified.
-
-    ``distance_class`` records the top-two-gap threshold the histogram cleared
-    (2 for the local estimate, 3 for the smooth one, 0 when it cleared
-    neither); the value itself is always the one validated by the exhaustive
-    neighbor oracle.
-    """
+    """A sensitivity value and the kind of bound it is; the value is the one
+    validated by the exhaustive neighbor oracle."""
 
     kind: str  # "global" | "local" | "smooth"
     value: float
     beta: float = 0.0
-    distance_class: int = 0
-
-
-def _check_boost_constant(boost_constant: float) -> float:
-    c = float(boost_constant)
-    if not c >= 0.0:
-        raise ValueError(f"boost constant must be non-negative, got {boost_constant!r}")
-    return c
-
-
-def global_sensitivity(boost_constant: float) -> float:
-    """Worst case over all histograms: the moved vote plus the relocated boost."""
-    return _check_boost_constant(boost_constant) + 1.0
 
 
 def _neighbor_rows(counts: np.ndarray) -> np.ndarray:
@@ -95,14 +76,9 @@ def local_sensitivity(votes: VoteHistogram, boost_constant: float) -> Sensitivit
     1 when no move can change the winning class (the boost stays put), else
     1 + c (the boost relocates along with the moved vote).
     """
-    c = _check_boost_constant(boost_constant)
+    c = check_boost_constant(boost_constant)
     value = (1.0 + c) if _single_move_can_flip(votes.as_array()) else 1.0
-    return SensitivityEstimate(
-        kind="local",
-        value=value,
-        beta=0.0,
-        distance_class=2 if is_distance_n(votes, 2) else 0,
-    )
+    return SensitivityEstimate(kind="local", value=value)
 
 
 def smooth_sensitivity(votes: VoteHistogram, boost_constant: float, beta: float) -> SensitivityEstimate:
@@ -111,18 +87,13 @@ def smooth_sensitivity(votes: VoteHistogram, boost_constant: float, beta: float)
     e^-beta when no histogram within one vote move of the input can itself be
     flipped by a further move, else (1 + c) * e^-beta.
     """
-    c = _check_boost_constant(boost_constant)
+    c = check_boost_constant(boost_constant)
     b = float(beta)
     if not b > 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
     neighborhood_flips = any(_single_move_can_flip(row) for row in _neighbor_rows(votes.as_array()))
     base = (1.0 + c) if neighborhood_flips else 1.0
-    return SensitivityEstimate(
-        kind="smooth",
-        value=base * math.exp(-b),
-        beta=b,
-        distance_class=3 if is_distance_n(votes, 3) else 0,
-    )
+    return SensitivityEstimate(kind="smooth", value=base * math.exp(-b), beta=b)
 
 
 def enumerate_neighbors(votes: VoteHistogram) -> list[VoteHistogram]:
@@ -149,12 +120,12 @@ def brute_force_local(votes: VoteHistogram, boost_constant: float) -> float:
     Intended for small instances (teacher counts up to a few hundred are fine;
     cost grows with the square of the class count).
     """
-    return _brute_local(votes.as_array(), _check_boost_constant(boost_constant))
+    return _brute_local(votes.as_array(), check_boost_constant(boost_constant))
 
 
 def brute_force_smooth(votes: VoteHistogram, boost_constant: float, beta: float) -> float:
     """Oracle for ``smooth_sensitivity``: exhaustive radius-1 scan of local oracles."""
-    c = _check_boost_constant(boost_constant)
+    c = check_boost_constant(boost_constant)
     b = float(beta)
     if not b > 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")

@@ -9,7 +9,6 @@ import numpy as np
 
 __all__ = [
     "VoteHistogram",
-    "BoostedVotes",
     "argmax",
     "gap",
     "is_distance_n",
@@ -53,29 +52,6 @@ class VoteHistogram:
         return np.asarray(self.counts, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class BoostedVotes:
-    """Real-valued counts after adding a constant to the winning bin.
-
-    Counts are stored as float64 so that arbitrarily large boost constants are
-    representable; for constants around 1e16 and beyond, adding a small number
-    to the boosted bin is absorbed by floating-point rounding.  That only makes
-    the argmax harder to move, and tests of flip behaviour use moderate
-    constants where arithmetic is exact.
-    """
-
-    values: tuple[float, ...]
-    boost_index: int
-    boost_constant: float
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.values)
-
-
 def argmax(votes: VoteHistogram) -> int:
     """Index of the largest count; ties resolve to the lowest index."""
     return int(np.argmax(votes.as_array()))
@@ -94,16 +70,25 @@ def is_distance_n(votes: VoteHistogram, n: int) -> bool:
     return gap(votes) > n
 
 
-def boost(votes: VoteHistogram, boost_constant: float) -> BoostedVotes:
-    """Add ``boost_constant`` to the winning bin, leaving every other count untouched.
-
-    The argmax of the result equals the argmax of the input for any
-    non-negative constant.
-    """
+def check_boost_constant(boost_constant: float) -> float:
+    """The constant as a float; rejects negative and NaN values (shared with dpvote.sensitivity)."""
     c = float(boost_constant)
     if not c >= 0.0:
         raise ValueError(f"boost constant must be non-negative, got {boost_constant!r}")
-    idx = argmax(votes)
+    return c
+
+
+def boost(votes: VoteHistogram, boost_constant: float) -> np.ndarray:
+    """The counts as float64, with ``boost_constant`` added to the winning bin.
+
+    The argmax of the result equals the argmax of the input for any
+    non-negative constant.  Float64 makes arbitrarily large constants
+    representable; for constants around 1e16 and beyond, adding a small
+    number to the boosted bin is absorbed by rounding.  That only makes the
+    argmax harder to move, and tests of flip behaviour use moderate constants
+    where arithmetic is exact.
+    """
+    c = check_boost_constant(boost_constant)
     values = votes.as_array().astype(np.float64)
-    values[idx] += c
-    return BoostedVotes(values=tuple(float(x) for x in values), boost_index=idx, boost_constant=c)
+    values[argmax(votes)] += c
+    return values

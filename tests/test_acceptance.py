@@ -94,12 +94,12 @@ def test_02_neighbor_immutability():
         votes = random_histogram(gen, L, 250, extra_margin=4)
         assert is_distance_n(votes, 3)
         noise = gen.uniform(-bound, bound, L)
-        base = noisy_argmax(boost(votes, c).as_array(), noise)
+        base = noisy_argmax(boost(votes, c), noise)
         if base != argmax(votes):
             violations += 1
         for w in enumerate_neighbors(votes):
             neighbors_checked += 1
-            if noisy_argmax(boost(w, c).as_array(), noise) != base:
+            if noisy_argmax(boost(w, c), noise) != base:
                 violations += 1
     elapsed = time.perf_counter() - start
     ok = violations == 0 and elapsed < 60.0

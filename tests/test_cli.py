@@ -125,6 +125,28 @@ class TestAccountCommand:
         code = run_cli(["account", "--ledger", str(tmp_path / "nope.csv")])
         assert code != 0
 
+    @pytest.mark.parametrize("line, cell, value, expected", [
+        (2, 2, "abc", "ledger.csv:2: gamma must be a finite number, got 'abc'"),
+        (3, 2, "inf", "ledger.csv:3: gamma must be a finite number, got 'inf'"),
+        (1, 6, "alpha_x", "ledger.csv:1: unrecognized ledger column 'alpha_x'"),
+    ])
+    def test_bad_ledger_cell_is_one_line_error(self, tmp_path, capsys, line, cell, value, expected):
+        out_dir = tmp_path / "report"
+        assert run_cli(["run", "--mechanism", "lnmax", "--teachers", "5", "--queries", "3",
+                        "--gamma", "0.5", "--seed", "4", "--out", str(out_dir)]) == 0
+        ledger = out_dir / "ledger.csv"
+        lines = ledger.read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        cells[cell] = value
+        lines[line - 1] = ",".join(cells)
+        ledger.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(["account", "--ledger", str(ledger)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert expected in err
+
 
 def test_argparse_rejects_unknown_mechanism():
     with pytest.raises(SystemExit):

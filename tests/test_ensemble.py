@@ -100,7 +100,7 @@ class TestLoadPredictions:
         assert table.query_ids == (0, 1, 2)
         assert table.teacher_ids == (0, 1)
         assert table.labels.shape == (3, 2)
-        assert table.histogram(0).counts == (0, 2, 0)
+        assert table.histograms()[0].counts == (0, 2, 0)
 
     def test_label_out_of_range_names_line(self, tmp_path):
         p = tmp_path / "preds.csv"

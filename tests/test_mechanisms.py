@@ -78,7 +78,7 @@ class TestNzcLaplace:
         stream = RngStream(110)
         sens = smooth_sensitivity(STRONG, 1e100, 1.0)
         assert sens.value == pytest.approx(math.exp(-1), rel=1e-12)
-        boosted = boost(STRONG, 1e100).as_array()
+        boosted = boost(STRONG, 1e100)
         noise = NoiseSpec("laplace", gamma=1e-10, sensitivity=sens.value).sample(
             stream.generator(), size=(100_000, 3))
         labels = np.argmax(boosted + noise, axis=1)
@@ -87,7 +87,6 @@ class TestNzcLaplace:
     def test_sensitivity_used_on_wide_margin(self):
         out = nzc_laplace(STRONG, 1e100, 1e-10, 1.0, RngStream(111))
         assert out.sensitivity_used.value == pytest.approx(math.exp(-1), rel=1e-12)
-        assert out.sensitivity_used.distance_class == 3
 
     def test_zero_boost_matches_lnmax_with_same_scale(self):
         # with c=0 the boosted counts equal the raw counts and the smooth
@@ -106,11 +105,6 @@ class TestNzcLaplace:
         v = VoteHistogram([3, 9, 4])
         out = nzc_laplace(v, 0.0, 1e12, 1.0, RngStream(113))
         assert out.returned_label == argmax(v)
-
-    def test_noise_digest_is_deterministic(self):
-        a = nzc_laplace(STRONG, 10.0, 0.5, 1.0, RngStream(114), digest=True)
-        b = nzc_laplace(STRONG, 10.0, 0.5, 1.0, RngStream(114), digest=True)
-        assert a.noise_digest == b.noise_digest is not None
 
 
 class TestNzcGaussian:
@@ -180,7 +174,7 @@ class TestBoundedNoiseImmutability:
             bound = 25.0
             noise = gen.uniform(-bound, bound, v.num_classes)
             c = 2 * bound + 2  # dominates any bounded perturbation plus the unit margin
-            assert noisy_argmax(boost(v, c).as_array(), noise) == argmax(v)
+            assert noisy_argmax(boost(v, c), noise) == argmax(v)
 
     def test_distance_three_neighbors_agree_under_shared_noise(self):
         gen = np.random.default_rng(141)
@@ -191,9 +185,9 @@ class TestBoundedNoiseImmutability:
             bound = 25.0
             noise = gen.uniform(-bound, bound, v.num_classes)
             c = 2 * bound + 2
-            base = noisy_argmax(boost(v, c).as_array(), noise)
+            base = noisy_argmax(boost(v, c), noise)
             for w in enumerate_neighbors(v):
-                assert noisy_argmax(boost(w, c).as_array(), noise) == base
+                assert noisy_argmax(boost(w, c), noise) == base
 
 
 class TestDpRatioCheck:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -167,7 +168,7 @@ class TestEmitAndRead:
     def test_round_trip_recovers_fields(self, tmp_path):
         # off-default values, so a config field the writer or reader drops shows up
         report = run_experiment(small_config(
-            queries=25, num_classes=7, teacher_accuracy=0.75, beta=0.5, tau=1e-6,
+            queries=25, num_classes=7, teacher_accuracy=0.75, beta=0.5,
             delta=1e-4, distance_grid=(0, 3), out_dir=str(tmp_path / "r")))
         emit_report(report, tmp_path / "r")
         parsed = read_report(tmp_path / "r")
@@ -186,11 +187,26 @@ class TestEmitAndRead:
         with pytest.raises(ValueError, match=r"queries.csv:3: expected 7 fields, got 6"):
             read_report(tmp_path / "r")
 
+    SUMMARY_KEYS = [
+        "mechanism", "seed", "num_classes", "query_count", "teachers", "teacher_accuracy",
+        "predictions", "truth", "boost_constant", "gamma", "sigma", "scale", "beta", "delta",
+        "clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct",
+        "qualified_fractions", "privacy",
+    ]
+
+    @pytest.mark.parametrize("key", SUMMARY_KEYS)
+    def test_summary_missing_key_is_rejected_with_its_name(self, tmp_path, key):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        summary = json.loads(paths["summary"].read_text())
+        assert list(summary) == self.SUMMARY_KEYS
+        del summary[key]
+        paths["summary"].write_text(json.dumps(summary))
+        with pytest.raises(ValueError, match=rf"summary.json: missing key '{key}'"):
+            read_report(tmp_path / "r")
+
     def test_qualified_table_has_one_row_per_grid_entry(self, tmp_path):
         report = run_experiment(small_config(queries=30))
         paths = emit_report(report, tmp_path / "r")
-        import json
-
         summary = json.loads(paths["summary"].read_text())
         assert [row["n"] for row in summary["qualified_fractions"]] == [1, 2, 3, 5, 10, 25, 50, 100]
 
