@@ -36,6 +36,7 @@ from .ensemble import (
 )
 from .mechanisms import (
     DpRatioResult,
+    MechanismBatch,
     MechanismOutcome,
     dp_ratio_check,
     flip_probability_mc,
@@ -59,6 +60,7 @@ from .noise import (
     union_flip_bound,
 )
 from .pipeline import (
+    BLOCK,
     DEFAULT_DISTANCE_GRID,
     MECHANISMS,
     ExperimentConfig,
@@ -74,13 +76,16 @@ from .sensitivity import (
     brute_force_local,
     brute_force_smooth,
     enumerate_neighbors,
+    flip_moves,
     local_sensitivity,
     smooth_sensitivity,
+    smooth_values,
 )
 from .votes import (
     VoteHistogram,
     argmax,
     boost,
+    count_matrix,
     gap,
     is_distance_n,
 )

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -166,6 +168,11 @@ class LedgerEntry:
         return tuple(per_query_moment(self.gamma, o) for o in orders)
 
 
+def _fsum_counted(counts: Counter, term) -> float:
+    """Exact sum of ``term(g)`` taken ``counts[g]`` times per g, evaluating ``term`` once per g."""
+    return math.fsum(chain.from_iterable(repeat(term(g), n) for g, n in counts.items()))
+
+
 _FMT = "{:.12g}"
 
 
@@ -193,20 +200,26 @@ class PrivacyLedger:
     def query_count(self) -> int:
         return len(self.entries)
 
-    def record(self, entry: LedgerEntry) -> None:
-        if not isinstance(entry, LedgerEntry):
-            raise TypeError(f"expected a LedgerEntry, got {type(entry).__name__}")
-        self.entries.append(entry)
+    def record(self, *entries: LedgerEntry) -> None:
+        """Append ``entries`` in order."""
+        for entry in entries:
+            if not isinstance(entry, LedgerEntry):
+                raise TypeError(f"expected a LedgerEntry, got {type(entry).__name__}")
+        self.entries.extend(entries)
+
+    def _gamma_counts(self) -> Counter:
+        """How many entries carry each gamma (Gaussian entries carry none)."""
+        return Counter(e.gamma for e in self.entries if e.gamma is not None)
 
     def moment_curve(self) -> MomentCurve:
         """Pointwise exact sum of the per-entry moment bounds (Gaussian entries contribute none)."""
-        gammas = [e.gamma for e in self.entries if e.gamma is not None]
-        alpha = tuple(math.fsum(per_query_moment(g, o) for g in gammas) for o in self.orders)
+        counts = self._gamma_counts()
+        alpha = tuple(_fsum_counted(counts, lambda g: per_query_moment(g, o)) for o in self.orders)
         return MomentCurve(self.orders, alpha)
 
     def simple_epsilon(self) -> float:
         """Exact sum of the per-entry pure-DP costs (Gaussian entries contribute none)."""
-        return math.fsum(e.epsilon for e in self.entries if e.epsilon is not None)
+        return _fsum_counted(self._gamma_counts(), lambda g: 2.0 * g)
 
     def delta_for_eps(self, eps: float) -> float:
         return delta_for_eps(self.moment_curve(), eps)
@@ -224,17 +237,23 @@ class PrivacyLedger:
         header = ["index", "mechanism", "gamma", "sigma", "sensitivity", "epsilon"]
         header += [f"alpha_{o}" for o in self.orders]
         lines = [",".join(header)]
+        cells: dict[LedgerEntry, str] = {}  # the cells after the index, once per distinct entry
         for i, entry in enumerate(self.entries):
-            row = [str(i), entry.mechanism, _fmt(entry.gamma), _fmt(entry.sigma),
-                   _fmt(entry.sensitivity)]
-            if entry.gamma is None:
-                row += [""] * (1 + len(self.orders))
-            else:
-                printed_gamma = float(_FMT.format(entry.gamma))
-                row.append(_FMT.format(2.0 * printed_gamma))
-                row += [_FMT.format(per_query_moment(printed_gamma, o)) for o in self.orders]
-            lines.append(",".join(row))
+            text = cells.get(entry)
+            if text is None:
+                text = cells[entry] = self._cells(entry)
+            lines.append(f"{i},{text}")
         return "\n".join(lines) + "\n"
+
+    def _cells(self, entry: LedgerEntry) -> str:
+        row = [entry.mechanism, _fmt(entry.gamma), _fmt(entry.sigma), _fmt(entry.sensitivity)]
+        if entry.gamma is None:
+            row += [""] * (1 + len(self.orders))
+        else:
+            printed_gamma = float(_FMT.format(entry.gamma))
+            row.append(_FMT.format(2.0 * printed_gamma))
+            row += [_FMT.format(per_query_moment(printed_gamma, o)) for o in self.orders]
+        return ",".join(row)
 
     def export(self, path) -> None:
         Path(path).write_text(self.export_text(), encoding="utf-8")

@@ -1,19 +1,20 @@
 """Teacher-side simulation and ingestion of externally computed predictions.
 
-Histogram construction is embarrassingly parallel: give each query its own
-noise substream and build in any order.
+Votes come out as (queries, classes) count matrices: the synthetic model
+draws a whole block of queries from one stream, and a prediction table counts
+all its queries in one bincount.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .noise import RngLike, ensure_generator
-from .votes import VoteHistogram, argmax, is_distance_n
+from .votes import VoteHistogram, Votes, argmax, count_matrix, is_distance_n
 
 __all__ = [
     "DEFAULT_TEACHER_ACCURACY",
@@ -87,16 +88,24 @@ def partition(dataset_size: int, teacher_count: int) -> list[range]:
     return ranges
 
 
-def synth_votes(spec: SyntheticTeacherSpec, true_label: int, rng: RngLike) -> VoteHistogram:
-    """Draw one query's vote histogram from the synthetic teacher model."""
-    if not 0 <= true_label < spec.num_classes:
-        raise ValueError(f"true label {true_label} out of range [0, {spec.num_classes})")
-    gen = ensure_generator(rng)
-    correct = gen.random(spec.teacher_count) < spec.accuracy
-    wrong = gen.integers(0, spec.num_classes - 1, size=spec.teacher_count)
-    wrong = wrong + (wrong >= true_label)  # uniform over the other num_classes - 1 labels
-    labels = np.where(correct, true_label, wrong)
-    return VoteHistogram(np.bincount(labels, minlength=spec.num_classes))
+def synth_votes(spec: SyntheticTeacherSpec, true_label, rng: RngLike):
+    """Draw vote histograms from the synthetic teacher model, one per true label.
+
+    An int label gives one VoteHistogram; a 1-D array of labels gives a
+    (labels, classes) count matrix whose rows come from ``rng`` in order, so
+    the first rows do not depend on how many follow.  Each query's votes are
+    one multinomial draw with the truth's probability at ``accuracy`` and the
+    rest spread evenly, which is the distribution of the per-teacher model.
+    """
+    labels = np.asarray(true_label)
+    bad = labels[(labels < 0) | (labels >= spec.num_classes)]
+    if bad.size:
+        raise ValueError(f"true label {bad[0]} out of range [0, {spec.num_classes})")
+    pvals = np.full(labels.shape + (spec.num_classes,),
+                    (1.0 - spec.accuracy) / (spec.num_classes - 1))
+    np.put_along_axis(pvals, labels[..., None], spec.accuracy, axis=-1)
+    counts = ensure_generator(rng).multinomial(spec.teacher_count, pvals)
+    return VoteHistogram(counts) if labels.ndim == 0 else counts
 
 
 PREDICTION_HEADER = "query_id,teacher_id,label"
@@ -117,11 +126,14 @@ class PredictionTable:
     def teacher_count(self) -> int:
         return len(self.teacher_ids)
 
+    def counts(self) -> np.ndarray:
+        """(queries, classes) vote counts in query-id order, from one offset bincount."""
+        rows, classes = len(self.query_ids), self.num_classes
+        offsets = self.labels + classes * np.arange(rows)[:, None]
+        return np.bincount(offsets.ravel(), minlength=rows * classes).reshape(rows, classes)
+
     def histograms(self) -> list[VoteHistogram]:
-        return [
-            VoteHistogram(np.bincount(row, minlength=self.num_classes))
-            for row in self.labels
-        ]
+        return [VoteHistogram(row) for row in self.counts()]
 
     def truth_labels(self) -> Optional[list[int]]:
         if self.truth is None:
@@ -227,11 +239,11 @@ def load_ground_truth(path, num_classes: Optional[int] = None) -> dict[int, int]
     return truth
 
 
-def qualified_fraction(histograms: Sequence[VoteHistogram], n: int) -> float:
+def qualified_fraction(histograms: Votes, n: int) -> float:
     """Fraction of histograms whose top-two gap strictly exceeds ``n``."""
-    if not histograms:
+    if not len(histograms):
         raise ValueError("qualified_fraction needs at least one histogram")
-    hits = sum(1 for h in histograms if is_distance_n(h, n))
+    hits = int(np.count_nonzero(is_distance_n(count_matrix(histograms), n)))
     return hits / len(histograms)
 
 
@@ -245,22 +257,25 @@ class AccuracySummary:
 
 
 def ensemble_accuracy(
-    histograms: Sequence[VoteHistogram],
+    histograms: Votes,
     truths: Sequence[int],
     mechanism_labels: Sequence[int],
 ) -> AccuracySummary:
     """Compare the noiseless plurality and the mechanism output against ground truth."""
     if not (len(histograms) == len(truths) == len(mechanism_labels)):
         raise ValueError("histograms, truths and mechanism labels must align")
-    if not histograms:
+    if not len(histograms):
         raise ValueError("ensemble_accuracy needs at least one query")
-    clean = [argmax(h) for h in histograms]
-    n = len(histograms)
-    clean_hits = sum(1 for c, y in zip(clean, truths) if c == y)
-    mech_hits = sum(1 for m, y in zip(mechanism_labels, truths) if m == y)
-    agree = sum(1 for c, m in zip(clean, mechanism_labels) if c == m)
+    clean = argmax(count_matrix(histograms))
+    truths = np.asarray(truths)
+    mechanism_labels = np.asarray(mechanism_labels)
+    n = len(clean)
+
+    def pct(hits: np.ndarray) -> float:
+        return 100.0 * int(np.count_nonzero(hits)) / n
+
     return AccuracySummary(
-        clean_pct=100.0 * clean_hits / n,
-        mechanism_pct=100.0 * mech_hits / n,
-        agreement_pct=100.0 * agree / n,
+        clean_pct=pct(clean == truths),
+        mechanism_pct=pct(mechanism_labels == truths),
+        agreement_pct=pct(clean == mechanism_labels),
     )

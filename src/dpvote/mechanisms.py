@@ -1,8 +1,10 @@
 """Randomized vote aggregators and the Monte-Carlo oracles that check them.
 
-Every mechanism is a pure function of (inputs, noise stream): queries can run
-in parallel by assigning disjoint substream indices, and the caller serializes
-ledger writes.
+Every mechanism is a pure function of (inputs, noise stream) and answers one
+histogram or a whole (queries, classes) count matrix through one batched
+kernel: a histogram is a batch of one.  A batch draws its noise as one
+(queries, classes) array from its stream, so the answer to a query depends
+only on the stream and its row position, not on the rows after it.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import numpy as np
 from .accountant import LedgerEntry
 from .noise import (MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks,
                     sample_gaussian, sample_laplace)
-from .sensitivity import SensitivityEstimate, enumerate_neighbors, smooth_sensitivity
-from .votes import VoteHistogram, argmax, boost
+from .sensitivity import SensitivityEstimate, enumerate_neighbors, smooth_sensitivity, smooth_values
+from .votes import VoteHistogram, Votes, argmax, boost, count_matrix
 
 __all__ = [
     "MechanismOutcome",
+    "MechanismBatch",
     "DpRatioResult",
     "noisy_argmax",
     "lnmax",
@@ -38,18 +41,34 @@ class MechanismOutcome:
     ledger_entry: LedgerEntry
 
 
-def noisy_argmax(values, noise) -> int:
-    """Lowest-index argmax of values + noise; the deterministic core of every mechanism."""
+@dataclass(frozen=True, eq=False)
+class MechanismBatch:
+    """What a mechanism returned for each row of a count matrix, and what each answer cost.
+
+    Rows with the same sensitivity share one (immutable) ledger entry.
+    """
+
+    returned_labels: np.ndarray  # (queries,) int64
+    sensitivities: np.ndarray  # (queries,) float64
+    ledger_entries: tuple[LedgerEntry, ...]
+
+
+def noisy_argmax(values, noise):
+    """Lowest-index argmax of values + noise; the deterministic core of every mechanism.
+
+    An int for vectors; one label per row for (rows, classes) matrices.
+    """
     values = np.asarray(values, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     if values.shape != noise.shape:
         raise ValueError(f"shape mismatch: values {values.shape} vs noise {noise.shape}")
-    return int(np.argmax(values + noise))
+    labels = np.argmax(values + noise, axis=-1)
+    return int(labels) if labels.ndim == 0 else labels
 
 
-def _release(mechanism: str, values: np.ndarray, sens: SensitivityEstimate,
-             param: Optional[float], raw_scale: Optional[float], rng: RngLike) -> MechanismOutcome:
-    """Noisy argmax of ``values`` with noise calibrated to ``sens``, charged to the ledger.
+def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Optional[float],
+             raw_scale: Optional[float], rng: RngLike) -> MechanismBatch:
+    """Noisy argmax of each row of ``values`` with noise calibrated to that row's ``sens``.
 
     nzc-gaussian adds Gaussian noise of std sens * sigma; the other mechanisms
     add Laplace noise of scale sens / gamma.  ``param`` is gamma or sigma.
@@ -65,41 +84,54 @@ def _release(mechanism: str, values: np.ndarray, sens: SensitivityEstimate,
     if not given > 0.0:
         raise ValueError(f"{mechanism}: {name} must be positive, got {given!r}")
     if param is not None:
-        scale = sens.value * param if gaussian else sens.value / param
-        param = float(param)
+        scale = sens * param if gaussian else sens / param
+        params = np.full_like(sens, param)
     else:
-        scale = float(raw_scale)
-        param = scale / sens.value if gaussian else sens.value / scale
+        scale = np.full_like(sens, raw_scale)
+        params = scale / sens if gaussian else sens / scale
     sample = sample_gaussian if gaussian else sample_laplace
-    noise = sample(scale, rng, size=values.size)
-    return MechanismOutcome(
-        returned_label=noisy_argmax(values, noise),
-        sensitivity_used=sens,
-        ledger_entry=LedgerEntry(mechanism, sensitivity=sens.value, **{param_name: param}),
-    )
+    noise = sample(scale[:, None], rng, size=values.shape)
+    keys = list(zip(sens.tolist(), params.tolist()))
+    shared = {key: LedgerEntry(mechanism, sensitivity=key[0], **{param_name: key[1]})
+              for key in set(keys)}
+    return MechanismBatch(noisy_argmax(values, noise), sens, tuple(map(shared.__getitem__, keys)))
 
 
-def lnmax(votes: VoteHistogram, gamma: Optional[float], delta_f: float, rng: RngLike, *,
-          scale: Optional[float] = None) -> MechanismOutcome:
+def _answer(votes: Votes, batch: MechanismBatch, kind: str, beta: float = 0.0):
+    """The batch for a count matrix; its one row as a MechanismOutcome for a histogram."""
+    if not isinstance(votes, VoteHistogram):
+        return batch
+    sens = SensitivityEstimate(kind=kind, value=float(batch.sensitivities[0]), beta=float(beta))
+    return MechanismOutcome(int(batch.returned_labels[0]), sens, batch.ledger_entries[0])
+
+
+def lnmax(votes: Votes, gamma: Optional[float], delta_f: float, rng: RngLike, *,
+          scale: Optional[float] = None):
     """Baseline noisy argmax: Laplace(delta_f / gamma) added to the raw counts."""
     if not delta_f > 0.0:
         raise ValueError(f"lnmax: delta_f must be positive, got {delta_f!r}")
-    sens = SensitivityEstimate(kind="global", value=float(delta_f))
-    return _release("lnmax", votes.as_array(), sens, gamma, scale, rng)
+    counts = count_matrix(votes)
+    sens = np.full(len(counts), float(delta_f))
+    return _answer(votes, _release("lnmax", counts.astype(np.float64), sens, gamma, scale, rng),
+                   "global")
 
 
-def nzc_laplace(votes: VoteHistogram, boost_constant: float, gamma: Optional[float], beta: float,
-                rng: RngLike, *, scale: Optional[float] = None) -> MechanismOutcome:
+def nzc_laplace(votes: Votes, boost_constant: float, gamma: Optional[float], beta: float,
+                rng: RngLike, *, scale: Optional[float] = None):
     """Boosted noisy argmax with Laplace noise scaled to the smooth sensitivity."""
-    sens = smooth_sensitivity(votes, boost_constant, beta)
-    return _release("nzc-laplace", boost(votes, boost_constant), sens, gamma, scale, rng)
+    counts = count_matrix(votes)
+    sens = smooth_values(counts, boost_constant, beta)
+    batch = _release("nzc-laplace", boost(counts, boost_constant), sens, gamma, scale, rng)
+    return _answer(votes, batch, "smooth", beta)
 
 
-def nzc_gaussian(votes: VoteHistogram, boost_constant: float, sigma: Optional[float], beta: float,
-                 rng: RngLike, *, std: Optional[float] = None) -> MechanismOutcome:
+def nzc_gaussian(votes: Votes, boost_constant: float, sigma: Optional[float], beta: float,
+                 rng: RngLike, *, std: Optional[float] = None):
     """Boosted noisy argmax with Gaussian noise of std = smooth sensitivity * sigma."""
-    sens = smooth_sensitivity(votes, boost_constant, beta)
-    return _release("nzc-gaussian", boost(votes, boost_constant), sens, sigma, std, rng)
+    counts = count_matrix(votes)
+    sens = smooth_values(counts, boost_constant, beta)
+    batch = _release("nzc-gaussian", boost(counts, boost_constant), sens, sigma, std, rng)
+    return _answer(votes, batch, "smooth", beta)
 
 
 def flip_probability_mc(

@@ -36,7 +36,7 @@ class RngStream:
     """Value-style handle for a reproducible noise stream.
 
     The (seed, path) pair fully determines the sample sequence, so callers can
-    hand out disjoint substreams (one per query, per teacher, ...) and draw
+    hand out disjoint substreams (one per block of queries, per oracle, ...) and draw
     from them in any order, on any number of workers, with identical results.
     """
 
@@ -64,22 +64,32 @@ def ensure_generator(rng: RngLike) -> np.random.Generator:
     raise TypeError(f"expected an RngStream or numpy Generator, got {type(rng).__name__}")
 
 
-def sample_laplace(scale: float, rng: RngLike, size=None):
-    """Draw from Laplace(0, scale) by inverting the CDF of a single uniform per draw."""
-    b = float(scale)
-    if not b > 0.0:
-        raise ValueError(f"laplace scale must be positive, got {scale!r}")
-    out = ensure_generator(rng).laplace(0.0, b, size)
-    return float(out) if size is None else out
+def _positive_scale(what: str, scale) -> np.ndarray:
+    b = np.asarray(scale, dtype=np.float64)
+    bad = b[~(b > 0.0)]
+    if bad.size:
+        raise ValueError(f"{what} must be positive, got {float(bad[0])!r}")
+    return b
 
 
-def sample_gaussian(sigma: float, rng: RngLike, size=None):
-    """Draw from N(0, sigma^2)."""
-    s = float(sigma)
-    if not s > 0.0:
-        raise ValueError(f"gaussian std must be positive, got {sigma!r}")
-    out = s * ensure_generator(rng).standard_normal(size)
-    return float(out) if size is None else out
+def _scalar_or_array(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def sample_laplace(scale, rng: RngLike, size=None):
+    """Draw from Laplace(0, scale) by inverting the CDF of a single uniform per draw.
+
+    ``scale`` may be an array that broadcasts against ``size``, such as one
+    scale per row of a (rows, classes) draw.
+    """
+    b = _positive_scale("laplace scale", scale)
+    return _scalar_or_array(ensure_generator(rng).laplace(0.0, b, size))
+
+
+def sample_gaussian(sigma, rng: RngLike, size=None):
+    """Draw from N(0, sigma^2); ``sigma`` may be an array that broadcasts against ``size``."""
+    s = _positive_scale("gaussian std", sigma)
+    return _scalar_or_array(s * ensure_generator(rng).standard_normal(size))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 Reports are deterministic functions of the configuration: identical configs
 produce byte-identical report and ledger files.  Wall-clock runtime is kept
-out of the emitted files for exactly that reason.  Every query draws from its
-own substream and the privacy composition is an order-independent sum, so a
-parallel driver would produce the same report; the reference loop here is
-serial.
+out of the emitted files for exactly that reason.  A run is one columnar pass
+over a (queries, classes) count matrix.  Queries are drawn and answered in
+fixed blocks of BLOCK, each block from its own substreams, so the first N
+queries of a run are the same whatever the query budget, and the privacy
+composition is an order-independent sum.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import accountant
-from .accountant import LedgerEntry, PrivacyLedger, classical_gaussian_epsilon
+from .accountant import PrivacyLedger, classical_gaussian_epsilon
 from .ensemble import (
     SyntheticTeacherSpec,
     default_accuracy,
@@ -32,9 +35,10 @@ from .ensemble import (
 )
 from .mechanisms import lnmax, nzc_gaussian, nzc_laplace
 from .noise import RngStream
-from .votes import VoteHistogram, argmax, check_boost_constant, gap
+from .votes import argmax, check_boost_constant, gap
 
 __all__ = [
+    "BLOCK",
     "MECHANISMS",
     "DEFAULT_DISTANCE_GRID",
     "ExperimentConfig",
@@ -49,8 +53,10 @@ __all__ = [
 MECHANISMS = ("lnmax", "nzc-laplace", "nzc-gaussian")
 DEFAULT_DISTANCE_GRID = (1, 2, 3, 5, 10, 25, 50, 100)
 
-# substream domains, one per independent randomness consumer
+# substream domains, one per independent randomness consumer; block b of a
+# domain draws from root.substream(domain, b)
 _TRUTH, _VOTES, _MECH = 0, 1, 2
+BLOCK = 1024  # queries per stream block; part of the report bytes, not a knob
 
 # config-file shorthands, mirroring the CLI flags --c, --classes and --out
 _CONFIG_ALIASES = {"c": "boost_constant", "classes": "num_classes", "out": "out_dir"}
@@ -223,40 +229,47 @@ class ExperimentReport:
         return len(self.results)
 
 
-def _build_histograms(config: ExperimentConfig, root: RngStream):
-    """Returns (histograms, truth labels or None) for the configured source."""
+def _blocks(queries: int):
+    """(block index, row slice) of each block of at most BLOCK consecutive queries."""
+    return enumerate(slice(start, min(start + BLOCK, queries))
+                     for start in range(0, queries, BLOCK))
+
+
+def _build_counts(config: ExperimentConfig, root: RngStream):
+    """Returns (count matrix, truth labels or None, teacher accuracy used) for the configured source."""
     if config.teachers is not None:
         accuracy = config.teacher_accuracy
         if accuracy is None:
             accuracy = default_accuracy(config.teachers)
         spec = SyntheticTeacherSpec(config.teachers, config.num_classes, accuracy)
-        histograms = []
-        truths = []
-        for q in range(config.queries):
-            truth = int(root.substream(_TRUTH, q).generator().integers(config.num_classes))
-            truths.append(truth)
-            histograms.append(synth_votes(spec, truth, root.substream(_VOTES, q)))
-        return histograms, truths, accuracy
+        truths = np.empty(config.queries, dtype=np.int64)
+        counts = np.empty((config.queries, config.num_classes), dtype=np.int64)
+        for block, rows in _blocks(config.queries):
+            size = rows.stop - rows.start
+            truths[rows] = root.substream(_TRUTH, block).generator().integers(
+                config.num_classes, size=size)
+            counts[rows] = synth_votes(spec, truths[rows], root.substream(_VOTES, block))
+        return counts, truths.tolist(), accuracy
     table = load_predictions(config.predictions, num_classes=config.num_classes,
                              truth_path=config.truth)
-    histograms = table.histograms()
+    counts = table.counts()
     truths = table.truth_labels()
     if config.queries is not None:
-        if config.queries > len(histograms):
+        if config.queries > len(counts):
             raise ValueError(f"query budget {config.queries} exceeds the "
-                             f"{len(histograms)} queries in {config.predictions}")
-        histograms = histograms[: config.queries]
+                             f"{len(counts)} queries in {config.predictions}")
+        counts = counts[: config.queries]
         truths = truths[: config.queries] if truths is not None else None
-    return histograms, truths, None
+    return counts, truths, None
 
 
-def _run_mechanism(config: ExperimentConfig, votes: VoteHistogram, rng: RngStream):
+def _run_mechanism(config: ExperimentConfig, counts: np.ndarray, rng: RngStream):
     if config.mechanism == "lnmax":
-        return lnmax(votes, config.gamma, 1.0, rng, scale=config.scale)
+        return lnmax(counts, config.gamma, 1.0, rng, scale=config.scale)
     if config.mechanism == "nzc-laplace":
-        return nzc_laplace(votes, config.boost_constant, config.gamma, config.beta,
+        return nzc_laplace(counts, config.boost_constant, config.gamma, config.beta,
                            rng, scale=config.scale)
-    return nzc_gaussian(votes, config.boost_constant, config.sigma, config.beta,
+    return nzc_gaussian(counts, config.boost_constant, config.sigma, config.beta,
                         rng, std=config.scale)
 
 
@@ -264,56 +277,54 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     start = time.perf_counter()
     root = RngStream(config.seed)
-    histograms, truths, accuracy_used = _build_histograms(config, root)
+    counts, truths, accuracy_used = _build_counts(config, root)
+    queries = len(counts)
 
     ledger = PrivacyLedger()
-    results: list[QueryResult] = []
-    for q, votes in enumerate(histograms):
-        outcome = _run_mechanism(config, votes, root.substream(_MECH, q))
-        entry: LedgerEntry = outcome.ledger_entry
-        ledger.record(entry)
-        results.append(QueryResult(
-            query_id=q,
-            returned_label=outcome.returned_label,
-            clean_label=argmax(votes),
-            truth_label=truths[q] if truths is not None else None,
-            gap=gap(votes),
-            sensitivity=outcome.sensitivity_used.value,
-            epsilon=entry.epsilon,
-        ))
+    labels = np.empty(queries, dtype=np.int64)
+    sensitivities = np.empty(queries)
+    for block, rows in _blocks(queries):
+        batch = _run_mechanism(config, counts[rows], root.substream(_MECH, block))
+        labels[rows] = batch.returned_labels
+        sensitivities[rows] = batch.sensitivities
+        ledger.record(*batch.ledger_entries)
+    clean = argmax(counts)
+    results = tuple(map(
+        QueryResult, range(queries), labels.tolist(), clean.tolist(),
+        [None] * queries if truths is None else truths, gap(counts).tolist(),
+        sensitivities.tolist(), [e.epsilon for e in ledger.entries]))
 
-    if truths is not None and histograms:
-        summary = ensemble_accuracy(histograms, truths, [r.returned_label for r in results])
+    if truths is not None and queries:
+        summary = ensemble_accuracy(counts, truths, labels)
         clean_pct, mech_pct, agree_pct = summary.clean_pct, summary.mechanism_pct, summary.agreement_pct
-    elif histograms:
+    elif queries:
         clean_pct = mech_pct = None
-        agree = sum(1 for r in results if r.returned_label == r.clean_label)
-        agree_pct = 100.0 * agree / len(results)
+        agree_pct = 100.0 * int(np.count_nonzero(labels == clean)) / queries
     else:
         clean_pct = mech_pct = agree_pct = None
 
     qualified = tuple(
-        (n, qualified_fraction(histograms, n)) for n in config.distance_grid
-    ) if histograms else tuple()
+        (n, qualified_fraction(counts, n)) for n in config.distance_grid
+    ) if queries else tuple()
 
     laplace_run = config.mechanism in ("lnmax", "nzc-laplace")
-    if not histograms:
+    if not queries:
         eps_moments = eps_simple = eps_advanced = 0.0 if laplace_run else None
         gauss_q = gauss_total = None
     elif laplace_run:
         eps_moments = ledger.eps_for_delta(config.delta)
         eps_simple = ledger.simple_epsilon()
         worst_gamma = max(e.gamma for e in ledger.entries)
-        eps_advanced = accountant.advanced_composition(len(histograms), worst_gamma, config.delta)
+        eps_advanced = accountant.advanced_composition(queries, worst_gamma, config.delta)
         gauss_q = gauss_total = None
     else:
         eps_moments = eps_simple = eps_advanced = None
         worst_sigma = min(e.sigma for e in ledger.entries)
-        gauss_q = classical_gaussian_epsilon(worst_sigma, config.delta / len(histograms))
-        gauss_total = gauss_q * len(histograms) if gauss_q is not None else None
+        gauss_q = classical_gaussian_epsilon(worst_sigma, config.delta / queries)
+        gauss_total = gauss_q * queries if gauss_q is not None else None
 
     return ExperimentReport(
-        config=replace(config, queries=len(histograms), teacher_accuracy=accuracy_used),
+        config=replace(config, queries=queries, teacher_accuracy=accuracy_used),
         clean_accuracy_pct=clean_pct,
         mechanism_accuracy_pct=mech_pct,
         agreement_pct=agree_pct,
@@ -323,7 +334,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         eps_advanced=eps_advanced,
         gaussian_epsilon_per_query=gauss_q,
         gaussian_epsilon_total=gauss_total,
-        results=tuple(results),
+        results=results,
         ledger=ledger,
         runtime_seconds=time.perf_counter() - start,
     )
@@ -388,25 +399,38 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     return {"summary": summary_path, "queries": queries_path, "ledger": ledger_path}
 
 
+def _parse_cell(cell: str, column: tuple[str, tuple[type, bool]]):
+    """One queries.csv cell as its column's declared type; an empty optional cell is None."""
+    name, (base, optional) = column
+    if optional and not cell:
+        return None
+    try:
+        return base(cell)
+    except ValueError:
+        raise ValueError(f"{name} must be {_TYPE_CHECKS[base][0]}, got {cell!r}") from None
+
+
 def read_report(out_dir) -> ExperimentReport:
     """Parse a report directory back into an ExperimentReport (runtime and out_dir are not stored)."""
     out = Path(out_dir)
-    summary = json.loads((out / SUMMARY_FILE).read_text(encoding="utf-8"))
+    try:
+        summary = json.loads((out / SUMMARY_FILE).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{out / SUMMARY_FILE}: not valid JSON: {exc}") from None
 
     results = []
     lines = (out / QUERIES_FILE).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != _QUERY_HEADER:
         raise ValueError(f"{out / QUERIES_FILE}: unrecognized header")
-    types = list(_QUERY_TYPES.values())
+    columns = list(_QUERY_TYPES.items())
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
-        if len(cells) != len(types):
-            raise ValueError(f"{out / QUERIES_FILE}:{lineno}: expected {len(types)} fields, "
-                             f"got {len(cells)}")
-        results.append(QueryResult(*(
-            None if optional and not cell else base(cell)
-            for cell, (base, optional) in zip(cells, types)
-        )))
+        try:
+            if len(cells) != len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(cells)}")
+            results.append(QueryResult(*map(_parse_cell, cells, columns)))
+        except ValueError as exc:
+            raise ValueError(f"{out / QUERIES_FILE}:{lineno}: {exc}") from None
 
     try:
         qualified = tuple((e["n"], e["fraction"]) for e in summary["qualified_fractions"])

@@ -4,6 +4,11 @@ A neighboring vote histogram is one where a single teacher's vote moved from
 one bin to another (or nothing changed at all).  Sensitivity is measured per
 coordinate: the largest absolute difference between the boosted count vectors
 of a histogram and any of its neighbors.
+
+Both sensitivities follow from one number per histogram, the fewest vote
+moves that change the lowest-index argmax (``flip_moves``), computed for a
+whole count matrix at once.  The exhaustive neighbor scans remain only as
+oracles.
 """
 
 from __future__ import annotations
@@ -13,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .votes import VoteHistogram, check_boost_constant
+from .votes import VoteHistogram, Votes, check_boost_constant, count_matrix
 
 __all__ = [
     "SensitivityEstimate",
+    "flip_moves",
+    "smooth_values",
     "local_sensitivity",
     "smooth_sensitivity",
     "enumerate_neighbors",
@@ -52,32 +59,47 @@ def _neighbor_rows(counts: np.ndarray) -> np.ndarray:
     return np.stack(rows)
 
 
-def _single_move_can_flip(counts: np.ndarray) -> bool:
-    """True when some single reassigned vote changes the lowest-index argmax.
+def flip_moves(votes: Votes) -> np.ndarray:
+    """k*: the fewest single-vote moves that change the lowest-index argmax, per count row.
 
-    A top-two margin above two always protects the winner.  A margin of
-    exactly two still protects it when every runner-up sits at a higher
-    index, because the tie created by moving one vote resolves back to the
-    lowest index.
+    With winner w holding a votes and a rival j holding b_j, each move from w
+    to j narrows the margin m_j = a - b_j by two.  A rival before w wins a tie
+    and needs ceil(m_j / 2) moves; a rival after w must pass the winner and
+    needs floor(m_j / 2) + 1.  The result is the minimum over the rivals.
     """
-    part = np.partition(counts, -2)
-    margin = int(part[-1] - part[-2])
-    if margin > 2:
-        return False
-    if margin < 2:
-        return True
-    top = int(np.argmax(counts))
-    return bool(np.any(counts[:top] == counts[top] - 2))
+    counts = count_matrix(votes)
+    rows = np.arange(len(counts))
+    winners = np.argmax(counts, axis=1)
+    margins = counts[rows, winners][:, None] - counts
+    before = np.arange(counts.shape[1]) < winners[:, None]
+    moves = np.where(before, (margins + 1) // 2, margins // 2 + 1)
+    moves[rows, winners] = np.iinfo(np.int64).max  # the winner is not its own rival
+    return moves.min(axis=1)
+
+
+def _check_beta(beta: float) -> float:
+    b = float(beta)
+    if not b > 0.0:
+        raise ValueError(f"beta must be positive, got {beta!r}")
+    return b
+
+
+def smooth_values(votes: Votes, boost_constant: float, beta: float) -> np.ndarray:
+    """``smooth_sensitivity`` of each row of ``count_matrix(votes)``, as a float64 array."""
+    c = check_boost_constant(boost_constant)
+    b = _check_beta(beta)
+    return np.where(flip_moves(votes) <= 2, 1.0 + c, 1.0) * math.exp(-b)
 
 
 def local_sensitivity(votes: VoteHistogram, boost_constant: float) -> SensitivityEstimate:
     """Largest per-coordinate change any single vote move can cause.
 
     1 when no move can change the winning class (the boost stays put), else
-    1 + c (the boost relocates along with the moved vote).
+    1 + c (the boost relocates along with the moved vote): 1 + c exactly when
+    ``flip_moves`` is 1.
     """
     c = check_boost_constant(boost_constant)
-    value = (1.0 + c) if _single_move_can_flip(votes.as_array()) else 1.0
+    value = (1.0 + c) if flip_moves(votes)[0] <= 1 else 1.0
     return SensitivityEstimate(kind="local", value=value)
 
 
@@ -85,15 +107,11 @@ def smooth_sensitivity(votes: VoteHistogram, boost_constant: float, beta: float)
     """Exponentially discounted worst local sensitivity over the radius-1 neighborhood.
 
     e^-beta when no histogram within one vote move of the input can itself be
-    flipped by a further move, else (1 + c) * e^-beta.
+    flipped by a further move, else (1 + c) * e^-beta.  A flip two moves away
+    is exactly ``flip_moves`` <= 2.
     """
-    c = check_boost_constant(boost_constant)
-    b = float(beta)
-    if not b > 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    neighborhood_flips = any(_single_move_can_flip(row) for row in _neighbor_rows(votes.as_array()))
-    base = (1.0 + c) if neighborhood_flips else 1.0
-    return SensitivityEstimate(kind="smooth", value=base * math.exp(-b), beta=b)
+    value = float(smooth_values(votes, boost_constant, beta)[0])
+    return SensitivityEstimate(kind="smooth", value=value, beta=float(beta))
 
 
 def enumerate_neighbors(votes: VoteHistogram) -> list[VoteHistogram]:
@@ -126,8 +144,6 @@ def brute_force_local(votes: VoteHistogram, boost_constant: float) -> float:
 def brute_force_smooth(votes: VoteHistogram, boost_constant: float, beta: float) -> float:
     """Oracle for ``smooth_sensitivity``: exhaustive radius-1 scan of local oracles."""
     c = check_boost_constant(boost_constant)
-    b = float(beta)
-    if not b > 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    b = _check_beta(beta)
     worst = max(_brute_local(row, c) for row in _neighbor_rows(votes.as_array()))
     return worst * math.exp(-b)

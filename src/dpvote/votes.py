@@ -1,14 +1,21 @@
-"""Vote histograms and the boosted count vector fed to the noisy-argmax mechanisms."""
+"""Vote histograms and the boosted count vector fed to the noisy-argmax mechanisms.
+
+Every function here takes one ``VoteHistogram`` or many queries at once: a
+(queries, classes) integer count matrix, or a sequence of histograms (see
+``count_matrix``).  One histogram gives a Python scalar or a 1-D array; a
+batch gives one entry (or row) per query.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "VoteHistogram",
+    "count_matrix",
     "argmax",
     "gap",
     "is_distance_n",
@@ -52,18 +59,47 @@ class VoteHistogram:
         return np.asarray(self.counts, dtype=np.int64)
 
 
-def argmax(votes: VoteHistogram) -> int:
+Votes = Union[VoteHistogram, Sequence[VoteHistogram], np.ndarray]
+
+
+def count_matrix(votes: Votes) -> np.ndarray:
+    """The votes as a (queries, classes) int64 count matrix.
+
+    A histogram gives one row, and a sequence of histograms (or of count
+    rows) one row each.  A 2-D integer array is taken as it is.  Every row is
+    checked to be a histogram: two or more classes, non-negative counts and
+    at least one vote.
+    """
+    if isinstance(votes, VoteHistogram):
+        return votes.as_array()[None]
+    if not isinstance(votes, np.ndarray):
+        votes = [getattr(h, "counts", h) for h in votes]
+    counts = np.asarray(votes)
+    if counts.ndim != 2 or counts.shape[1] < 2 or counts.dtype.kind not in "iu":
+        raise ValueError(f"expected a (queries, classes) integer count matrix with at least "
+                         f"two classes, got shape {counts.shape} of {counts.dtype}")
+    if counts.size and (counts.min() < 0 or counts.sum(axis=1).min() < 1):
+        raise ValueError("every count row needs non-negative counts and one vote or more")
+    return counts.astype(np.int64, copy=False)
+
+
+def _per_query(votes: Votes, column: np.ndarray):
+    """``column`` (one entry per row of ``count_matrix(votes)``) in the shape of ``votes``."""
+    return column[0].item() if isinstance(votes, VoteHistogram) else column
+
+
+def argmax(votes: Votes):
     """Index of the largest count; ties resolve to the lowest index."""
-    return int(np.argmax(votes.as_array()))
+    return _per_query(votes, np.argmax(count_matrix(votes), axis=1))
 
 
-def gap(votes: VoteHistogram) -> int:
+def gap(votes: Votes):
     """Difference between the largest and second-largest counts (0 for tied maxima)."""
-    part = np.partition(votes.as_array(), -2)
-    return int(part[-1] - part[-2])
+    part = np.partition(count_matrix(votes), -2, axis=1)
+    return _per_query(votes, part[:, -1] - part[:, -2])
 
 
-def is_distance_n(votes: VoteHistogram, n: int) -> bool:
+def is_distance_n(votes: Votes, n: int):
     """True when the top-two gap strictly exceeds ``n``."""
     if n < 0 or int(n) != n:
         raise ValueError(f"distance threshold must be a non-negative integer, got {n!r}")
@@ -78,8 +114,8 @@ def check_boost_constant(boost_constant: float) -> float:
     return c
 
 
-def boost(votes: VoteHistogram, boost_constant: float) -> np.ndarray:
-    """The counts as float64, with ``boost_constant`` added to the winning bin.
+def boost(votes: Votes, boost_constant: float) -> np.ndarray:
+    """The counts as float64, with ``boost_constant`` added to the winning bin of each row.
 
     The argmax of the result equals the argmax of the input for any
     non-negative constant.  Float64 makes arbitrarily large constants
@@ -89,6 +125,7 @@ def boost(votes: VoteHistogram, boost_constant: float) -> np.ndarray:
     where arithmetic is exact.
     """
     c = check_boost_constant(boost_constant)
-    values = votes.as_array().astype(np.float64)
-    values[argmax(votes)] += c
-    return values
+    counts = count_matrix(votes)
+    values = counts.astype(np.float64)
+    values[np.arange(len(counts)), np.argmax(counts, axis=1)] += c
+    return values[0] if isinstance(votes, VoteHistogram) else values

@@ -221,6 +221,60 @@ class TestLedgerExport:
         assert path.read_bytes() == path2.read_bytes()
 
 
+def _per_entry_export(ledger):
+    # the per-row formulas, evaluated for every entry with no sharing
+    fmt = "{:.12g}".format
+    lines = [",".join(["index", "mechanism", "gamma", "sigma", "sensitivity", "epsilon"]
+                      + [f"alpha_{o}" for o in ledger.orders])]
+    for i, e in enumerate(ledger.entries):
+        row = [str(i), e.mechanism, "" if e.gamma is None else fmt(e.gamma),
+               "" if e.sigma is None else fmt(e.sigma), fmt(e.sensitivity)]
+        if e.gamma is None:
+            row += [""] * (1 + len(ledger.orders))
+        else:
+            g = float(fmt(e.gamma))
+            row += [fmt(2.0 * g)] + [fmt(per_query_moment(g, o)) for o in ledger.orders]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCostPerDistinctGamma:
+    """Export and composition work once per gamma, with the per-entry bytes and sums."""
+
+    def _ledger(self):
+        # two gammas (the two smooth-sensitivity branches at a fixed noise scale)
+        # interleaved with Gaussian entries, as separate objects with equal values
+        ledger = PrivacyLedger()
+        for i in range(300):
+            if i % 7 == 3:
+                ledger.record(LedgerEntry("nzc-gaussian", sensitivity=math.exp(-1), sigma=1e3))
+            else:
+                sens = math.exp(-1) * (1.0 + 9.0 * (i % 3 == 0))
+                ledger.record(LedgerEntry("nzc-laplace", sensitivity=sens, gamma=sens / 1e10))
+        return ledger
+
+    def test_export_matches_per_entry_formulas(self):
+        ledger = self._ledger()
+        assert ledger.export_text() == _per_entry_export(ledger)
+
+    def test_composition_matches_per_entry_sums(self):
+        ledger = self._ledger()
+        gammas = [e.gamma for e in ledger.entries if e.gamma is not None]
+        assert len(set(gammas)) == 2
+        expected = tuple(math.fsum(per_query_moment(g, o) for g in gammas) for o in ledger.orders)
+        assert ledger.moment_curve().alpha == expected
+        assert ledger.simple_epsilon() == math.fsum(2.0 * g for g in gammas)
+
+    def test_record_appends_several_entries_in_order(self):
+        ledger = PrivacyLedger()
+        a = LedgerEntry("lnmax", sensitivity=1.0, gamma=0.5)
+        b = LedgerEntry("lnmax", sensitivity=1.0, gamma=0.25)
+        ledger.record(a, b, a)
+        assert ledger.entries == [a, b, a]
+        with pytest.raises(TypeError):
+            ledger.record(a, "not an entry")
+
+
 @given(st.floats(0, 2), st.integers(1, 64))
 def test_moment_bound_non_negative(gamma, order):
     assert per_query_moment(gamma, order) >= 0.0

@@ -1,9 +1,11 @@
-"""The benchmark's traced run still measures every layer of the library.
+"""The benchmark still prints a complete result line, traced and untraced.
 
 ``bench/spans.py`` wraps library functions by name and reads their argument
 and result shapes.  A rename or a changed call shape does not fail the
-benchmark; it turns the affected per-layer metrics into null.  This test runs
-each workload once, traced, and requires a complete, finite result line.
+benchmark; it turns the affected per-layer metrics into null.  The untraced
+run prints the end-to-end metrics; a line that goes missing or carries a
+non-number is lost for the comparison between commits.  This test runs each
+workload once in each mode and requires a complete, finite result line.
 """
 
 import json
@@ -15,15 +17,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("boosted-synth", "baseline-replay", "oracle-mc")
-# Counts of traced operation 1 on boosted-synth at seed 1 (1000 queries).  A
-# function that still exists but is no longer called through its traced name
-# reads 0 here instead of null.  A change of stream layout or sensitivity scan
-# that is meant to move these counts updates them in the same commit.
+END_TO_END = ("setup_s", "items_per_s", "op_s_p50", "op_s_tail", "peak_rss_mb")
+# Counts of traced operation 1 on boosted-synth at seed 1 (1000 queries, one
+# stream block).  A function that still exists but is no longer called through
+# its traced name reads 0 here instead of null.  A change of stream layout or
+# sensitivity scan that is meant to move these counts updates them in the same
+# commit.  The batch core draws one block: one generator each for truths,
+# votes and noise, and one noise draw; the closed-form sensitivity calls no
+# neighbour scan.
 BOOSTED_SYNTH_COUNTS = {
-    "noise.sample_calls": 1000,
-    "noise.generators_made": 3000,
-    "sensitivity.smooth_calls": 1000,
-    "sensitivity.neighbor_rows": 90613,
+    "noise.sample_calls": 1,
+    "noise.generators_made": 3,
+    "sensitivity.smooth_calls": 0,
+    "sensitivity.neighbor_rows": 0,
 }
 
 
@@ -31,11 +37,10 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in the result line")
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_traced_run_reports_every_metric(workload):
+def _run_bench(workload, trace):
     done = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "0", "--trace", "1"],
+         "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     lines = done.stdout.splitlines()
@@ -45,6 +50,19 @@ def test_traced_run_reports_every_metric(workload):
     bad = {name: m["value"] for name, m in result["metrics"].items()
            if not isinstance(m["value"], (int, float)) or isinstance(m["value"], bool)}
     assert not bad
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_reports_every_metric(workload):
+    metrics = _run_bench(workload, trace=1)
     if workload == "boosted-synth":
-        counts = {name: result["metrics"][name]["value"] for name in BOOSTED_SYNTH_COUNTS}
+        counts = {name: metrics[name] for name in BOOSTED_SYNTH_COUNTS}
         assert counts == BOOSTED_SYNTH_COUNTS
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_untraced_run_reports_every_end_to_end_metric(workload):
+    metrics = _run_bench(workload, trace=0)
+    assert sorted(metrics) == sorted(END_TO_END)
+    assert all(value > 0 for value in metrics.values()), metrics

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,30 @@ class TestSynthVotes:
         spec = SyntheticTeacherSpec(teacher_count=5, num_classes=3, accuracy=0.5)
         with pytest.raises(ValueError):
             synth_votes(spec, 3, RngStream(5))
+        with pytest.raises(ValueError, match="true label -1"):
+            synth_votes(spec, np.array([0, -1, 2]), RngStream(5))
+
+    def test_label_array_gives_a_count_matrix(self):
+        spec = SyntheticTeacherSpec(teacher_count=30, num_classes=4, accuracy=0.7)
+        counts = synth_votes(spec, np.array([0, 3, 1]), RngStream(6))
+        assert counts.shape == (3, 4)
+        assert counts.sum(axis=1).tolist() == [30, 30, 30]
+        # the first rows do not depend on how many rows follow
+        head = synth_votes(spec, np.array([0, 3]), RngStream(6))
+        assert head.tolist() == counts[:2].tolist()
+
+    def test_multinomial_matches_per_teacher_model_in_distribution(self):
+        # per teacher, the truth bin is a Bernoulli(acc) vote, so its count over
+        # T teachers has mean T*acc and variance T*acc*(1-acc)
+        t, L, acc, n = 250, 10, 0.8118, 20_000
+        spec = SyntheticTeacherSpec(teacher_count=t, num_classes=L, accuracy=acc)
+        truths = np.arange(n) % L
+        hits = synth_votes(spec, truths, RngStream(7))[np.arange(n), truths].astype(np.float64)
+        mean, var = t * acc, t * acc * (1.0 - acc)
+        assert abs(hits.mean() - mean) <= 4.0 * math.sqrt(var / n)
+        sample_var = hits.var(ddof=1)
+        fourth = np.mean((hits - hits.mean()) ** 4)
+        assert abs(sample_var - var) <= 4.0 * math.sqrt((fourth - sample_var ** 2) / n)
 
 
 class TestDefaultAccuracy:
@@ -149,6 +175,8 @@ class TestLoadPredictions:
         table = load_predictions(p, num_classes=4)
         for h in table.histograms():
             assert h.teacher_count == 7
+        per_row = [np.bincount(row, minlength=4).tolist() for row in table.labels]
+        assert table.counts().tolist() == per_row
 
     def test_truth_attachment(self, tmp_path):
         p = tmp_path / "preds.csv"
@@ -213,3 +241,10 @@ class TestEnsembleAccuracy:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             ensemble_accuracy([VoteHistogram([1, 1])], [0, 1], [0])
+
+    def test_count_matrix_equals_histogram_list(self):
+        hists = [VoteHistogram([5, 1, 0]), VoteHistogram([0, 6, 0]), VoteHistogram([1, 2, 3])]
+        counts = np.array([h.counts for h in hists])
+        assert ensemble_accuracy(counts, [0, 1, 0], [0, 2, 2]) == ensemble_accuracy(
+            hists, [0, 1, 0], [0, 2, 2])
+        assert qualified_fraction(counts, 3) == qualified_fraction(hists, 3) == 2 / 3

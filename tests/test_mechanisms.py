@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpvote import (
+    MechanismBatch,
     NoiseSpec,
     RngStream,
     VoteHistogram,
@@ -134,6 +135,44 @@ class TestNzcGaussian:
         out = nzc_gaussian(STRONG, 10.0, 3.0, 1.0, RngStream(123))
         assert out.ledger_entry.sigma == 3.0
         assert out.ledger_entry.epsilon is None
+
+
+class TestBatch:
+    """A count matrix goes through the same kernel; a histogram is a batch of one."""
+
+    COUNTS = np.array([[5, 4, 0], [2, 2, 1], [9, 1, 5], [3, 3, 3], [0, 1, 8]])
+    CALLS = {
+        "lnmax": lambda votes, rng: lnmax(votes, None, 1.0, rng, scale=2.0),
+        "nzc-laplace": lambda votes, rng: nzc_laplace(votes, 3.0, None, 1.0, rng, scale=2.0),
+        "nzc-gaussian": lambda votes, rng: nzc_gaussian(votes, 3.0, None, 1.0, rng, std=2.0),
+    }
+
+    @pytest.mark.parametrize("mechanism", sorted(CALLS))
+    def test_each_row_answered_alone_equals_the_batch(self, mechanism):
+        call = self.CALLS[mechanism]
+        batch = call(self.COUNTS, RngStream(130))
+        assert isinstance(batch, MechanismBatch)
+        assert batch.returned_labels.shape == (5,)
+        assert len(batch.ledger_entries) == 5
+        for k in range(1, 6):
+            # the first k rows of the matrix draw the same noise as the whole batch
+            head = call(self.COUNTS[:k], RngStream(130))
+            assert head.returned_labels.tolist() == batch.returned_labels[:k].tolist()
+            assert head.ledger_entries == batch.ledger_entries[:k]
+        one = call(VoteHistogram(self.COUNTS[0]), RngStream(130))
+        assert one.returned_label == batch.returned_labels[0]
+        assert one.sensitivity_used.value == batch.sensitivities[0]
+        assert one.ledger_entry == batch.ledger_entries[0]
+
+    def test_rows_with_one_sensitivity_share_a_ledger_entry(self):
+        batch = nzc_laplace(self.COUNTS, 3.0, None, 1.0, RngStream(131), scale=2.0)
+        assert len({id(e) for e in batch.ledger_entries}) == len(set(batch.sensitivities.tolist()))
+
+    def test_rejects_a_malformed_count_matrix(self):
+        for bad in (np.array([[1, -1], [2, 0]]), np.array([[0, 0]]), np.array([1, 2]),
+                    np.array([[1.0, 2.0]])):
+            with pytest.raises(ValueError):
+                lnmax(bad, 1.0, 1.0, RngStream(132))
 
 
 class TestFlipProbabilityMc:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from dpvote import (
+    BLOCK,
     ExperimentConfig,
     emit_report,
     read_report,
@@ -149,6 +150,31 @@ class TestRunExperiment:
             run_experiment(over)
 
 
+class TestBlockStreams:
+    PREFIX, LONG = 50, 1100  # the long run crosses a block boundary
+
+    @pytest.mark.parametrize("mechanism,noise", [
+        ("lnmax", dict(scale=3.0)),
+        ("nzc-laplace", dict(boost_constant=2.0, scale=3.0)),
+        ("nzc-gaussian", dict(boost_constant=2.0, scale=3.0)),
+    ])
+    def test_first_queries_do_not_depend_on_the_budget(self, mechanism, noise):
+        assert self.PREFIX < BLOCK < self.LONG
+        config = dict(mechanism=mechanism, seed=31, num_classes=4, teachers=5, **noise)
+        short = run_experiment(ExperimentConfig(queries=self.PREFIX, **config))
+        long = run_experiment(ExperimentConfig(queries=self.LONG, **config))
+        assert short.results == long.results[: self.PREFIX]
+        assert short.ledger.entries == long.ledger.entries[: self.PREFIX]
+        # noise this large moves labels, so the comparison above has teeth
+        assert any(r.returned_label != r.clean_label for r in short.results)
+
+    def test_second_block_differs_from_the_first(self):
+        report = run_experiment(small_config(queries=2 * BLOCK))
+        first = [(r.truth_label, r.clean_label, r.gap) for r in report.results[:BLOCK]]
+        second = [(r.truth_label, r.clean_label, r.gap) for r in report.results[BLOCK:]]
+        assert first != second
+
+
 class TestEmitAndRead:
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config(queries=80)
@@ -186,6 +212,26 @@ class TestEmitAndRead:
         paths["queries"].write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"queries.csv:3: expected 7 fields, got 6"):
             read_report(tmp_path / "r")
+
+    def test_bad_query_cell_is_rejected_with_its_line_and_column(self, tmp_path):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        lines = paths["queries"].read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "x"
+        lines[2] = ",".join(cells)
+        paths["queries"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.endswith("queries.csv:3: returned_label must be an integer, got 'x'")
+
+    def test_malformed_summary_is_one_line_error_naming_the_file(self, tmp_path):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        paths["summary"].write_text("{not json")
+        with pytest.raises(ValueError, match=r"summary\.json: not valid JSON") as info:
+            read_report(tmp_path / "r")
+        assert "\n" not in str(info.value)
 
     SUMMARY_KEYS = [
         "mechanism", "seed", "num_classes", "query_count", "teachers", "teacher_accuracy",

@@ -11,10 +11,12 @@ from dpvote import (
     brute_force_local,
     brute_force_smooth,
     enumerate_neighbors,
+    flip_moves,
     gap,
     is_distance_n,
     local_sensitivity,
     smooth_sensitivity,
+    smooth_values,
 )
 
 histograms = st.lists(st.integers(0, 30), min_size=2, max_size=8).filter(lambda c: sum(c) >= 1)
@@ -168,3 +170,53 @@ class TestNeighborhoodStructure:
             for w in enumerate_neighbors(v):
                 assert argmax(w) == argmax(v)
                 assert gap(w) >= 2
+
+
+class TestFlipMoves:
+    @pytest.mark.parametrize("counts,expected", [
+        ([4, 4, 0], 1),       # tie at the top: the later tied bin needs one move
+        ([0, 4, 4], 1),
+        ([5, 3], 2),          # margin 2, runner-up after the winner: floor(2/2) + 1
+        ([5, 3, 3], 2),
+        ([3, 5], 1),          # margin 2, runner-up before the winner: ceil(2/2)
+        ([3, 5, 3], 1),       # one rival before and one after; the earlier is closer
+        ([6, 3, 0], 2),       # margin 3 after: floor(3/2) + 1
+        ([3, 6], 2),          # margin 3 before: ceil(3/2)
+        ([7, 3], 3),          # margin 4 after
+        ([3, 7], 2),          # margin 4 before
+        ([1, 0], 1),          # one vote, after: it moves to the rival
+        ([0, 1], 1),          # one vote, before
+        ([0, 0, 1, 0], 1),
+        ([10, 0, 0], 6),      # five moves only tie, which the winner keeps
+    ])
+    def test_edge_cases(self, counts, expected):
+        assert flip_moves(VoteHistogram(counts)).tolist() == [expected]
+        assert flip_moves(np.array([counts, counts])).tolist() == [expected, expected]
+
+    @pytest.mark.parametrize("counts", [[4, 4, 0], [5, 3], [3, 5], [6, 3, 0], [1, 0], [2, 6]])
+    def test_zero_boost_constant_collapses_both_branches(self, counts):
+        v = VoteHistogram(counts)
+        assert local_sensitivity(v, 0.0).value == 1.0 == brute_force_local(v, 0.0)
+        assert smooth_values(v, 0.0, 1.0).tolist() == [math.exp(-1)]
+        assert brute_force_smooth(v, 0.0, 1.0) == math.exp(-1)
+
+    def test_batch_matches_brute_force_row_by_row(self):
+        # few teachers, so ties and narrow margins (both branches) are common
+        gen = np.random.default_rng(20261018)
+        for num_classes in range(2, 7):
+            teachers = gen.integers(1, 25, size=300)
+            counts = np.stack([gen.multinomial(t, gen.dirichlet(np.ones(num_classes)))
+                               for t in teachers])
+            for c, beta in [(0.0, 1.0), (1.0, 0.5), (9.0, 2.0), (100.0, 1.0)]:
+                smooth = smooth_values(counts, c, beta)
+                local = np.where(flip_moves(counts) <= 1, 1.0 + c, 1.0)
+                for row, s, loc in zip(counts, smooth, local):
+                    v = VoteHistogram(row)
+                    assert s == brute_force_smooth(v, c, beta), (row, c, beta)
+                    assert loc == brute_force_local(v, c), (row, c)
+
+    def test_scalar_functions_are_a_batch_of_one(self):
+        counts = np.array([[5, 3], [3, 5], [9, 1]])
+        smooth = smooth_values(counts, 9.0, 1.0)
+        for row, value in zip(counts, smooth):
+            assert smooth_sensitivity(VoteHistogram(row), 9.0, 1.0).value == value

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpvote import VoteHistogram, argmax, boost, gap, is_distance_n
+from dpvote import VoteHistogram, argmax, boost, count_matrix, gap, is_distance_n
 
 histograms = st.lists(st.integers(0, 40), min_size=2, max_size=8).filter(lambda c: sum(c) >= 1)
 
@@ -102,3 +102,34 @@ class TestProperties:
             for smaller in range(n):
                 assert is_distance_n(v, smaller)
 
+
+
+class TestCountMatrix:
+    def test_one_histogram_is_one_row(self):
+        assert count_matrix(VoteHistogram([1, 3, 2])).tolist() == [[1, 3, 2]]
+
+    def test_sequence_of_histograms(self):
+        rows = count_matrix([VoteHistogram([1, 3]), VoteHistogram([4, 0])])
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[1, 3], [4, 0]]
+
+    @pytest.mark.parametrize("bad", [
+        np.array([1, 3]),             # not 2-D
+        np.array([[5], [2]]),         # one class
+        np.array([[1, -1]]),          # negative count
+        np.array([[1, 2], [0, 0]]),   # a row with no vote
+        np.array([[1.0, 2.0]]),       # not integers
+    ])
+    def test_rejects_invalid(self, bad):
+        with pytest.raises(ValueError):
+            count_matrix(bad)
+
+    @given(st.lists(histograms.filter(lambda c: len(c) == 4), min_size=1, max_size=6),
+           st.floats(0, 1e6))
+    def test_batch_rows_equal_the_scalar_results(self, rows, c):
+        counts = np.array(rows)
+        hists = [VoteHistogram(r) for r in rows]
+        assert argmax(counts).tolist() == [argmax(h) for h in hists]
+        assert gap(counts).tolist() == [gap(h) for h in hists]
+        assert is_distance_n(counts, 2).tolist() == [is_distance_n(h, 2) for h in hists]
+        assert boost(counts, c).tolist() == [boost(h, c).tolist() for h in hists]
