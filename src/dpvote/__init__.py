@@ -29,12 +29,11 @@ from .ensemble import (
     ensemble_accuracy,
     load_ground_truth,
     load_predictions,
-    partition,
     qualified_fraction,
     synth_votes,
-    write_predictions,
 )
 from .mechanisms import (
+    NOISE_KIND,
     DpRatioResult,
     MechanismBatch,
     MechanismOutcome,
@@ -51,12 +50,8 @@ from .noise import (
     RngStream,
     ensure_generator,
     exceedance_probability_mc,
-    gaussian_tail_bound,
-    laplace_tail,
     required_constant_gaussian,
     required_constant_laplace,
-    sample_gaussian,
-    sample_laplace,
     union_flip_bound,
 )
 from .pipeline import (

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .accountant import PrivacyLedger
-from .mechanisms import dp_ratio_check, flip_probability_mc
+from .mechanisms import NOISE_KIND, dp_ratio_check, flip_probability_mc
 from .noise import (
     NoiseSpec,
     RngStream,
@@ -96,7 +96,7 @@ def _cmd_run(args) -> int:
     if report.gaussian_epsilon_per_query is not None:
         print(f"privacy: gaussian eps/query={report.gaussian_epsilon_per_query:.6g} "
               f"total={report.gaussian_epsilon_total:.6g}")
-    elif config.mechanism == "nzc-gaussian":
+    elif NOISE_KIND[config.mechanism] == "gaussian" and report.query_count:
         print("privacy: gaussian bound inapplicable at this sigma/delta (needs eps < 1)")
     if config.out_dir:
         paths = emit_report(report, config.out_dir)

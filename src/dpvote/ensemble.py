@@ -22,10 +22,8 @@ __all__ = [
     "PredictionTable",
     "AccuracySummary",
     "default_accuracy",
-    "partition",
     "synth_votes",
     "load_predictions",
-    "write_predictions",
     "load_ground_truth",
     "qualified_fraction",
     "ensemble_accuracy",
@@ -70,22 +68,6 @@ class SyntheticTeacherSpec:
             raise ValueError(f"need at least two classes, got {self.num_classes}")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must lie in [0, 1], got {self.accuracy!r}")
-
-
-def partition(dataset_size: int, teacher_count: int) -> list[range]:
-    """Split [0, dataset_size) into ``teacher_count`` contiguous ranges with sizes differing by at most 1."""
-    if teacher_count < 1:
-        raise ValueError(f"need at least one teacher, got {teacher_count}")
-    if teacher_count > dataset_size:
-        raise ValueError(f"cannot split {dataset_size} samples across {teacher_count} teachers")
-    base, extra = divmod(dataset_size, teacher_count)
-    ranges = []
-    start = 0
-    for i in range(teacher_count):
-        size = base + (1 if i < extra else 0)
-        ranges.append(range(start, start + size))
-        start += size
-    return ranges
 
 
 def synth_votes(spec: SyntheticTeacherSpec, true_label, rng: RngLike):
@@ -202,14 +184,6 @@ def load_predictions(path, num_classes: Optional[int] = None,
         truth = load_ground_truth(truth_path, num_classes=inferred)
     return PredictionTable(query_ids=query_ids, teacher_ids=teacher_ids,
                            labels=labels, num_classes=inferred, truth=truth)
-
-
-def write_predictions(table: PredictionTable, path) -> None:
-    lines = [PREDICTION_HEADER]
-    for qi, q in enumerate(table.query_ids):
-        for ti, t in enumerate(table.teacher_ids):
-            lines.append(f"{q},{t},{int(table.labels[qi, ti])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_ground_truth(path, num_classes: Optional[int] = None) -> dict[int, int]:

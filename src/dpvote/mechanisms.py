@@ -15,12 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .accountant import LedgerEntry
-from .noise import (MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks,
-                    sample_gaussian, sample_laplace)
+from .noise import MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks
 from .sensitivity import SensitivityEstimate, enumerate_neighbors, smooth_sensitivity, smooth_values
 from .votes import VoteHistogram, Votes, argmax, boost, count_matrix
 
 __all__ = [
+    "NOISE_KIND",
     "MechanismOutcome",
     "MechanismBatch",
     "DpRatioResult",
@@ -31,6 +31,12 @@ __all__ = [
     "flip_probability_mc",
     "dp_ratio_check",
 ]
+
+# the noise each mechanism adds; the one place a mechanism name decides it
+NOISE_KIND = {"lnmax": "laplace", "nzc-laplace": "laplace", "nzc-gaussian": "gaussian"}
+# noise kind -> (calibrated parameter, mechanism keyword that pins the raw scale instead)
+_PARAMETERS = {"laplace": ("gamma", "scale"), "gaussian": ("sigma", "std")}
+
 
 @dataclass(frozen=True)
 class MechanismOutcome:
@@ -70,27 +76,27 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
              raw_scale: Optional[float], rng: RngLike) -> MechanismBatch:
     """Noisy argmax of each row of ``values`` with noise calibrated to that row's ``sens``.
 
-    nzc-gaussian adds Gaussian noise of std sens * sigma; the other mechanisms
-    add Laplace noise of scale sens / gamma.  ``param`` is gamma or sigma.
-    Pinning the noise magnitude with ``raw_scale`` instead is allowed because
+    The noise is the mechanism's NOISE_KIND: Laplace of scale sens / gamma or
+    Gaussian of std sens * sigma, where ``param`` is gamma or sigma.  Pinning
+    the noise magnitude with ``raw_scale`` instead is allowed because
     experiments sometimes fix it directly; the ledger then carries the
     effective parameter it implies, so accounting stays consistent either way.
     """
-    gaussian = mechanism == "nzc-gaussian"
-    param_name, scale_name = ("sigma", "std") if gaussian else ("gamma", "scale")
+    kind = NOISE_KIND[mechanism]
+    param_name, scale_name = _PARAMETERS[kind]
     if (param is None) == (raw_scale is None):
         raise ValueError(f"{mechanism}: pass exactly one of {param_name} or {scale_name}")
     name, given = (param_name, param) if param is not None else (scale_name, raw_scale)
     if not given > 0.0:
         raise ValueError(f"{mechanism}: {name} must be positive, got {given!r}")
     if param is not None:
-        scale = sens * param if gaussian else sens / param
+        spec = NoiseSpec(kind, sensitivity=sens[:, None], **{param_name: param})
         params = np.full_like(sens, param)
     else:
-        scale = np.full_like(sens, raw_scale)
-        params = scale / sens if gaussian else sens / scale
-    sample = sample_gaussian if gaussian else sample_laplace
-    noise = sample(scale[:, None], rng, size=values.shape)
+        # a unit parameter with sensitivity = raw_scale draws at exactly raw_scale
+        spec = NoiseSpec(kind, sensitivity=raw_scale, **{param_name: 1.0})
+        params = raw_scale / sens if kind == "gaussian" else sens / raw_scale
+    noise = spec.sample(rng, size=values.shape)
     keys = list(zip(sens.tolist(), params.tolist()))
     shared = {key: LedgerEntry(mechanism, sensitivity=key[0], **{param_name: key[1]})
               for key in set(keys)}
@@ -105,13 +111,13 @@ def _answer(votes: Votes, batch: MechanismBatch, kind: str, beta: float = 0.0):
     return MechanismOutcome(int(batch.returned_labels[0]), sens, batch.ledger_entries[0])
 
 
-def lnmax(votes: Votes, gamma: Optional[float], delta_f: float, rng: RngLike, *,
-          scale: Optional[float] = None):
-    """Baseline noisy argmax: Laplace(delta_f / gamma) added to the raw counts."""
-    if not delta_f > 0.0:
-        raise ValueError(f"lnmax: delta_f must be positive, got {delta_f!r}")
+def lnmax(votes: Votes, gamma: Optional[float], rng: RngLike, *, scale: Optional[float] = None):
+    """Baseline noisy argmax: Laplace(1 / gamma) added to the raw counts.
+
+    The sensitivity is 1: one teacher changing its vote moves each count by at most 1.
+    """
     counts = count_matrix(votes)
-    sens = np.full(len(counts), float(delta_f))
+    sens = np.ones(len(counts))
     return _answer(votes, _release("lnmax", counts.astype(np.float64), sens, gamma, scale, rng),
                    "global")
 

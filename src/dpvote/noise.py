@@ -1,4 +1,4 @@
-"""Seeded noise streams, Laplace/Gaussian samplers, and tail-probability formulas.
+"""Seeded noise streams, the Laplace/Gaussian noise spec, and tail-probability formulas.
 
 All logarithms are natural.  Randomness is not cryptographic: streams exist
 for reproducible simulation, not for deployment against adversaries with
@@ -18,10 +18,6 @@ __all__ = [
     "NoiseSpec",
     "MonteCarloEstimate",
     "ensure_generator",
-    "sample_laplace",
-    "sample_gaussian",
-    "laplace_tail",
-    "gaussian_tail_bound",
     "union_flip_bound",
     "required_constant_laplace",
     "required_constant_gaussian",
@@ -64,56 +60,31 @@ def ensure_generator(rng: RngLike) -> np.random.Generator:
     raise TypeError(f"expected an RngStream or numpy Generator, got {type(rng).__name__}")
 
 
-def _positive_scale(what: str, scale) -> np.ndarray:
-    b = np.asarray(scale, dtype=np.float64)
-    bad = b[~(b > 0.0)]
-    if bad.size:
-        raise ValueError(f"{what} must be positive, got {float(bad[0])!r}")
-    return b
-
-
-def _scalar_or_array(out):
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def sample_laplace(scale, rng: RngLike, size=None):
-    """Draw from Laplace(0, scale) by inverting the CDF of a single uniform per draw.
-
-    ``scale`` may be an array that broadcasts against ``size``, such as one
-    scale per row of a (rows, classes) draw.
-    """
-    b = _positive_scale("laplace scale", scale)
-    return _scalar_or_array(ensure_generator(rng).laplace(0.0, b, size))
-
-
-def sample_gaussian(sigma, rng: RngLike, size=None):
-    """Draw from N(0, sigma^2); ``sigma`` may be an array that broadcasts against ``size``."""
-    s = _positive_scale("gaussian std", sigma)
-    return _scalar_or_array(s * ensure_generator(rng).standard_normal(size))
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Which noise to add and how it is calibrated.
+    """Which noise to add and how it is calibrated; the one noise sampler and tail.
 
     ``gamma`` is the Laplace inverse-scale privacy parameter (smaller gamma
     means larger noise); the effective Laplace scale is sensitivity / gamma.
     ``sigma`` is the Gaussian std multiplier; the effective std is
-    sensitivity * sigma.  Callers that want to pin the raw noise magnitude
-    directly can set sensitivity = 1 and put the magnitude in 1/gamma or
-    sigma.
+    sensitivity * sigma.  ``sensitivity`` may be an array that broadcasts
+    against the draw size, such as one sensitivity per row of a (rows,
+    classes) draw.  To pin the raw noise magnitude, set gamma or sigma to 1
+    and put the magnitude in ``sensitivity``: the draw then uses it exactly.
     """
 
     kind: str  # "laplace" | "gaussian"
     gamma: Optional[float] = None
     sigma: Optional[float] = None
-    sensitivity: float = 1.0
+    sensitivity: Union[float, np.ndarray] = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in ("laplace", "gaussian"):
             raise ValueError(f"noise kind must be 'laplace' or 'gaussian', got {self.kind!r}")
-        if not self.sensitivity > 0.0:
-            raise ValueError(f"sensitivity must be positive, got {self.sensitivity!r}")
+        bad = np.asarray(self.sensitivity, dtype=np.float64)
+        bad = bad[~(bad > 0.0)]
+        if bad.size:
+            raise ValueError(f"sensitivity must be positive, got {float(bad[0])!r}")
         if self.kind == "laplace":
             if self.gamma is None or not self.gamma > 0.0:
                 raise ValueError("laplace noise needs a positive gamma")
@@ -126,53 +97,39 @@ class NoiseSpec:
                 raise ValueError("gaussian noise takes sigma, not gamma")
 
     @property
-    def scale(self) -> float:
+    def scale(self):
         """Effective noise scale: Laplace b = sensitivity/gamma, Gaussian std = sensitivity*sigma."""
         if self.kind == "laplace":
             return self.sensitivity / self.gamma
         return self.sensitivity * self.sigma
 
     def sample(self, rng: RngLike, size=None):
+        """Draw noise of shape ``size`` (a float when None) at this spec's scale."""
+        gen = ensure_generator(rng)
         if self.kind == "laplace":
-            return sample_laplace(self.scale, rng, size)
-        return sample_gaussian(self.scale, rng, size)
+            return gen.laplace(0.0, self.scale, size)
+        return self.scale * gen.standard_normal(size)
 
+    def tail(self, threshold: float) -> float:
+        """Pr(|noise| >= threshold) for one coordinate of a scalar spec.
 
-def laplace_tail(threshold: float, gamma: float) -> float:
-    """Exact Pr(|Lap(1/gamma)| >= threshold) = e^(-gamma * threshold)."""
-    c = float(threshold)
-    g = float(gamma)
-    if c < 0.0:
-        raise ValueError(f"threshold must be non-negative, got {threshold!r}")
-    if not g > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    return math.exp(-g * c)
-
-
-def gaussian_tail_bound(threshold: float, sigma: float) -> float:
-    """Upper bound Pr(|N(0, sigma^2)| >= threshold) <= 2 e^(-threshold^2 / (2 sigma^2)), clamped to 1."""
-    c = float(threshold)
-    s = float(sigma)
-    if c < 0.0:
-        raise ValueError(f"threshold must be non-negative, got {threshold!r}")
-    if not s > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return min(1.0, 2.0 * math.exp(-(c * c) / (2.0 * s * s)))
+        Laplace: exactly e^(-threshold / b).  Gaussian: the upper bound
+        2 e^(-threshold^2 / (2 std^2)), clamped to 1; the true tail is smaller.
+        """
+        c = float(threshold)
+        if c < 0.0:
+            raise ValueError(f"threshold must be non-negative, got {threshold!r}")
+        s = float(self.scale)
+        if self.kind == "laplace":
+            return math.exp(-c / s)
+        return min(1.0, 2.0 * math.exp(-(c * c) / (2.0 * s * s)))
 
 
 def union_flip_bound(num_classes: int, spec: NoiseSpec, threshold: float) -> float:
     """Union bound on Pr(max_j |noise_j| >= threshold) over ``num_classes`` coordinates, clamped to 1."""
     if num_classes < 1:
         raise ValueError(f"need at least one class, got {num_classes}")
-    c = float(threshold)
-    if c < 0.0:
-        raise ValueError(f"threshold must be non-negative, got {threshold!r}")
-    if spec.kind == "laplace":
-        raw = num_classes * math.exp(-c / spec.scale)
-    else:
-        s = spec.scale
-        raw = 2.0 * num_classes * math.exp(-(c * c) / (2.0 * s * s))
-    return min(1.0, raw)
+    return min(1.0, num_classes * spec.tail(threshold))
 
 
 def required_constant_laplace(num_classes: int, tau: float, gamma: float) -> float:

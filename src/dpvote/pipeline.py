@@ -33,7 +33,7 @@ from .ensemble import (
     qualified_fraction,
     synth_votes,
 )
-from .mechanisms import lnmax, nzc_gaussian, nzc_laplace
+from .mechanisms import NOISE_KIND, lnmax, nzc_gaussian, nzc_laplace
 from .noise import RngStream
 from .votes import argmax, check_boost_constant, gap
 
@@ -50,7 +50,7 @@ __all__ = [
     "read_report",
 ]
 
-MECHANISMS = ("lnmax", "nzc-laplace", "nzc-gaussian")
+MECHANISMS = tuple(NOISE_KIND)
 DEFAULT_DISTANCE_GRID = (1, 2, 3, 5, 10, 25, 50, 100)
 
 # substream domains, one per independent randomness consumer; block b of a
@@ -98,6 +98,8 @@ class ExperimentConfig:
             _check_type(name, getattr(self, name))
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}; choose one of {MECHANISMS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if (self.teachers is None) == (self.predictions is None):
             raise ValueError("configure exactly one ensemble source: "
                              "synthetic teachers or a prediction file")
@@ -115,12 +117,9 @@ class ExperimentConfig:
             raise ValueError(f"beta must be positive, got {self.beta!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if self.mechanism in ("lnmax", "nzc-laplace"):
-            if (self.gamma is None) == (self.scale is None):
-                raise ValueError(f"{self.mechanism} needs exactly one of gamma or scale")
-        else:
-            if (self.sigma is None) == (self.scale is None):
-                raise ValueError("nzc-gaussian needs exactly one of sigma or scale")
+        param = "gamma" if NOISE_KIND[self.mechanism] == "laplace" else "sigma"
+        if (getattr(self, param) is None) == (self.scale is None):
+            raise ValueError(f"{self.mechanism} needs exactly one of {param} or scale")
         if any(n < 0 for n in self.distance_grid):
             raise ValueError("distance grid entries must be non-negative")
 
@@ -265,7 +264,7 @@ def _build_counts(config: ExperimentConfig, root: RngStream):
 
 def _run_mechanism(config: ExperimentConfig, counts: np.ndarray, rng: RngStream):
     if config.mechanism == "lnmax":
-        return lnmax(counts, config.gamma, 1.0, rng, scale=config.scale)
+        return lnmax(counts, config.gamma, rng, scale=config.scale)
     if config.mechanism == "nzc-laplace":
         return nzc_laplace(counts, config.boost_constant, config.gamma, config.beta,
                            rng, scale=config.scale)
@@ -307,7 +306,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         (n, qualified_fraction(counts, n)) for n in config.distance_grid
     ) if queries else tuple()
 
-    laplace_run = config.mechanism in ("lnmax", "nzc-laplace")
+    laplace_run = NOISE_KIND[config.mechanism] == "laplace"
     if not queries:
         eps_moments = eps_simple = eps_advanced = 0.0 if laplace_run else None
         gauss_q = gauss_total = None
@@ -439,6 +438,9 @@ def read_report(out_dir) -> ExperimentReport:
         figures.update((key, summary["privacy"][key]) for key in _PRIVACY_KEYS)
     except KeyError as exc:
         raise ValueError(f"{out / SUMMARY_FILE}: missing key {exc.args[0]!r}") from None
+    except TypeError:  # valid JSON of another shape, e.g. a list or "privacy": null
+        raise ValueError(f"{out / SUMMARY_FILE}: expected an object with a qualified_fractions "
+                         f"list of {{n, fraction}} objects and a privacy object") from None
     if qualified:
         values["distance_grid"] = tuple(n for n, _ in qualified)
     return ExperimentReport(

@@ -74,6 +74,7 @@ class TestRunCommand:
         ({"distance_grid": [1, 2.5]}, [], "distance_grid"),
         ({"mechanism": "nzc-laplace"}, ["--c", "inf"], "boost_constant"),
         ({"gamma": None}, ["--scale", "inf"], "scale"),
+        ({}, ["--seed", "-1"], "seed"),
     ])
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, overrides, flags, field):
         config_path = tmp_path / "config.json"
@@ -83,6 +84,13 @@ class TestRunCommand:
         assert code != 0
         assert err.startswith("error:") and err.count("\n") == 1
         assert field in err
+
+    @pytest.mark.parametrize("queries, printed", [("0", False), ("3", True)])
+    def test_gaussian_inapplicable_line_needs_an_answered_query(self, capsys, queries, printed):
+        code = run_cli(["run", "--mechanism", "nzc-gaussian", "--teachers", "5",
+                        "--queries", queries, "--sigma", "1", "--seed", "1"])
+        assert code == 0
+        assert ("gaussian bound inapplicable" in capsys.readouterr().out) == printed
 
     def test_config_file_float_fields_accept_integers_and_grid_list(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -13,33 +13,9 @@ from dpvote import (
     is_distance_n,
     load_ground_truth,
     load_predictions,
-    partition,
     qualified_fraction,
     synth_votes,
-    write_predictions,
 )
-
-
-class TestPartition:
-    def test_even_split(self):
-        assert partition(10, 2) == [range(0, 5), range(5, 10)]
-
-    def test_remainder_spread(self):
-        sizes = [len(r) for r in partition(7, 3)]
-        assert sorted(sizes, reverse=True) == [3, 2, 2]
-
-    def test_large_even_case(self):
-        ranges = partition(60_000, 250)
-        assert all(len(r) == 240 for r in ranges)
-
-    def test_ranges_cover_everything_disjointly(self):
-        ranges = partition(103, 7)
-        seen = [i for r in ranges for i in r]
-        assert seen == list(range(103))
-
-    def test_too_many_teachers(self):
-        with pytest.raises(ValueError):
-            partition(3, 4)
 
 
 class TestSynthVotes:
@@ -116,6 +92,15 @@ class TestDefaultAccuracy:
 
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
+
+
+def write_predictions(table, path):
+    """Write ``table`` back out as a query_id,teacher_id,label CSV."""
+    lines = ["query_id,teacher_id,label"]
+    for qi, q in enumerate(table.query_ids):
+        for ti, t in enumerate(table.teacher_ids):
+            lines.append(f"{q},{t},{int(table.labels[qi, ti])}")
+    _write(path, "\n".join(lines) + "\n")
 
 
 class TestLoadPredictions:

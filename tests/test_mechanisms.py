@@ -40,36 +40,36 @@ class TestLnmax:
         v = VoteHistogram([250] + [0] * 9)
         stream = RngStream(100)
         hits = sum(
-            lnmax(v, 20.0, 1.0, stream.substream(i)).returned_label == 0
+            lnmax(v, 20.0, stream.substream(i)).returned_label == 0
             for i in range(10_000)
         )
         assert hits / 10_000 >= 0.999
 
     def test_zero_noise_limit_recovers_argmax(self):
         v = VoteHistogram([3, 9, 4])
-        out = lnmax(v, 1e12, 1.0, RngStream(101))
+        out = lnmax(v, 1e12, RngStream(101))
         assert out.returned_label == argmax(v)
 
     def test_symmetric_votes_split_evenly(self):
         stream = RngStream(102)
         hits = sum(
-            lnmax(SYMMETRIC, 1.0, 1.0, stream.substream(i)).returned_label == 0
+            lnmax(SYMMETRIC, 1.0, stream.substream(i)).returned_label == 0
             for i in range(10_000)
         )
         assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
 
     def test_ledger_entry_is_two_gamma(self):
-        out = lnmax(VoteHistogram([5, 1]), 0.25, 1.0, RngStream(103))
+        out = lnmax(VoteHistogram([5, 1]), 0.25, RngStream(103))
         assert out.ledger_entry.epsilon == 0.5
         assert out.ledger_entry.mechanism == "lnmax"
 
     def test_raw_scale_mode_sets_effective_gamma(self):
-        out = lnmax(VoteHistogram([5, 1]), None, 1.0, RngStream(104), scale=10.0)
+        out = lnmax(VoteHistogram([5, 1]), None, RngStream(104), scale=10.0)
         assert out.ledger_entry.gamma == pytest.approx(0.1, rel=1e-12)
 
     def test_rejects_both_gamma_and_scale(self):
         with pytest.raises(ValueError):
-            lnmax(VoteHistogram([5, 1]), 0.5, 1.0, RngStream(105), scale=1.0)
+            lnmax(VoteHistogram([5, 1]), 0.5, RngStream(105), scale=1.0)
 
 
 class TestNzcLaplace:
@@ -91,15 +91,15 @@ class TestNzcLaplace:
 
     def test_zero_boost_matches_lnmax_with_same_scale(self):
         # with c=0 the boosted counts equal the raw counts and the smooth
-        # sensitivity is e^-beta for every histogram, so lnmax at delta_f=1
-        # and gamma*e^beta consumes the identical noise stream (same scale
+        # sensitivity is e^-beta for every histogram, so lnmax (sensitivity 1)
+        # at gamma*e^beta consumes the identical noise stream (same scale
         # e^-beta/gamma) and returns the same label
         beta = 1.0
         for i, counts in enumerate([[5, 4, 0], [2, 2, 1], [9, 1, 5], [3, 3, 3]]):
             v = VoteHistogram(counts)
             stream = RngStream(112, (i,))
             a = nzc_laplace(v, 0.0, 0.7, beta, stream)
-            b = lnmax(v, 0.7 * math.exp(beta), 1.0, stream)
+            b = lnmax(v, 0.7 * math.exp(beta), stream)
             assert a.returned_label == b.returned_label
 
     def test_zero_boost_large_gamma_degenerates_to_argmax(self):
@@ -142,7 +142,7 @@ class TestBatch:
 
     COUNTS = np.array([[5, 4, 0], [2, 2, 1], [9, 1, 5], [3, 3, 3], [0, 1, 8]])
     CALLS = {
-        "lnmax": lambda votes, rng: lnmax(votes, None, 1.0, rng, scale=2.0),
+        "lnmax": lambda votes, rng: lnmax(votes, None, rng, scale=2.0),
         "nzc-laplace": lambda votes, rng: nzc_laplace(votes, 3.0, None, 1.0, rng, scale=2.0),
         "nzc-gaussian": lambda votes, rng: nzc_gaussian(votes, 3.0, None, 1.0, rng, std=2.0),
     }
@@ -164,6 +164,21 @@ class TestBatch:
         assert one.sensitivity_used.value == batch.sensitivities[0]
         assert one.ledger_entry == batch.ledger_entries[0]
 
+    def test_raw_scale_is_drawn_exactly(self, monkeypatch):
+        # at c=1e100 most rows have sensitivity 3.68e99, where sens / (sens / 0.7) != 0.7
+        scales = []
+        sample = NoiseSpec.sample
+
+        def spy(spec, rng, size=None):
+            scales.append(spec.scale)
+            return sample(spec, rng, size)
+
+        monkeypatch.setattr(NoiseSpec, "sample", spy)
+        nzc_laplace(self.COUNTS, 1e100, None, 1.0, RngStream(134), scale=0.7)
+        nzc_gaussian(self.COUNTS, 1e100, None, 1.0, RngStream(134), std=0.7)
+        assert len(scales) == 2
+        assert all(np.all(np.asarray(scale) == 0.7) for scale in scales)
+
     def test_rows_with_one_sensitivity_share_a_ledger_entry(self):
         batch = nzc_laplace(self.COUNTS, 3.0, None, 1.0, RngStream(131), scale=2.0)
         assert len({id(e) for e in batch.ledger_entries}) == len(set(batch.sensitivities.tolist()))
@@ -172,7 +187,7 @@ class TestBatch:
         for bad in (np.array([[1, -1], [2, 0]]), np.array([[0, 0]]), np.array([1, 2]),
                     np.array([[1.0, 2.0]])):
             with pytest.raises(ValueError):
-                lnmax(bad, 1.0, 1.0, RngStream(132))
+                lnmax(bad, 1.0, RngStream(132))
 
 
 class TestFlipProbabilityMc:

@@ -9,27 +9,33 @@ from dpvote import (
     NoiseSpec,
     RngStream,
     exceedance_probability_mc,
-    gaussian_tail_bound,
-    laplace_tail,
     required_constant_gaussian,
     required_constant_laplace,
-    sample_gaussian,
-    sample_laplace,
     union_flip_bound,
 )
 
 N = 100_000
 
 
+def laplace(scale):
+    """Laplace noise of scale ``scale``: unit gamma with sensitivity = scale."""
+    return NoiseSpec("laplace", gamma=1.0, sensitivity=scale)
+
+
+def gaussian(std):
+    """Gaussian noise of std ``std``: unit sigma with sensitivity = std."""
+    return NoiseSpec("gaussian", sigma=1.0, sensitivity=std)
+
+
 class TestRngStream:
     def test_same_stream_same_sequence(self):
-        a = sample_laplace(2.0, RngStream(42, (3,)), size=16)
-        b = sample_laplace(2.0, RngStream(42, (3,)), size=16)
+        a = laplace(2.0).sample(RngStream(42, (3,)), size=16)
+        b = laplace(2.0).sample(RngStream(42, (3,)), size=16)
         assert np.array_equal(a, b)
 
     def test_substreams_differ(self):
-        a = sample_laplace(2.0, RngStream(42).substream(0), size=16)
-        b = sample_laplace(2.0, RngStream(42).substream(1), size=16)
+        a = laplace(2.0).sample(RngStream(42).substream(0), size=16)
+        b = laplace(2.0).sample(RngStream(42).substream(1), size=16)
         assert not np.array_equal(a, b)
 
     def test_substream_extends_path(self):
@@ -43,57 +49,57 @@ class TestRngStream:
 
 class TestSampleLaplace:
     def test_empirical_median_centered(self):
-        x = sample_laplace(3.0, RngStream(1), size=N)
+        x = laplace(3.0).sample(RngStream(1), size=N)
         assert abs(np.median(x)) <= 0.02 * 3.0
 
     def test_empirical_absolute_mean_is_scale(self):
-        x = sample_laplace(3.0, RngStream(2), size=N)
+        x = laplace(3.0).sample(RngStream(2), size=N)
         assert np.mean(np.abs(x)) == pytest.approx(3.0, rel=0.03)
 
     def test_empirical_tail_at_one_scale(self):
-        x = sample_laplace(1.5, RngStream(3), size=N)
+        x = laplace(1.5).sample(RngStream(3), size=N)
         assert np.mean(np.abs(x) >= 1.5) == pytest.approx(math.exp(-1), abs=0.01)
 
     def test_scalar_draw(self):
-        assert isinstance(sample_laplace(1.0, RngStream(4)), float)
+        assert isinstance(laplace(1.0).sample(RngStream(4)), float)
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
-            sample_laplace(0.0, RngStream(5))
+            laplace(0.0).sample(RngStream(5))
 
 
 class TestSampleGaussian:
     def test_empirical_std(self):
-        x = sample_gaussian(2.5, RngStream(6), size=N)
+        x = gaussian(2.5).sample(RngStream(6), size=N)
         assert np.std(x) == pytest.approx(2.5, rel=0.02)
 
     def test_empirical_mean(self):
-        x = sample_gaussian(2.5, RngStream(7), size=N)
+        x = gaussian(2.5).sample(RngStream(7), size=N)
         assert abs(np.mean(x)) <= 0.02 * 2.5
 
     def test_two_sided_five_percent_quantile(self):
-        x = sample_gaussian(1.0, RngStream(8), size=N)
+        x = gaussian(1.0).sample(RngStream(8), size=N)
         assert np.mean(np.abs(x) >= 1.96) == pytest.approx(0.05, abs=0.01)
 
 
 class TestLaplaceTail:
     def test_closed_form_values(self):
-        assert laplace_tail(2.0, 0.5) == pytest.approx(math.exp(-1), rel=1e-12)
-        assert laplace_tail(math.log(4), 1.0) == pytest.approx(0.25, rel=1e-12)
+        assert NoiseSpec("laplace", gamma=0.5).tail(2.0) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert NoiseSpec("laplace", gamma=1.0).tail(math.log(4)) == pytest.approx(0.25, rel=1e-12)
 
     def test_zero_threshold(self):
-        assert laplace_tail(0.0, 3.0) == 1.0
+        assert NoiseSpec("laplace", gamma=3.0).tail(0.0) == 1.0
 
 
 class TestGaussianTailBound:
     def test_formula(self):
-        assert gaussian_tail_bound(2.0, 1.0) == pytest.approx(2 * math.exp(-2), rel=1e-12)
+        assert gaussian(1.0).tail(2.0) == pytest.approx(2 * math.exp(-2), rel=1e-12)
 
     def test_clamped_at_zero_threshold(self):
-        assert gaussian_tail_bound(0.0, 1.0) == 1.0
+        assert gaussian(1.0).tail(0.0) == 1.0
 
     def test_scale_invariance(self):
-        assert gaussian_tail_bound(4.0, 2.0) == pytest.approx(gaussian_tail_bound(2.0, 1.0), rel=1e-12)
+        assert gaussian(2.0).tail(4.0) == pytest.approx(gaussian(1.0).tail(2.0), rel=1e-12)
 
 
 class TestUnionFlipBound:
@@ -104,7 +110,7 @@ class TestUnionFlipBound:
 
     def test_single_class_reduces_to_tail(self):
         spec = NoiseSpec("laplace", gamma=0.5)
-        assert union_flip_bound(1, spec, 2.0) == pytest.approx(laplace_tail(2.0, 0.5), rel=1e-12)
+        assert union_flip_bound(1, spec, 2.0) == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_gaussian_inverts_required_constant(self):
         c = required_constant_gaussian(10, 1e-6, 1.0)
@@ -181,7 +187,7 @@ class TestExceedanceAgainstUnionBound:
 
 @given(st.floats(0.01, 100), st.floats(0.01, 100))
 def test_probability_outputs_in_unit_interval(threshold, gamma):
-    assert 0.0 <= laplace_tail(threshold, gamma) <= 1.0
-    assert 0.0 <= gaussian_tail_bound(threshold, gamma) <= 1.0
+    assert 0.0 <= NoiseSpec("laplace", gamma=gamma).tail(threshold) <= 1.0
+    assert 0.0 <= gaussian(gamma).tail(threshold) <= 1.0
     spec = NoiseSpec("laplace", gamma=gamma)
     assert 0.0 <= union_flip_bound(7, spec, threshold) <= 1.0

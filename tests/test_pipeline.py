@@ -250,6 +250,19 @@ class TestEmitAndRead:
         with pytest.raises(ValueError, match=rf"summary.json: missing key '{key}'"):
             read_report(tmp_path / "r")
 
+    @pytest.mark.parametrize("mutate", [
+        lambda summary: [],
+        lambda summary: {**summary, "qualified_fractions": 5},
+        lambda summary: {**summary, "privacy": None},
+    ], ids=["list", "qualified_fractions_int", "privacy_null"])
+    def test_summary_of_wrong_shape_is_one_line_error_naming_the_file(self, tmp_path, mutate):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        summary = json.loads(paths["summary"].read_text())
+        paths["summary"].write_text(json.dumps(mutate(summary)))
+        with pytest.raises(ValueError, match=r"summary\.json: expected an object") as info:
+            read_report(tmp_path / "r")
+        assert "\n" not in str(info.value)
+
     def test_qualified_table_has_one_row_per_grid_entry(self, tmp_path):
         report = run_experiment(small_config(queries=30))
         paths = emit_report(report, tmp_path / "r")
