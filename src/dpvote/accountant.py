@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 __all__ = [
     "DEFAULT_ORDERS",
@@ -35,53 +35,38 @@ def per_query_moment(gamma: float, order: int) -> float:
     return 2.0 * g * g * order * (order + 1)
 
 
-def _check_orders(orders: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(o) for o in orders)
-    if not out:
-        raise ValueError("the moment-order grid must not be empty")
-    if any(o < 1 for o in out):
-        raise ValueError("moment orders must be positive integers")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError("moment orders must be strictly increasing")
-    return out
-
-
 @dataclass(frozen=True)
 class MomentCurve:
-    """Accumulated log moment-generating-function bounds on a fixed order grid."""
+    """Accumulated log moment-generating-function bounds, one per order of DEFAULT_ORDERS."""
 
-    orders: tuple[int, ...]
+    orders = DEFAULT_ORDERS
     alpha: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "orders", _check_orders(self.orders))
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        if len(self.orders) != len(self.alpha):
-            raise ValueError("orders and alpha must have the same length")
+        if len(self.alpha) != len(self.orders):
+            raise ValueError(f"expected {len(self.orders)} moment bounds, one per order, "
+                             f"got {len(self.alpha)}")
         if any(a < 0.0 for a in self.alpha):
             raise ValueError("moment bounds must be non-negative")
 
     @classmethod
-    def zero(cls, orders: Iterable[int] = DEFAULT_ORDERS) -> "MomentCurve":
-        orders = _check_orders(orders)
-        return cls(orders=orders, alpha=(0.0,) * len(orders))
+    def zero(cls) -> "MomentCurve":
+        return cls((0.0,) * len(cls.orders))
 
     @classmethod
-    def for_laplace(cls, gamma: float, orders: Iterable[int] = DEFAULT_ORDERS) -> "MomentCurve":
-        orders = _check_orders(orders)
-        return cls(orders=orders, alpha=tuple(per_query_moment(gamma, o) for o in orders))
+    def for_laplace(cls, gamma: float) -> "MomentCurve":
+        return cls(tuple(per_query_moment(gamma, o) for o in cls.orders))
 
     def __add__(self, other: "MomentCurve") -> "MomentCurve":
-        if self.orders != other.orders:
-            raise ValueError("cannot combine moment curves on different order grids")
-        return MomentCurve(self.orders, tuple(a + b for a, b in zip(self.alpha, other.alpha)))
+        return MomentCurve(tuple(a + b for a, b in zip(self.alpha, other.alpha)))
 
 
 def delta_for_eps(curve: MomentCurve, eps: float) -> float:
     """Tail-bound conversion: min over the grid of exp(alpha - order * eps), clamped to [0, 1]."""
     e = float(eps)
-    if e < 0.0:
-        raise ValueError(f"eps must be non-negative, got {eps!r}")
+    if not 0.0 <= e < math.inf:
+        raise ValueError(f"eps must be a finite non-negative number, got {eps!r}")
     best = min(a - o * e for o, a in zip(curve.orders, curve.alpha))
     if best >= 0.0:
         return 1.0
@@ -162,22 +147,18 @@ class LedgerEntry:
         """Per-query pure-DP cost 2*gamma; None for Gaussian entries."""
         return 2.0 * self.gamma if self.gamma is not None else None
 
-    def moments(self, orders: Iterable[int]) -> Optional[tuple[float, ...]]:
-        if self.gamma is None:
-            return None
-        return tuple(per_query_moment(self.gamma, o) for o in orders)
-
 
 def _fsum_counted(counts: Counter, term) -> float:
     """Exact sum of ``term(g)`` taken ``counts[g]`` times per g, evaluating ``term`` once per g."""
     return math.fsum(chain.from_iterable(repeat(term(g), n) for g, n in counts.items()))
 
 
-_FMT = "{:.12g}"
+_COLUMNS = ("index", "mechanism", "gamma", "sigma", "sensitivity")
+_HEADER = ",".join(_COLUMNS)
 
 
 def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else _FMT.format(value)
+    return "" if value is None else f"{value:.12g}"
 
 
 class PrivacyLedger:
@@ -187,14 +168,15 @@ class PrivacyLedger:
     sum of the per-entry curves (order of recording does not matter).
     """
 
-    def __init__(self, orders: Iterable[int] = DEFAULT_ORDERS) -> None:
-        self.orders = _check_orders(orders)
+    orders = DEFAULT_ORDERS
+
+    def __init__(self) -> None:
         self.entries: list[LedgerEntry] = []
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrivacyLedger):
             return NotImplemented
-        return self.orders == other.orders and self.entries == other.entries
+        return self.entries == other.entries
 
     @property
     def query_count(self) -> int:
@@ -214,8 +196,8 @@ class PrivacyLedger:
     def moment_curve(self) -> MomentCurve:
         """Pointwise exact sum of the per-entry moment bounds (Gaussian entries contribute none)."""
         counts = self._gamma_counts()
-        alpha = tuple(_fsum_counted(counts, lambda g: per_query_moment(g, o)) for o in self.orders)
-        return MomentCurve(self.orders, alpha)
+        return MomentCurve(tuple(_fsum_counted(counts, lambda g: per_query_moment(g, o))
+                                 for o in self.orders))
 
     def simple_epsilon(self) -> float:
         """Exact sum of the per-entry pure-DP costs (Gaussian entries contribute none)."""
@@ -230,67 +212,41 @@ class PrivacyLedger:
     def export_text(self) -> str:
         """Line-oriented export, 12 significant digits, one record per query.
 
-        The per-order moment columns are derived from the printed (rounded)
-        gamma so the file is self-consistent and survives load/re-export
-        byte-for-byte.
+        A row holds only what was spent: mechanism, gamma or sigma, and the
+        sensitivity.  Every cost is derived from gamma on load.
         """
-        header = ["index", "mechanism", "gamma", "sigma", "sensitivity", "epsilon"]
-        header += [f"alpha_{o}" for o in self.orders]
-        lines = [",".join(header)]
+        lines = [_HEADER]
         cells: dict[LedgerEntry, str] = {}  # the cells after the index, once per distinct entry
         for i, entry in enumerate(self.entries):
             text = cells.get(entry)
             if text is None:
-                text = cells[entry] = self._cells(entry)
+                text = cells[entry] = ",".join((entry.mechanism, _fmt(entry.gamma),
+                                                _fmt(entry.sigma), _fmt(entry.sensitivity)))
             lines.append(f"{i},{text}")
         return "\n".join(lines) + "\n"
-
-    def _cells(self, entry: LedgerEntry) -> str:
-        row = [entry.mechanism, _fmt(entry.gamma), _fmt(entry.sigma), _fmt(entry.sensitivity)]
-        if entry.gamma is None:
-            row += [""] * (1 + len(self.orders))
-        else:
-            printed_gamma = float(_FMT.format(entry.gamma))
-            row.append(_FMT.format(2.0 * printed_gamma))
-            row += [_FMT.format(per_query_moment(printed_gamma, o)) for o in self.orders]
-        return ",".join(row)
 
     def export(self, path) -> None:
         Path(path).write_text(self.export_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "PrivacyLedger":
-        """Read an exported ledger; every error is one line naming ``path:line``.
-
-        The epsilon and moment columns are derived from gamma, so only the
-        gamma, sigma and sensitivity cells are read back.
-        """
+        """Read an exported ledger; every error is one line naming ``path:line``."""
         text = Path(path).read_text(encoding="utf-8")
         lines = text.splitlines()
         if not any(lines):
             raise ValueError(f"{path}: empty ledger file")
-        header = lines[0].split(",")
-        fixed = ["index", "mechanism", "gamma", "sigma", "sensitivity", "epsilon"]
-        if header[: len(fixed)] != fixed:
-            raise ValueError(f"{path}:1: unrecognized ledger header")
-        orders = []
-        for name in header[len(fixed):]:
-            order = name[len("alpha_"):]
-            if not (name.startswith("alpha_") and order.isdigit()):
-                raise ValueError(f"{path}:1: unrecognized ledger column {name!r}")
-            orders.append(int(order))
-        try:
-            ledger = cls(orders)
-        except ValueError as exc:
-            raise ValueError(f"{path}:1: {exc}") from None
+        if lines[0] != _HEADER:
+            raise ValueError(f"{path}:1: expected the ledger header {_HEADER!r}")
+        ledger = cls()
         for lineno, line in enumerate(lines[1:], start=2):
             if not line:
                 continue
             cells = line.split(",")
             try:
-                if len(cells) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(cells)}")
-                gamma, sigma = (_parse_number(cells[i], fixed[i]) if cells[i] else None for i in (2, 3))
+                if len(cells) != len(_COLUMNS):
+                    raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(cells)}")
+                gamma, sigma = (_parse_number(cells[i], _COLUMNS[i]) if cells[i] else None
+                                for i in (2, 3))
                 sensitivity = _parse_number(cells[4], "sensitivity")
                 ledger.record(LedgerEntry(cells[1], sensitivity, gamma=gamma, sigma=sigma))
             except ValueError as exc:

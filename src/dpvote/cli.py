@@ -169,6 +169,8 @@ def _verify_dp_ratio(seed: int, trials: int) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     results = [
         _verify_sensitivity(args.seed, args.instances),
         _verify_flip(args.seed, args.trials),

@@ -117,9 +117,13 @@ class ExperimentConfig:
             raise ValueError(f"beta must be positive, got {self.beta!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        param = "gamma" if NOISE_KIND[self.mechanism] == "laplace" else "sigma"
+        laplace = NOISE_KIND[self.mechanism] == "laplace"
+        param, other = ("gamma", "sigma") if laplace else ("sigma", "gamma")
         if (getattr(self, param) is None) == (self.scale is None):
             raise ValueError(f"{self.mechanism} needs exactly one of {param} or scale")
+        if getattr(self, other) is not None:
+            raise ValueError(f"{self.mechanism} takes no {other}; "
+                             f"its noise is set by {param} or scale")
         if any(n < 0 for n in self.distance_grid):
             raise ValueError("distance grid entries must be non-negative")
 

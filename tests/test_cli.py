@@ -75,6 +75,8 @@ class TestRunCommand:
         ({"mechanism": "nzc-laplace"}, ["--c", "inf"], "boost_constant"),
         ({"gamma": None}, ["--scale", "inf"], "scale"),
         ({}, ["--seed", "-1"], "seed"),
+        ({"sigma": 3.0}, [], "sigma"),
+        ({"mechanism": "nzc-gaussian", "sigma": 1.0}, [], "gamma"),
     ])
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, overrides, flags, field):
         config_path = tmp_path / "config.json"
@@ -111,6 +113,13 @@ class TestVerifyCommand:
         assert "dp ratio" in out
         assert out.count("PASS") >= 5
 
+    def test_zero_instances_is_one_line_error(self, capsys):
+        code = run_cli(["verify", "--instances", "0", "--trials", "1000"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: --instances must be at least 1, got 0\n"
+
 
 class TestAccountCommand:
     def test_converts_exported_ledger(self, tmp_path, capsys):
@@ -129,6 +138,18 @@ class TestAccountCommand:
         assert "eps_simple: 2.5" in out
         assert "delta_at_eps" in out
 
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_is_one_line_error(self, tmp_path, capsys, eps):
+        out_dir = tmp_path / "report"
+        assert run_cli(["run", "--mechanism", "lnmax", "--teachers", "5", "--queries", "3",
+                        "--gamma", "0.5", "--seed", "4", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        code = run_cli(["account", "--ledger", str(out_dir / "ledger.csv"), "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "delta_at_eps" not in captured.out
+        assert captured.err == f"error: eps must be a finite non-negative number, got {float(eps)!r}\n"
+
     def test_missing_ledger_is_error(self, tmp_path, capsys):
         code = run_cli(["account", "--ledger", str(tmp_path / "nope.csv")])
         assert code != 0
@@ -136,7 +157,8 @@ class TestAccountCommand:
     @pytest.mark.parametrize("line, cell, value, expected", [
         (2, 2, "abc", "ledger.csv:2: gamma must be a finite number, got 'abc'"),
         (3, 2, "inf", "ledger.csv:3: gamma must be a finite number, got 'inf'"),
-        (1, 6, "alpha_x", "ledger.csv:1: unrecognized ledger column 'alpha_x'"),
+        (1, 4, "sensitivity,epsilon,alpha_1",
+         "ledger.csv:1: expected the ledger header 'index,mechanism,gamma,sigma,sensitivity'"),
     ])
     def test_bad_ledger_cell_is_one_line_error(self, tmp_path, capsys, line, cell, value, expected):
         out_dir = tmp_path / "report"
