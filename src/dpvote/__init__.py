@@ -10,8 +10,10 @@ ledger, ensemble simulation/ingestion, and an experiment pipeline with a CLI.
 
 from .accountant import (
     DEFAULT_ORDERS,
+    NOISE_KIND,
     LedgerEntry,
     MomentCurve,
+    PrivacyFigure,
     PrivacyLedger,
     advanced_composition,
     classical_gaussian_epsilon,
@@ -33,7 +35,6 @@ from .ensemble import (
     synth_votes,
 )
 from .mechanisms import (
-    NOISE_KIND,
     DpRatioResult,
     MechanismBatch,
     MechanismOutcome,

@@ -10,10 +10,12 @@ from pathlib import Path
 from typing import Optional
 
 __all__ = [
+    "NOISE_KIND",
     "DEFAULT_ORDERS",
     "per_query_moment",
     "MomentCurve",
     "LedgerEntry",
+    "PrivacyFigure",
     "PrivacyLedger",
     "delta_for_eps",
     "eps_for_delta",
@@ -22,6 +24,8 @@ __all__ = [
     "classical_gaussian_epsilon",
 ]
 
+# the noise each mechanism adds; the one place a mechanism name decides it
+NOISE_KIND = {"lnmax": "laplace", "nzc-laplace": "laplace", "nzc-gaussian": "gaussian"}
 DEFAULT_ORDERS: tuple[int, ...] = tuple(range(1, 33))
 
 
@@ -133,8 +137,13 @@ class LedgerEntry:
     sigma: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if (self.gamma is None) == (self.sigma is None):
-            raise ValueError("a ledger entry carries exactly one of gamma or sigma")
+        kind = NOISE_KIND.get(self.mechanism)
+        if kind is None:
+            raise ValueError(f"unknown mechanism {self.mechanism!r}; "
+                             f"expected one of {', '.join(NOISE_KIND)}")
+        param, other = ("gamma", "sigma") if kind == "laplace" else ("sigma", "gamma")
+        if getattr(self, param) is None or getattr(self, other) is not None:
+            raise ValueError(f"a {self.mechanism} entry carries {param} and no {other}")
         if self.gamma is not None and not self.gamma >= 0.0:
             raise ValueError(f"gamma must be non-negative, got {self.gamma!r}")
         if self.sigma is not None and not self.sigma > 0.0:
@@ -146,6 +155,16 @@ class LedgerEntry:
     def epsilon(self) -> Optional[float]:
         """Per-query pure-DP cost 2*gamma; None for Gaussian entries."""
         return 2.0 * self.gamma if self.gamma is not None else None
+
+
+@dataclass(frozen=True)
+class PrivacyFigure:
+    """One privacy figure of a ledger: its accounting, the definition it rests on, (eps, delta)."""
+
+    accounting: str  # a fixed name, such as paper-simple
+    definition: str  # one line that names the source
+    eps: Optional[float]  # None where the accounting gives no guarantee at this delta
+    delta: float
 
 
 def _fsum_counted(counts: Counter, term) -> float:
@@ -209,6 +228,32 @@ class PrivacyLedger:
     def eps_for_delta(self, delta: float) -> float:
         return eps_for_delta(self.moment_curve(), delta)
 
+    def figures(self, delta: float) -> tuple[PrivacyFigure, ...]:
+        """Every privacy figure of this ledger at ``delta``, in a fixed order; none when empty."""
+        gammas = [e.gamma for e in self.entries if e.gamma is not None]
+        sigmas = [e.sigma for e in self.entries if e.sigma is not None]
+        figures = []
+        if gammas:
+            figures += [
+                PrivacyFigure("paper-moments", "moments accountant: 2*gamma^2*l*(l+1) per query "
+                              "at orders 1..32, tail bound (paper; Abadi et al. 2016)",
+                              self.eps_for_delta(delta), delta),
+                PrivacyFigure("paper-simple", "pure eps: 2*gamma per query, summed (paper)",
+                              self.simple_epsilon(), 0.0),
+                PrivacyFigure("paper-advanced", "advanced composition: 4*T*gamma^2 + "
+                              "2*gamma*sqrt(2*T*ln(1/delta)) at the largest gamma "
+                              "(paper; Dwork, Rothblum & Vadhan 2010)",
+                              advanced_composition(len(gammas), max(gammas), delta), delta),
+            ]
+        if sigmas:
+            per_query = classical_gaussian_epsilon(min(sigmas), delta / len(sigmas))
+            figures.append(PrivacyFigure(
+                "classical-gaussian", "classical Gaussian: sqrt(2*ln(1.25*T/delta))/sigma per "
+                "query at the smallest sigma, summed; inapplicable unless each is < 1 "
+                "(Dwork & Roth 2014, Thm A.1)",
+                None if per_query is None else per_query * len(sigmas), delta))
+        return tuple(figures)
+
     def export_text(self) -> str:
         """Line-oriented export, 12 significant digits, one record per query.
 
@@ -245,6 +290,8 @@ class PrivacyLedger:
             try:
                 if len(cells) != len(_COLUMNS):
                     raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(cells)}")
+                if cells[0] != str(ledger.query_count):
+                    raise ValueError(f"index must be {ledger.query_count}, got {cells[0]!r}")
                 gamma, sigma = (_parse_number(cells[i], _COLUMNS[i]) if cells[i] else None
                                 for i in (2, 3))
                 sensitivity = _parse_number(cells[4], "sensitivity")

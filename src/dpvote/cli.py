@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .accountant import PrivacyLedger
-from .mechanisms import NOISE_KIND, dp_ratio_check, flip_probability_mc
+from .mechanisms import dp_ratio_check, flip_probability_mc
 from .noise import (
     NoiseSpec,
     RngStream,
@@ -89,19 +90,18 @@ def _cmd_run(args) -> int:
         print(f"accuracy: clean={report.clean_accuracy_pct:.2f}% "
               f"mechanism={report.mechanism_accuracy_pct:.2f}% "
               f"agreement={report.agreement_pct:.2f}%")
-    if report.eps_simple is not None:
-        print(f"privacy: eps_simple={report.eps_simple:.6g} "
-              f"eps_advanced={report.eps_advanced:.6g} "
-              f"eps_moments={report.eps_moments:.6g} (delta={config.delta:g})")
-    if report.gaussian_epsilon_per_query is not None:
-        print(f"privacy: gaussian eps/query={report.gaussian_epsilon_per_query:.6g} "
-              f"total={report.gaussian_epsilon_total:.6g}")
-    elif NOISE_KIND[config.mechanism] == "gaussian" and report.query_count:
-        print("privacy: gaussian bound inapplicable at this sigma/delta (needs eps < 1)")
+    _print_privacy(report.privacy)
     if config.out_dir:
         paths = emit_report(report, config.out_dir)
         print(f"report written to {paths['summary'].parent}")
     return 0
+
+
+def _print_privacy(figures) -> None:
+    """One line per privacy figure; the same lines for a run and for its ledger."""
+    for f in figures:
+        eps = "inapplicable" if f.eps is None else f"{f.eps:.6g}"
+        print(f"privacy: {f.accounting} eps={eps} delta={f.delta:g} ({f.definition})")
 
 
 def _verify_sensitivity(seed: int, instances: int) -> bool:
@@ -184,18 +184,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_account(args) -> int:
+    if not 0.0 < args.delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {args.delta!r}")
+    if args.eps is not None and not 0.0 <= args.eps < math.inf:
+        raise ValueError(f"eps must be a finite non-negative number, got {args.eps!r}")
     ledger = PrivacyLedger.load(args.ledger)
     print(f"queries recorded: {ledger.query_count}")
-    laplace_entries = [e for e in ledger.entries if e.gamma is not None]
-    if laplace_entries:
-        print(f"eps_simple: {ledger.simple_epsilon():.6g}")
-        print(f"eps_moments(delta={args.delta:g}): {ledger.eps_for_delta(args.delta):.6g}")
-        if args.eps is not None:
-            print(f"delta_at_eps({args.eps:g}): {ledger.delta_for_eps(args.eps):.6g}")
-    gaussian_entries = [e for e in ledger.entries if e.sigma is not None]
-    if gaussian_entries:
-        print(f"gaussian entries: {len(gaussian_entries)} "
-              f"(convert per-query with dpvote.classical_gaussian_epsilon(sigma, delta))")
+    _print_privacy(ledger.figures(args.delta))
+    if args.eps is not None and any(e.gamma is not None for e in ledger.entries):
+        print(f"delta_at_eps({args.eps:g}): {ledger.delta_for_eps(args.eps):.6g}")
     return 0
 
 

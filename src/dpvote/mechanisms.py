@@ -14,13 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .accountant import LedgerEntry
+from .accountant import NOISE_KIND, LedgerEntry
 from .noise import MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks
 from .sensitivity import SensitivityEstimate, enumerate_neighbors, smooth_sensitivity, smooth_values
 from .votes import VoteHistogram, Votes, argmax, boost, count_matrix
 
 __all__ = [
-    "NOISE_KIND",
     "MechanismOutcome",
     "MechanismBatch",
     "DpRatioResult",
@@ -32,8 +31,6 @@ __all__ = [
     "dp_ratio_check",
 ]
 
-# the noise each mechanism adds; the one place a mechanism name decides it
-NOISE_KIND = {"lnmax": "laplace", "nzc-laplace": "laplace", "nzc-gaussian": "gaussian"}
 # noise kind -> (calibrated parameter, mechanism keyword that pins the raw scale instead)
 _PARAMETERS = {"laplace": ("gamma", "scale"), "gaussian": ("sigma", "std")}
 

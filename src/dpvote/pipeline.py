@@ -23,8 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import accountant
-from .accountant import PrivacyLedger, classical_gaussian_epsilon
+from .accountant import NOISE_KIND, PrivacyFigure, PrivacyLedger
 from .ensemble import (
     SyntheticTeacherSpec,
     default_accuracy,
@@ -33,7 +32,7 @@ from .ensemble import (
     qualified_fraction,
     synth_votes,
 )
-from .mechanisms import NOISE_KIND, lnmax, nzc_gaussian, nzc_laplace
+from .mechanisms import lnmax, nzc_gaussian, nzc_laplace
 from .noise import RngStream
 from .votes import argmax, check_boost_constant, gap
 
@@ -218,11 +217,7 @@ class ExperimentReport:
     mechanism_accuracy_pct: Optional[float]
     agreement_pct: Optional[float]
     qualified_fractions: tuple[tuple[int, float], ...]
-    eps_moments: Optional[float]
-    eps_simple: Optional[float]
-    eps_advanced: Optional[float]
-    gaussian_epsilon_per_query: Optional[float]
-    gaussian_epsilon_total: Optional[float]
+    privacy: tuple[PrivacyFigure, ...]  # the ledger's figures at config.delta
     results: tuple[QueryResult, ...]
     ledger: PrivacyLedger = field(compare=False, repr=False, default_factory=PrivacyLedger)
     runtime_seconds: float = field(compare=False, default=0.0)
@@ -230,6 +225,11 @@ class ExperimentReport:
     @property
     def query_count(self) -> int:
         return len(self.results)
+
+    @property
+    def eps_simple(self) -> Optional[float]:
+        """The paper's simple-composition eps; None when no query was charged to it."""
+        return next((f.eps for f in self.privacy if f.accounting == "paper-simple"), None)
 
 
 def _blocks(queries: int):
@@ -310,33 +310,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         (n, qualified_fraction(counts, n)) for n in config.distance_grid
     ) if queries else tuple()
 
-    laplace_run = NOISE_KIND[config.mechanism] == "laplace"
-    if not queries:
-        eps_moments = eps_simple = eps_advanced = 0.0 if laplace_run else None
-        gauss_q = gauss_total = None
-    elif laplace_run:
-        eps_moments = ledger.eps_for_delta(config.delta)
-        eps_simple = ledger.simple_epsilon()
-        worst_gamma = max(e.gamma for e in ledger.entries)
-        eps_advanced = accountant.advanced_composition(queries, worst_gamma, config.delta)
-        gauss_q = gauss_total = None
-    else:
-        eps_moments = eps_simple = eps_advanced = None
-        worst_sigma = min(e.sigma for e in ledger.entries)
-        gauss_q = classical_gaussian_epsilon(worst_sigma, config.delta / queries)
-        gauss_total = gauss_q * queries if gauss_q is not None else None
-
     return ExperimentReport(
         config=replace(config, queries=queries, teacher_accuracy=accuracy_used),
         clean_accuracy_pct=clean_pct,
         mechanism_accuracy_pct=mech_pct,
         agreement_pct=agree_pct,
         qualified_fractions=qualified,
-        eps_moments=eps_moments,
-        eps_simple=eps_simple,
-        eps_advanced=eps_advanced,
-        gaussian_epsilon_per_query=gauss_q,
-        gaussian_epsilon_total=gauss_total,
+        privacy=ledger.figures(config.delta),
         results=results,
         ledger=ledger,
         runtime_seconds=time.perf_counter() - start,
@@ -347,6 +327,12 @@ def _round12(value: Optional[float]) -> Optional[float]:
     if value is None:
         return None
     return float(f"{float(value):.12g}")
+
+
+def _summary_object(obj, summary_fields) -> dict:
+    """summary.json object of (field name, key, declared base type) fields, floats rounded."""
+    return {key: _round12(getattr(obj, name)) if base is float else getattr(obj, name)
+            for name, key, base in summary_fields}
 
 
 def _fmt12(value, base: type) -> str:
@@ -365,10 +351,10 @@ _SUMMARY_FIELDS = tuple(
     (f.name, f.metadata.get("summary", f.name), _CONFIG_TYPES[f.name][0])
     for f in fields(ExperimentConfig) if f.metadata.get("summary", f.name) is not None
 )
-# ExperimentReport figures in summary.json: top-level, then inside "privacy"
+# (field name, key, declared base type) of each PrivacyFigure field in the privacy list
+_FIGURE_FIELDS = tuple((f, f, base) for f, (base, _) in _field_types(PrivacyFigure).items())
+# ExperimentReport figures at the top level of summary.json
 _ACCURACY_KEYS = ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct")
-_PRIVACY_KEYS = ("eps_moments", "eps_simple", "eps_advanced",
-                 "gaussian_epsilon_per_query", "gaussian_epsilon_total")
 _QUERY_HEADER = ",".join(_QUERY_TYPES)
 _query_row = attrgetter(*_QUERY_TYPES)
 
@@ -378,15 +364,12 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary = {}
-    for name, key, base in _SUMMARY_FIELDS:
-        value = getattr(report.config, name)
-        summary[key] = _round12(value) if base is float else value
+    summary = _summary_object(report.config, _SUMMARY_FIELDS)
     summary.update({key: _round12(getattr(report, key)) for key in _ACCURACY_KEYS})
     summary["qualified_fractions"] = [
         {"n": n, "fraction": _round12(frac)} for n, frac in report.qualified_fractions
     ]
-    summary["privacy"] = {key: _round12(getattr(report, key)) for key in _PRIVACY_KEYS}
+    summary["privacy"] = [_summary_object(f, _FIGURE_FIELDS) for f in report.privacy]
     summary_path = out / SUMMARY_FILE
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
@@ -439,17 +422,19 @@ def read_report(out_dir) -> ExperimentReport:
         qualified = tuple((e["n"], e["fraction"]) for e in summary["qualified_fractions"])
         values = {name: summary[key] for name, key, _ in _SUMMARY_FIELDS}
         figures = {key: summary[key] for key in _ACCURACY_KEYS}
-        figures.update((key, summary["privacy"][key]) for key in _PRIVACY_KEYS)
+        privacy = tuple(PrivacyFigure(**figure) for figure in summary["privacy"])
     except KeyError as exc:
         raise ValueError(f"{out / SUMMARY_FILE}: missing key {exc.args[0]!r}") from None
     except TypeError:  # valid JSON of another shape, e.g. a list or "privacy": null
         raise ValueError(f"{out / SUMMARY_FILE}: expected an object with a qualified_fractions "
-                         f"list of {{n, fraction}} objects and a privacy object") from None
+                         f"list of {{n, fraction}} objects and a privacy list of "
+                         f"{{accounting, definition, eps, delta}} objects") from None
     if qualified:
         values["distance_grid"] = tuple(n for n, _ in qualified)
     return ExperimentReport(
         config=config_from_dict(values, str(out / SUMMARY_FILE)),
         qualified_fractions=qualified,
+        privacy=privacy,
         results=tuple(results),
         ledger=PrivacyLedger.load(out / LEDGER_FILE),
         **figures,

@@ -30,6 +30,7 @@ BOOSTED_SYNTH_COUNTS = {
     "noise.generators_made": 3,
     "sensitivity.smooth_calls": 0,
     "sensitivity.neighbor_rows": 0,
+    "accountant.moment_terms": 32000,
 }
 
 

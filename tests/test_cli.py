@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from dpvote import (MomentCurve, PrivacyLedger, advanced_composition, classical_gaussian_epsilon,
+                    eps_for_delta)
 from dpvote.cli import main
 
 
@@ -92,7 +94,8 @@ class TestRunCommand:
         code = run_cli(["run", "--mechanism", "nzc-gaussian", "--teachers", "5",
                         "--queries", queries, "--sigma", "1", "--seed", "1"])
         assert code == 0
-        assert ("gaussian bound inapplicable" in capsys.readouterr().out) == printed
+        out = capsys.readouterr().out
+        assert ("privacy: classical-gaussian eps=inapplicable" in out) == printed
 
     def test_config_file_float_fields_accept_integers_and_grid_list(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -135,7 +138,7 @@ class TestAccountCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "queries recorded: 25" in out
-        assert "eps_simple: 2.5" in out
+        assert "privacy: paper-simple eps=2.5 delta=0 (" in out
         assert "delta_at_eps" in out
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
@@ -159,6 +162,9 @@ class TestAccountCommand:
         (3, 2, "inf", "ledger.csv:3: gamma must be a finite number, got 'inf'"),
         (1, 4, "sensitivity,epsilon,alpha_1",
          "ledger.csv:1: expected the ledger header 'index,mechanism,gamma,sigma,sensitivity'"),
+        (2, 1, "magic", "ledger.csv:2: unknown mechanism 'magic'"),
+        (2, 1, "nzc-gaussian", "ledger.csv:2: a nzc-gaussian entry carries sigma and no gamma"),
+        (3, 0, "x", "ledger.csv:3: index must be 1, got 'x'"),
     ])
     def test_bad_ledger_cell_is_one_line_error(self, tmp_path, capsys, line, cell, value, expected):
         out_dir = tmp_path / "report"
@@ -176,6 +182,59 @@ class TestAccountCommand:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert expected in err
+
+    @pytest.fixture
+    def gaussian_ledger(self, tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        assert run_cli(["run", "--mechanism", "nzc-gaussian", "--teachers", "5", "--queries",
+                        "1", "--sigma", "1e6", "--seed", "4", "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        return out_dir / "ledger.csv"
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["--eps", "nan", "--delta", "2"], "delta must lie in (0, 1), got 2.0"),
+        (["--delta", "0"], "delta must lie in (0, 1), got 0.0"),
+        (["--eps", "nan"], "eps must be a finite non-negative number, got nan"),
+        (["--eps", "-1"], "eps must be a finite non-negative number, got -1.0"),
+    ])
+    def test_flags_are_checked_on_a_gaussian_ledger(self, gaussian_ledger, capsys, flags,
+                                                     expected):
+        code = run_cli(["account", "--ledger", str(gaussian_ledger), *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {expected}\n"
+
+    def test_delta_is_checked_on_an_empty_ledger(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.csv"
+        ledger.write_text("index,mechanism,gamma,sigma,sensitivity\n")
+        assert run_cli(["account", "--ledger", str(ledger)]) == 0
+        assert capsys.readouterr().out == "queries recorded: 0\n"
+        code = run_cli(["account", "--ledger", str(ledger), "--delta", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: delta must lie in (0, 1), got 5.0\n"
+
+    def test_mixed_kind_ledger_gets_every_figure(self, tmp_path, capsys):
+        # a run never writes both noise kinds into one ledger, but account accepts the file
+        ledger = tmp_path / "ledger.csv"
+        ledger.write_text("index,mechanism,gamma,sigma,sensitivity\n"
+                          "0,lnmax,0.5,,1\n1,nzc-gaussian,,1000000,0.5\n2,nzc-laplace,0.25,,0.5\n")
+        code = run_cli(["account", "--ledger", str(ledger), "--delta", "1e-4", "--eps", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        figures = PrivacyLedger.load(ledger).figures(1e-4)
+        assert [f.accounting for f in figures] == [
+            "paper-moments", "paper-simple", "paper-advanced", "classical-gaussian"]
+        gaussian = classical_gaussian_epsilon(1e6, 1e-4)  # one Gaussian entry
+        assert [f.eps for f in figures] == [
+            eps_for_delta(MomentCurve.for_laplace(0.5) + MomentCurve.for_laplace(0.25), 1e-4),
+            1.5, advanced_composition(2, 0.5, 1e-4), gaussian]
+        assert lines[0] == "queries recorded: 3"
+        assert lines[1:5] == [
+            f"privacy: {f.accounting} eps={f.eps:.6g} delta={f.delta:g} ({f.definition})"
+            for f in figures]
+        assert lines[5].startswith("delta_at_eps(1): ")
 
 
 def test_argparse_rejects_unknown_mechanism():

@@ -13,8 +13,7 @@ import json
 
 import pytest
 
-from dpvote import (ExperimentConfig, PrivacyLedger, classical_gaussian_epsilon, emit_report,
-                    run_experiment)
+from dpvote import ExperimentConfig, PrivacyLedger, emit_report, read_report, run_experiment
 from dpvote.cli import main
 
 RUNS = {
@@ -28,22 +27,22 @@ RUNS = {
 
 # sha256 of (summary.json, queries.csv, ledger.csv)
 GOLDEN = {
-    "lnmax-gamma": ("1e8423b3289a9011ffdce6280f4d998d00ace696546c331635b2e0f953735ff3",
+    "lnmax-gamma": ("992bc142e07fcad0dbbae0cc5592084d91f6b34783cfabd768b5147c66df9a3b",
                     "9e459ee52dcab7b4ea5e534b80d91cc54947c918a135e74dc97249a8d266152d",
                     "eb647b81684df1b11a56c1ccd605af64e42b9a884d5a481bc5b0f11dc4bc33b2"),
-    "lnmax-scale": ("86c7de90efae239ec931c727b9ec17f17eaf28ed8aae7279b4e3baf733edc92c",
+    "lnmax-scale": ("62873d97e3dfa73b8984e64df454bf353d07eb17fa97e3a01bfc0cd901e2ec3d",
                     "18e0fb06f8e10552466c58c084a7b7e4edabb70baf36ecba61fbef292a2169b1",
                     "3e73c10b3680069e74e5bf01c8269f7a8c269b20206c507c2f0532bcd9452d0e"),
-    "nzc-laplace-gamma": ("cdc8ed937a715b838ea7de2104bb41471ba41d31b90f5b2ea91e7b9affe6af4c",
+    "nzc-laplace-gamma": ("81f20a43a7224e93f02829bec120e0f358e4dbdbf8271ea49d8d34005b2c5302",
                           "ea8b1f115a6a92df0f1e61b6fba2255ba09e726a41cb7b80c9bc9177f948ac60",
                           "96530dd19d9d9e0efdbced76c85d9ce62233b9ead5de4b11ec3d750f423f6590"),
-    "nzc-laplace-scale": ("6ed454a84dbed7f2e9772c81202d76701b326f9723c5ad40190d2c3fb82dd815",
+    "nzc-laplace-scale": ("f48ded5686951700529ca645417dca0ee154ba49e5c1f2bace945e4cf32fdfa4",
                           "4040d9d1cc223d7b5d504dfa912c22a8fa2525ccccf7dcb184f67645db1f5d24",
                           "c875d7861a7cba750a09cdf8ca9b3101b225c7c17e333a95fe4bcdd176b66789"),
-    "nzc-gaussian-sigma": ("35283087ee41ef872916c0958b9f341e0ef2ae1aec9c5dfc3fb68696725549aa",
+    "nzc-gaussian-sigma": ("7871bc380cb4713a4fc9670a072466f2478eb2a7674d3775822ad7f2c09a34c9",
                            "0c9f0aee84d1042e9574de4429b81c2d54384e0c24201b8e88dc728013b2ee12",
                            "86e103214238258bf3752f17f3f77b392d15ed78ee3d169f9fbf688d4f887b0f"),
-    "nzc-gaussian-std": ("f1a538ee23ba9317dbd83581e09d26aceadf1155359f7c26d959c1ae4d1445a0",
+    "nzc-gaussian-std": ("d82675fac0a9624bb997918148f27a879792c358fede05ccedf61184b5e7836e",
                          "5c1615f8067c62ae157d55dc12c7778c937b8be94aad07de858025ae4cf4e59c",
                          "b1b685bea2c859210968040eeec8b8cf1cb2310127dae66d26e5809f3fb39a5d"),
 }
@@ -60,26 +59,46 @@ def test_report_bytes_match_golden(tmp_path, name):
 
 # `dpvote account --ledger ledger.csv --delta 1e-5 --eps 1` on two of the runs above
 ACCOUNT_OUTPUT = {
-    "nzc-laplace-scale": "queries recorded: 50\neps_simple: 4.59849\n"
-                         "eps_moments(delta=1e-05): 3.33639\ndelta_at_eps(1): 0.481316\n",
-    "nzc-gaussian-std": "queries recorded: 50\ngaussian entries: 50 (convert per-query with "
-                        "dpvote.classical_gaussian_epsilon(sigma, delta))\n",
+    "nzc-laplace-scale":
+        "queries recorded: 50\n"
+        "privacy: paper-moments eps=3.33639 delta=1e-05 (moments accountant: "
+        "2*gamma^2*l*(l+1) per query at orders 1..32, tail bound (paper; Abadi et al. 2016))\n"
+        "privacy: paper-simple eps=4.59849 delta=0 (pure eps: 2*gamma per query, summed (paper))\n"
+        "privacy: paper-advanced eps=3.54352 delta=1e-05 (advanced composition: 4*T*gamma^2 + "
+        "2*gamma*sqrt(2*T*ln(1/delta)) at the largest gamma (paper; Dwork, Rothblum & Vadhan "
+        "2010))\n"
+        "delta_at_eps(1): 0.481316\n",
+    "nzc-gaussian-std":
+        "queries recorded: 50\n"
+        "privacy: classical-gaussian eps=12.8627 delta=1e-05 (classical Gaussian: "
+        "sqrt(2*ln(1.25*T/delta))/sigma per query at the smallest sigma, summed; inapplicable "
+        "unless each is < 1 (Dwork & Roth 2014, Thm A.1))\n",
 }
+
+
+def _privacy_lines(text):
+    return [line for line in text.splitlines() if line.startswith("privacy:")]
 
 
 @pytest.mark.parametrize("name", sorted(ACCOUNT_OUTPUT))
 def test_ledger_columns_reproduce_the_privacy_figures(tmp_path, capsys, name):
-    """The ledger stores only gamma|sigma and sensitivity; every figure is derived on load."""
-    config = ExperimentConfig(seed=11, queries=50, teachers=10, **RUNS[name])
-    paths = emit_report(run_experiment(config), tmp_path)
-    privacy = json.loads(paths["summary"].read_text(encoding="utf-8"))["privacy"]
-    ledger = PrivacyLedger.load(paths["ledger"])
-    if privacy["eps_simple"] is not None:
-        assert ledger.simple_epsilon() == pytest.approx(privacy["eps_simple"], rel=1e-11)
-        assert ledger.eps_for_delta(config.delta) == pytest.approx(privacy["eps_moments"], rel=1e-11)
-    else:
-        worst_sigma = min(e.sigma for e in ledger.entries)
-        per_query = classical_gaussian_epsilon(worst_sigma, config.delta / ledger.query_count)
-        assert per_query == pytest.approx(privacy["gaussian_epsilon_per_query"], rel=1e-11)
-    assert main(["account", "--ledger", str(paths["ledger"]), "--delta", "1e-5", "--eps", "1"]) == 0
-    assert capsys.readouterr().out == ACCOUNT_OUTPUT[name]
+    """The ledger stores only gamma|sigma and sensitivity; every figure is derived on load.
+
+    ``PrivacyLedger.figures`` is the one place that decides a run's figures:
+    the report, ``dpvote run`` and ``dpvote account`` all show its records.
+    """
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dict(seed=11, queries=50, teachers=10, **RUNS[name])))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "r")]) == 0
+    run_lines = _privacy_lines(capsys.readouterr().out)
+    emitted = read_report(tmp_path / "r").privacy
+    loaded = PrivacyLedger.load(tmp_path / "r" / "ledger.csv").figures(1e-5)
+    assert [(f.accounting, f.definition, f.delta) for f in loaded] == [
+        (f.accounting, f.definition, f.delta) for f in emitted]
+    for got, want in zip(loaded, emitted):
+        assert got.eps == want.eps or got.eps == pytest.approx(want.eps, rel=1e-11)
+    assert main(["account", "--ledger", str(tmp_path / "r" / "ledger.csv"),
+                 "--delta", "1e-5", "--eps", "1"]) == 0
+    out = capsys.readouterr().out
+    assert _privacy_lines(out) == run_lines
+    assert out == ACCOUNT_OUTPUT[name]

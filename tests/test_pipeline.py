@@ -7,6 +7,7 @@ import pytest
 from dpvote import (
     BLOCK,
     ExperimentConfig,
+    classical_gaussian_epsilon,
     emit_report,
     read_report,
     required_constant_laplace,
@@ -55,8 +56,8 @@ class TestRunExperiment:
         report = run_experiment(small_config(queries=0))
         assert report.query_count == 0
         assert report.results == ()
-        assert report.eps_simple == 0.0
-        assert report.eps_moments == 0.0
+        assert report.privacy == ()  # an empty ledger yields no figure
+        assert report.eps_simple is None
         assert report.ledger.query_count == 0
 
     def test_query_count_matches_ledger_and_records(self):
@@ -83,16 +84,15 @@ class TestRunExperiment:
     def test_gaussian_run_reports_classical_bound(self):
         report = run_experiment(small_config(
             mechanism="nzc-gaussian", gamma=None, sigma=1e6, queries=30, delta=1e-4))
-        assert report.eps_moments is None
-        assert report.gaussian_epsilon_per_query is not None
-        assert report.gaussian_epsilon_total == pytest.approx(
-            30 * report.gaussian_epsilon_per_query, rel=1e-12)
+        (figure,) = report.privacy
+        assert (figure.accounting, figure.delta) == ("classical-gaussian", 1e-4)
+        per_query = classical_gaussian_epsilon(1e6, 1e-4 / 30)
+        assert figure.eps == pytest.approx(30 * per_query, rel=1e-12)
 
     def test_gaussian_bound_inapplicable_at_small_sigma(self):
         report = run_experiment(small_config(
             mechanism="nzc-gaussian", gamma=None, sigma=1.0, queries=10))
-        assert report.gaussian_epsilon_per_query is None
-        assert report.gaussian_epsilon_total is None
+        assert [(f.accounting, f.eps) for f in report.privacy] == [("classical-gaussian", None)]
 
     def test_lnmax_run(self):
         report = run_experiment(small_config(mechanism="lnmax", gamma=20.0, queries=60))
@@ -105,9 +105,11 @@ class TestRunExperiment:
         report = run_experiment(ExperimentConfig(
             mechanism="lnmax", seed=404, queries=100, num_classes=10,
             teachers=250, gamma=20.0))
-        assert report.eps_simple == pytest.approx(2 * 20.0 * 100, rel=1e-12)
-        assert report.eps_advanced > 0
-        assert report.eps_moments > 0
+        eps = {f.accounting: f.eps for f in report.privacy}
+        assert list(eps) == ["paper-moments", "paper-simple", "paper-advanced"]
+        assert eps["paper-simple"] == pytest.approx(2 * 20.0 * 100, rel=1e-12)
+        assert eps["paper-advanced"] > 0
+        assert eps["paper-moments"] > 0
         assert report.mechanism_accuracy_pct <= report.clean_accuracy_pct
 
     def test_seed_changes_labels(self):
@@ -191,6 +193,14 @@ class TestEmitAndRead:
         for key in ("summary", "queries", "ledger"):
             assert paths[key].read_bytes() == again[key].read_bytes()
 
+    def test_zero_query_report_round_trips_an_empty_privacy_list(self, tmp_path):
+        paths = emit_report(run_experiment(small_config(queries=0)), tmp_path / "first")
+        assert json.loads(paths["summary"].read_text())["privacy"] == []
+        parsed = read_report(tmp_path / "first")
+        assert parsed.privacy == ()
+        again = emit_report(parsed, tmp_path / "second")
+        assert paths["summary"].read_bytes() == again["summary"].read_bytes()
+
     def test_round_trip_recovers_fields(self, tmp_path):
         # off-default values, so a config field the writer or reader drops shows up
         report = run_experiment(small_config(
@@ -254,7 +264,11 @@ class TestEmitAndRead:
         lambda summary: [],
         lambda summary: {**summary, "qualified_fractions": 5},
         lambda summary: {**summary, "privacy": None},
-    ], ids=["list", "qualified_fractions_int", "privacy_null"])
+        lambda summary: {**summary, "privacy": {"eps_simple": 0.1}},
+        lambda summary: {**summary, "privacy": [{"accounting": "paper-simple"}]},
+        lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "alpha": 1.0}]},
+    ], ids=["list", "qualified_fractions_int", "privacy_null", "privacy_object",
+            "privacy_record_missing_key", "privacy_record_extra_key"])
     def test_summary_of_wrong_shape_is_one_line_error_naming_the_file(self, tmp_path, mutate):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
         summary = json.loads(paths["summary"].read_text())
