@@ -226,10 +226,10 @@ class TestAccountCommand:
         figures = PrivacyLedger.load(ledger).figures(1e-4)
         assert [f.accounting for f in figures] == [
             "paper-moments", "paper-simple", "paper-advanced", "classical-gaussian"]
-        gaussian = classical_gaussian_epsilon(1e6, 1e-4)  # one Gaussian entry
         assert [f.eps for f in figures] == [
             eps_for_delta(MomentCurve.for_laplace(0.5) + MomentCurve.for_laplace(0.25), 1e-4),
-            1.5, advanced_composition(2, 0.5, 1e-4), gaussian]
+            1.5, advanced_composition(2, 0.5, 1e-4),
+            classical_gaussian_epsilon(1e6, 1e-4)]  # one Gaussian entry: delta is not split
         assert lines[0] == "queries recorded: 3"
         assert lines[1:5] == [
             f"privacy: {f.accounting} eps={f.eps:.6g} delta={f.delta:g} ({f.definition})"
