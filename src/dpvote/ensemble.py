@@ -126,11 +126,73 @@ class PredictionTable:
         return [self.truth[q] for q in self.query_ids]
 
 
-def _parse_int(field: str, what: str, path, lineno: int) -> int:
+def _loadtxt(rows: list[str], **kwargs) -> np.ndarray:
+    return np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2, **kwargs)
+
+
+def _loads(rows: list[str], width: int, **kwargs) -> bool:
+    """Whether ``rows`` load as ``width`` int64 columns."""
     try:
-        return int(field)
+        return _loadtxt(rows, **kwargs).shape[1] == width
     except ValueError:
-        raise ValueError(f"{path}:{lineno}: {what} must be an integer, got {field!r}") from None
+        return False
+
+
+def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Sequence[int]]:
+    """The cells of a CSV of integers under ``header``, and the file line of each row.
+
+    Whitespace-only lines are skipped.  A cell is a base-10 integer in int64
+    with an optional sign and surrounding spaces; ``#`` starts no comment.  The
+    whole file is one ``np.loadtxt`` pass; only when it fails is the first bad
+    row looked for, and its one-line error names the file line.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"{path}:1: expected header {header!r}")
+    rows = list(filter(str.strip, lines[1:]))
+    linenos = (range(2, len(lines) + 1) if len(rows) == len(lines) - 1
+               else [n for n, line in enumerate(lines[1:], start=2) if line.strip()])
+    names = header.split(",")
+    if not rows:
+        return np.empty((0, len(names)), dtype=np.int64), linenos
+    try:
+        cells = _loadtxt(rows)
+        if cells.shape[1] == len(names):
+            return cells, linenos
+    except ValueError:
+        pass
+    good, bad = 0, len(rows)  # bisect for the first row that does not load
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if _loads(rows[:mid], len(names)) else (good, mid)
+    row, where = rows[bad - 1], f"{path}:{linenos[bad - 1]}"
+    fields = row.split(",")
+    if len(fields) != len(names):
+        raise ValueError(f"{where}: expected {len(names)} comma-separated fields, got {len(fields)}")
+    column = next(j for j in range(len(names)) if not _loads([row], 1, usecols=j))
+    name, cell = names[column], fields[column]
+    digits = cell.strip()
+    digits = digits[1:] if digits[:1] in ("+", "-") else digits
+    if digits.isascii() and digits.isdigit():
+        raise ValueError(f"{where}: {name} must lie in the int64 range, got {cell!r}")
+    raise ValueError(f"{where}: {name} must be an integer, got {cell!r}")
+
+
+def _out_of_range(label: np.ndarray, num_classes: Optional[int]) -> np.ndarray:
+    """Rows whose label is negative or, given a class count, not below it."""
+    bad = label < 0 if num_classes is None else (label < 0) | (label >= num_classes)
+    return np.flatnonzero(bad)
+
+
+def _first_repeat(keys: np.ndarray) -> Optional[tuple[int, int]]:
+    """(row, row of the first occurrence) of the first key seen before, or None."""
+    unique, first = np.unique(keys, return_index=True)
+    if len(unique) == len(keys):
+        return None
+    seen = np.zeros(len(keys), dtype=bool)
+    seen[first] = True
+    row = int(np.argmin(seen))
+    return row, int(first[np.searchsorted(unique, keys[row])])
 
 
 def load_predictions(path, num_classes: Optional[int] = None,
@@ -142,75 +204,55 @@ def load_predictions(path, num_classes: Optional[int] = None,
     the offending line.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != PREDICTION_HEADER:
-        raise ValueError(f"{path}:1: expected header {PREDICTION_HEADER!r}")
-    seen: dict[tuple[int, int], tuple[int, int]] = {}  # (query, teacher) -> (line number, label)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 comma-separated fields, got {len(fields)}")
-        q = _parse_int(fields[0], "query_id", path, lineno)
-        t = _parse_int(fields[1], "teacher_id", path, lineno)
-        label = _parse_int(fields[2], "label", path, lineno)
-        if label < 0:
-            raise ValueError(f"{path}:{lineno}: label must be non-negative, got {label}")
-        if num_classes is not None and label >= num_classes:
-            raise ValueError(f"{path}:{lineno}: label {label} out of range [0, {num_classes})")
-        if (q, t) in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate prediction for query {q}, teacher {t} "
-                             f"(first seen on line {seen[(q, t)][0]})")
-        seen[(q, t)] = (lineno, label)
-    if not seen:
+    cells, linenos = _read_int_csv(path, PREDICTION_HEADER)
+    if not len(cells):
         raise ValueError(f"{path}: no predictions found")
-    query_ids = tuple(sorted({q for q, _ in seen}))
-    teacher_ids = tuple(sorted({t for _, t in seen}))
-    for q in query_ids:
-        for t in teacher_ids:
-            if (q, t) not in seen:
-                raise ValueError(f"{path}: missing prediction for query {q}, teacher {t}")
-    labels = np.zeros((len(query_ids), len(teacher_ids)), dtype=np.int64)
-    qpos = {q: i for i, q in enumerate(query_ids)}
-    tpos = {t: i for i, t in enumerate(teacher_ids)}
-    for (q, t), (_, label) in seen.items():
-        labels[qpos[q], tpos[t]] = label
-    inferred = num_classes if num_classes is not None else int(labels.max()) + 1
-    if inferred < 2:
-        inferred = 2
+    query, teacher, label = cells.T
+    bad = _out_of_range(label, num_classes)
+    if bad.size:
+        where, value = f"{path}:{linenos[bad[0]]}", int(label[bad[0]])
+        if value < 0:
+            raise ValueError(f"{where}: label must be non-negative, got {value}")
+        raise ValueError(f"{where}: label {value} out of range [0, {num_classes})")
+    query_ids, qrow = np.unique(query, return_inverse=True)
+    teacher_ids, tcol = np.unique(teacher, return_inverse=True)
+    cell = qrow * len(teacher_ids) + tcol  # flat index into the (queries, teachers) matrix
+    repeat = _first_repeat(cell)
+    if repeat:
+        row, first = repeat
+        raise ValueError(f"{path}:{linenos[row]}: duplicate prediction for query {query[row]}, "
+                         f"teacher {teacher[row]} (first seen on line {linenos[first]})")
+    if len(cell) < len(query_ids) * len(teacher_ids):
+        absent = np.flatnonzero(np.sort(cell) != np.arange(len(cell)))
+        q, t = divmod(int(absent[0]) if absent.size else len(cell), len(teacher_ids))
+        raise ValueError(f"{path}: missing prediction for query {query_ids[q]}, "
+                         f"teacher {teacher_ids[t]}")
+    labels = np.empty((len(query_ids), len(teacher_ids)), dtype=np.int64)
+    labels[qrow, tcol] = label
+    inferred = max(num_classes if num_classes is not None else int(label.max()) + 1, 2)
     truth = None
     if truth_path is not None:
         truth = load_ground_truth(truth_path, num_classes=inferred)
-    return PredictionTable(query_ids=query_ids, teacher_ids=teacher_ids,
+    return PredictionTable(query_ids=tuple(query_ids.tolist()),
+                           teacher_ids=tuple(teacher_ids.tolist()),
                            labels=labels, num_classes=inferred, truth=truth)
 
 
 def load_ground_truth(path, num_classes: Optional[int] = None) -> dict[int, int]:
     """Read a ``query_id,label`` CSV into a dict, validating ranges and duplicates."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != TRUTH_HEADER:
-        raise ValueError(f"{path}:1: expected header {TRUTH_HEADER!r}")
-    truth: dict[int, int] = {}
-    first_line: dict[int, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 2 comma-separated fields, got {len(fields)}")
-        q = _parse_int(fields[0], "query_id", path, lineno)
-        label = _parse_int(fields[1], "label", path, lineno)
-        if label < 0 or (num_classes is not None and label >= num_classes):
-            hi = num_classes if num_classes is not None else "inf"
-            raise ValueError(f"{path}:{lineno}: label {label} out of range [0, {hi})")
-        if q in truth:
-            raise ValueError(f"{path}:{lineno}: duplicate ground truth for query {q} "
-                             f"(first seen on line {first_line[q]})")
-        truth[q] = label
-        first_line[q] = lineno
-    return truth
+    cells, linenos = _read_int_csv(path, TRUTH_HEADER)
+    query, label = cells.T
+    bad = _out_of_range(label, num_classes)
+    if bad.size:
+        hi = num_classes if num_classes is not None else "inf"
+        raise ValueError(f"{path}:{linenos[bad[0]]}: label {label[bad[0]]} out of range [0, {hi})")
+    repeat = _first_repeat(query)
+    if repeat:
+        row, first = repeat
+        raise ValueError(f"{path}:{linenos[row]}: duplicate ground truth for query {query[row]} "
+                         f"(first seen on line {linenos[first]})")
+    return dict(zip(query.tolist(), label.tolist()))
 
 
 def qualified_fraction(histograms: Votes, n: int) -> float:

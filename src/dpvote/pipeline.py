@@ -93,8 +93,8 @@ class ExperimentConfig:
                                            metadata={"summary": None})
 
     def validate(self) -> None:
-        for name in _CONFIG_TYPES:
-            _check_type(name, getattr(self, name))
+        for name, declared in _CONFIG_TYPES.items():
+            _check_type("config field", name, getattr(self, name), declared)
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}; choose one of {MECHANISMS}")
         if self.seed < 0:
@@ -178,12 +178,15 @@ _TYPE_CHECKS = {
 }
 
 
-def _check_type(name: str, value) -> None:
-    """Raise a one-line ValueError unless ``value`` fits the declared type of config field ``name``."""
-    base, optional = _CONFIG_TYPES[name]
+def _check_type(where: str, name: str, value, declared: tuple[type, bool]) -> None:
+    """Raise a one-line ValueError naming ``where`` and ``name`` unless ``value`` fits ``declared``.
+
+    ``declared`` is a (base type, whether None is allowed) pair from ``_field_types``.
+    """
+    base, optional = declared
     wanted, fits = _TYPE_CHECKS[base]
     if not (optional if value is None else fits(value)):
-        raise ValueError(f"config field {name} must be {wanted}{' or null' if optional else ''}, "
+        raise ValueError(f"{where} {name} must be {wanted}{' or null' if optional else ''}, "
                          f"got {value!r}")
 
 
@@ -352,9 +355,11 @@ _SUMMARY_FIELDS = tuple(
     for f in fields(ExperimentConfig) if f.metadata.get("summary", f.name) is not None
 )
 # (field name, key, declared base type) of each PrivacyFigure field in the privacy list
-_FIGURE_FIELDS = tuple((f, f, base) for f, (base, _) in _field_types(PrivacyFigure).items())
-# ExperimentReport figures at the top level of summary.json
-_ACCURACY_KEYS = ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct")
+_FIGURE_TYPES = _field_types(PrivacyFigure)
+_FIGURE_FIELDS = tuple((f, f, base) for f, (base, _) in _FIGURE_TYPES.items())
+# ExperimentReport figures at the top level of summary.json, with their declared types
+_ACCURACY_TYPES = {key: _field_types(ExperimentReport)[key]
+                   for key in ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct")}
 _QUERY_HEADER = ",".join(_QUERY_TYPES)
 _query_row = attrgetter(*_QUERY_TYPES)
 
@@ -365,7 +370,7 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
 
     summary = _summary_object(report.config, _SUMMARY_FIELDS)
-    summary.update({key: _round12(getattr(report, key)) for key in _ACCURACY_KEYS})
+    summary.update({key: _round12(getattr(report, key)) for key in _ACCURACY_TYPES})
     summary["qualified_fractions"] = [
         {"n": n, "fraction": _round12(frac)} for n, frac in report.qualified_fractions
     ]
@@ -421,7 +426,7 @@ def read_report(out_dir) -> ExperimentReport:
     try:
         qualified = tuple((e["n"], e["fraction"]) for e in summary["qualified_fractions"])
         values = {name: summary[key] for name, key, _ in _SUMMARY_FIELDS}
-        figures = {key: summary[key] for key in _ACCURACY_KEYS}
+        figures = {key: summary[key] for key in _ACCURACY_TYPES}
         privacy = tuple(PrivacyFigure(**figure) for figure in summary["privacy"])
     except KeyError as exc:
         raise ValueError(f"{out / SUMMARY_FILE}: missing key {exc.args[0]!r}") from None
@@ -429,6 +434,14 @@ def read_report(out_dir) -> ExperimentReport:
         raise ValueError(f"{out / SUMMARY_FILE}: expected an object with a qualified_fractions "
                          f"list of {{n, fraction}} objects and a privacy list of "
                          f"{{accounting, definition, eps, delta}} objects") from None
+    where = f"{out / SUMMARY_FILE}:"
+    for key, declared in _ACCURACY_TYPES.items():
+        _check_type(where, key, figures[key], declared)
+    for _, fraction in qualified:
+        _check_type(where, "qualified fraction", fraction, (float, False))
+    for figure in privacy:
+        for name, declared in _FIGURE_TYPES.items():
+            _check_type(f"{where} privacy", name, getattr(figure, name), declared)
     if qualified:
         values["distance_grid"] = tuple(n for n, _ in qualified)
     return ExperimentReport(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpvote import (
     RngStream,
@@ -233,3 +235,154 @@ class TestEnsembleAccuracy:
         assert ensemble_accuracy(counts, [0, 1, 0], [0, 2, 2]) == ensemble_accuracy(
             hists, [0, 1, 0], [0, 2, 2])
         assert qualified_fraction(counts, 3) == qualified_fraction(hists, 3) == 2 / 3
+
+
+PRED = "query_id,teacher_id,label\n"
+TRUTH = "query_id,label\n"
+
+# (file text, class count, expected message after "<path>"): every case has one fault
+PREDICTION_ERRORS = {
+    "header": ("query,teacher,label\n0,0,1\n", None,
+               ":1: expected header 'query_id,teacher_id,label'"),
+    "empty_file": ("", None, ":1: expected header 'query_id,teacher_id,label'"),
+    "too_few_fields": (PRED + "0,0,1\n0,1\n", None, ":3: expected 3 comma-separated fields, got 2"),
+    "trailing_comma": (PRED + "0,0,1,\n", None, ":2: expected 3 comma-separated fields, got 4"),
+    "every_row_short": (PRED + "0,0\n0,1\n", None, ":2: expected 3 comma-separated fields, got 2"),
+    "query_id": (PRED + "0,0,1\nx,1,1\n", None, ":3: query_id must be an integer, got 'x'"),
+    "teacher_id": (PRED + "0, y ,1\n", None, ":2: teacher_id must be an integer, got ' y '"),
+    "label": (PRED + "0,0,1.0\n", None, ":2: label must be an integer, got '1.0'"),
+    "empty_cell": (PRED + "0,,1\n", None, ":2: teacher_id must be an integer, got ''"),
+    "negative_label": (PRED + "0,0,1\n0,1,-1\n", 3, ":3: label must be non-negative, got -1"),
+    "label_out_of_range": (PRED + "0,0,1\n0,1,3\n", 3, ":3: label 3 out of range [0, 3)"),
+    "duplicate": (PRED + "0,0,1\n0,0,2\n", None,
+                  ":3: duplicate prediction for query 0, teacher 0 (first seen on line 2)"),
+    "duplicate_after_blanks": (PRED + "5,1,1\n\n5,2,0\n  \n5,1,1\n", None,
+                               ":6: duplicate prediction for query 5, teacher 1 "
+                               "(first seen on line 2)"),
+    "missing": (PRED + "0,0,1\n0,1,1\n1,0,0\n", None,
+                ": missing prediction for query 1, teacher 1"),
+    "missing_first_in_id_order": (PRED + "7,3,1\n2,9,1\n", None,
+                                  ": missing prediction for query 2, teacher 3"),
+    "no_predictions": (PRED, None, ": no predictions found"),
+    "only_blank_lines": (PRED + "\n \t\n\n", None, ": no predictions found"),
+    "line_after_blank_lines": (PRED + "0,0,1\n\n   \n\t\n0,1,x\n", None,
+                               ":6: label must be an integer, got 'x'"),
+    "crlf": (PRED.replace("\n", "\r\n") + "0,0,1\r\n0,1,x\r\n", None,
+             ":3: label must be an integer, got 'x'"),
+    "hash_in_cell": (PRED + "0,0,1#2\n", None, ":2: label must be an integer, got '1#2'"),
+    "hash_leading_cell": (PRED + "#0,0,1\n", None, ":2: query_id must be an integer, got '#0'"),
+}
+
+TRUTH_ERRORS = {
+    "header": ("query,label\n0,1\n", None, ":1: expected header 'query_id,label'"),
+    "empty_file": ("", None, ":1: expected header 'query_id,label'"),
+    "field_count": (TRUTH + "0,1\n1,1,1\n", None, ":3: expected 2 comma-separated fields, got 3"),
+    "query_id": (TRUTH + "q,1\n", None, ":2: query_id must be an integer, got 'q'"),
+    "label": (TRUTH + "0,1\n1,one\n", None, ":3: label must be an integer, got 'one'"),
+    "negative_label": (TRUTH + "0,-2\n", None, ":2: label -2 out of range [0, inf)"),
+    "negative_label_with_classes": (TRUTH + "0,-2\n", 4, ":2: label -2 out of range [0, 4)"),
+    "label_out_of_range": (TRUTH + "0,1\n1,4\n", 4, ":3: label 4 out of range [0, 4)"),
+    "duplicate": (TRUTH + "0,3\n1,1\n0,1\n", None,
+                  ":4: duplicate ground truth for query 0 (first seen on line 2)"),
+    "line_after_blank_lines": (TRUTH + "\n0,1\n \n1,x\n", None,
+                               ":5: label must be an integer, got 'x'"),
+    "crlf": (TRUTH.replace("\n", "\r\n") + "0,1\r\n0,2\r\n", None,
+             ":3: duplicate ground truth for query 0 (first seen on line 2)"),
+    "hash_in_cell": (TRUTH + "0,1 # note\n", None, ":2: label must be an integer, got '1 # note'"),
+}
+
+
+def _error(load, path, text, num_classes):
+    _write(path, text)
+    with pytest.raises(ValueError) as info:
+        load(path, num_classes=num_classes)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case", sorted(PREDICTION_ERRORS))
+def test_prediction_fault_is_its_one_line_error(tmp_path, case):
+    text, num_classes, message = PREDICTION_ERRORS[case]
+    path = tmp_path / "preds.csv"
+    assert _error(load_predictions, path, text, num_classes) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("case", sorted(TRUTH_ERRORS))
+def test_truth_fault_is_its_one_line_error(tmp_path, case):
+    text, num_classes, message = TRUTH_ERRORS[case]
+    path = tmp_path / "truth.csv"
+    assert _error(load_ground_truth, path, text, num_classes) == f"{path}{message}"
+
+
+# cells that int() accepts but the base-10 int64 grammar does not
+GRAMMAR_ERRORS = {
+    "label_beyond_int64": (load_predictions, PRED + "0,0,99999999999999999999\n",
+                           ":2: label must lie in the int64 range, got '99999999999999999999'"),
+    "query_id_beyond_int64": (load_predictions, PRED + "0,0,1\n-9223372036854775809,0,1\n",
+                              ":3: query_id must lie in the int64 range, "
+                              "got '-9223372036854775809'"),
+    "truth_query_id_beyond_int64": (load_ground_truth, TRUTH + " +9223372036854775808 ,1\n",
+                                    ":2: query_id must lie in the int64 range, "
+                                    "got ' +9223372036854775808 '"),
+    "underscore": (load_predictions, PRED + "1_0,0,1\n", ":2: query_id must be an integer, got '1_0'"),
+    "non_ascii_digit": (load_ground_truth, TRUTH + "0,\u0663\n",
+                        ":2: label must be an integer, got '\u0663'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAMMAR_ERRORS))
+def test_cell_outside_the_int64_grammar_is_a_one_line_error(tmp_path, case):
+    load, text, message = GRAMMAR_ERRORS[case]
+    path = tmp_path / "in.csv"
+    assert _error(load, path, text, None) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("row", [0, 1, 373, 748, 749])
+def test_fault_deep_in_a_large_file_names_its_line(tmp_path, row):
+    rows = [f"{q},{t},1" for q in range(30) for t in range(25)]
+    rows[row] = rows[row][:-1] + "x"
+    p = tmp_path / "preds.csv"
+    assert _error(load_predictions, p, PRED + "\n".join(rows) + "\n", None) == (
+        f"{p}:{row + 2}: label must be an integer, got 'x'")
+
+
+def test_cells_take_a_sign_and_surrounding_spaces(tmp_path):
+    p = tmp_path / "preds.csv"
+    _write(p, " query_id,teacher_id,label \r\n+3 , -1,\t2\r\n\r\n 003,7, +0 \r\n")
+    table = load_predictions(p)
+    assert table.query_ids == (3,)
+    assert table.teacher_ids == (-1, 7)
+    assert table.labels.tolist() == [[2, 0]]
+    assert table.num_classes == 3
+    t = tmp_path / "truth.csv"
+    _write(t, "query_id,label\n -9223372036854775808 , +1\n\n9223372036854775807,0\n")
+    assert load_ground_truth(t) == {-2**63: 1, 2**63 - 1: 0}
+
+
+@st.composite
+def prediction_tables(draw):
+    """(query ids, teacher ids, {(query, teacher): label}, row order) of a complete table."""
+    ids = st.integers(-2**63, 2**63 - 1)
+    query_ids = draw(st.lists(ids, min_size=1, max_size=8, unique=True))
+    teacher_ids = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    cells = [(q, t) for q in query_ids for t in teacher_ids]
+    labels = draw(st.lists(st.integers(0, 11), min_size=len(cells), max_size=len(cells)))
+    order = draw(st.permutations(range(len(cells))))
+    return query_ids, teacher_ids, dict(zip(cells, labels)), order
+
+
+@settings(max_examples=60, deadline=None)
+@given(prediction_tables())
+def test_load_matches_a_dict_reference_in_any_row_order(tmp_path_factory, table):
+    query_ids, teacher_ids, cells, order = table
+    keys = list(cells)
+    p = tmp_path_factory.mktemp("preds") / "preds.csv"
+    _write(p, PRED + "".join("{},{},{}\n".format(*keys[i], cells[keys[i]]) for i in order))
+    loaded = load_predictions(p, num_classes=12)
+    assert loaded.query_ids == tuple(sorted(query_ids))
+    assert loaded.teacher_ids == tuple(sorted(teacher_ids))
+    reference = np.array([[cells[q, t] for t in loaded.teacher_ids] for q in loaded.query_ids])
+    assert np.array_equal(loaded.labels, reference)
+    counts = np.zeros((len(query_ids), 12), dtype=np.int64)
+    row = {q: i for i, q in enumerate(loaded.query_ids)}
+    np.add.at(counts, ([row[q] for q, _ in keys], list(cells.values())), 1)
+    assert np.array_equal(loaded.counts(), counts)

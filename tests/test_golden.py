@@ -1,16 +1,18 @@
-"""Golden report bytes: six small runs whose emitted files are pinned by sha256.
+"""Golden report bytes: small runs whose emitted files are pinned by sha256.
 
 Each mechanism runs once with its privacy parameter (gamma or sigma) and once
 with a raw noise scale (``scale``, which nzc-gaussian takes as its std), 50
-queries over 10 synthetic teachers.  The noise is large enough that labels
-differ from the plurality, so a change in calibration or noise draws moves a
-hash.  A change that is meant to move report bytes re-blesses this table in
-the same commit and says so in CHANGES.md.
+queries over 10 synthetic teachers.  Two more runs replay a seeded prediction
+CSV and truth CSV.  The noise is large enough that labels differ from the
+plurality, so a change in calibration or noise draws moves a hash.  A change
+that is meant to move report bytes re-blesses these tables in the same commit
+and says so in CHANGES.md.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from dpvote import ExperimentConfig, PrivacyLedger, emit_report, read_report, run_experiment
@@ -55,6 +57,51 @@ def test_report_bytes_match_golden(tmp_path, name):
     digests = tuple(hashlib.sha256(paths[key].read_bytes()).hexdigest()
                     for key in ("summary", "queries", "ledger"))
     assert digests == GOLDEN[name]
+
+
+def write_replay_files(seed, queries=200, teachers=25, classes=100, accuracy=0.5):
+    """preds.csv and truth.csv in the working directory: shuffled rows, one blank line each."""
+    gen = np.random.default_rng(seed)
+    truth = gen.integers(classes, size=queries)
+    wrong = gen.integers(classes - 1, size=(queries, teachers))
+    wrong += wrong >= truth[:, None]
+    labels = np.where(gen.random((queries, teachers)) < accuracy, truth[:, None], wrong)
+    for name, header, rows in (
+            ("preds.csv", "query_id,teacher_id,label",
+             [f"{q},{t},{labels[q, t]}" for q in range(queries) for t in range(teachers)]),
+            ("truth.csv", "query_id,label", [f"{q},{truth[q]}" for q in range(queries)])):
+        rows = [rows[i] for i in gen.permutation(len(rows))]
+        rows.insert(int(gen.integers(len(rows))), "")
+        with open(name, "w", encoding="utf-8") as f:
+            f.write("\n".join([header] + rows) + "\n")
+
+
+REPLAY_RUNS = {
+    "replay-lnmax": dict(mechanism="lnmax", gamma=0.2),
+    "replay-nzc-laplace": dict(mechanism="nzc-laplace", boost_constant=10.0, gamma=0.2),
+}
+
+# sha256 of (summary.json, queries.csv, ledger.csv)
+REPLAY_GOLDEN = {
+    "replay-lnmax": ("b72ee1aee32d52a7292430f550976eea59f8a77f77f8a32e6fdee49d4dd71c95",
+                     "eb62ef25616097ee84b19ff92785a9d0970b380e610e23fd197cd84d9aa9ffb7",
+                     "3ce426011ef29d9f91a0cf968569820ff17370432859e54cd63328a57be16e78"),
+    "replay-nzc-laplace": ("72e00e2b79564491214cf998f942e8d156ced630256d56564e8742112876c368",
+                           "1afcb1c8ff5c918431adb00cdc88a616e8ec46d5c04c10bb7c3aa3d1535b83b1",
+                           "61b2f791918b53ff1fc026acf9cc70dcc9421f1f2520b52415c2ec82c163f778"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_RUNS))
+def test_replay_report_bytes_match_golden(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)  # summary.json names the CSVs by their relative paths
+    write_replay_files(seed=17)
+    config = ExperimentConfig(seed=11, num_classes=100, predictions="preds.csv",
+                              truth="truth.csv", **REPLAY_RUNS[name])
+    paths = emit_report(run_experiment(config), "out")
+    digests = tuple(hashlib.sha256(paths[key].read_bytes()).hexdigest()
+                    for key in ("summary", "queries", "ledger"))
+    assert digests == REPLAY_GOLDEN[name]
 
 
 # `dpvote account --ledger ledger.csv --delta 1e-5 --eps 1` on two of the runs above

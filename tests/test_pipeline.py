@@ -277,6 +277,29 @@ class TestEmitAndRead:
             read_report(tmp_path / "r")
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("mutate,message", [
+        (lambda summary: {**summary, "clean_accuracy_pct": "x"},
+         "clean_accuracy_pct must be a finite number or null, got 'x'"),
+        (lambda summary: {**summary, "agreement_pct": True},
+         "agreement_pct must be a finite number or null, got True"),
+        (lambda summary: {**summary, "qualified_fractions": [{"n": 1, "fraction": None}]},
+         "qualified fraction must be a finite number, got None"),
+        (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "eps": "abc"}]},
+         "privacy eps must be a finite number or null, got 'abc'"),
+        (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "delta": None}]},
+         "privacy delta must be a finite number, got None"),
+        (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "accounting": 3}]},
+         "privacy accounting must be a string, got 3"),
+    ], ids=["accuracy_string", "accuracy_bool", "fraction_null", "eps_string", "delta_null", "accounting_int"])
+    def test_summary_value_of_wrong_type_is_one_line_error_naming_the_file(
+            self, tmp_path, mutate, message):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        summary = json.loads(paths["summary"].read_text())
+        paths["summary"].write_text(json.dumps(mutate(summary)))
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == f"{paths['summary']}: {message}"
+
     def test_qualified_table_has_one_row_per_grid_entry(self, tmp_path):
         report = run_experiment(small_config(queries=30))
         paths = emit_report(report, tmp_path / "r")
