@@ -7,9 +7,10 @@ all its queries in one bincount.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -127,7 +128,19 @@ class PredictionTable:
 
 
 def _loadtxt(rows: list[str], **kwargs) -> np.ndarray:
-    return np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2, **kwargs)
+    """``rows`` as int64 columns; a cell that parses only as a float raises ValueError.
+
+    numpy 1.23 deprecated reading such a cell (``1.5``, ``1e3``, or an integer
+    beyond int64) through a float; releases that still do so only warn, and
+    the warning is raised here as the error later releases give.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2,
+                              **kwargs)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
 
 
 def _loads(rows: list[str], width: int, **kwargs) -> bool:
@@ -138,8 +151,8 @@ def _loads(rows: list[str], width: int, **kwargs) -> bool:
         return False
 
 
-def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Sequence[int]]:
-    """The cells of a CSV of integers under ``header``, and the file line of each row.
+def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Callable[[int], int]]:
+    """The cells of a CSV of integers under ``header``, and a map from row to file line.
 
     Whitespace-only lines are skipped.  A cell is a base-10 integer in int64
     with an optional sign and surrounding spaces; ``#`` starts no comment.  The
@@ -150,22 +163,25 @@ def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Sequence[int]]:
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}:1: expected header {header!r}")
     rows = list(filter(str.strip, lines[1:]))
-    linenos = (range(2, len(lines) + 1) if len(rows) == len(lines) - 1
-               else [n for n, line in enumerate(lines[1:], start=2) if line.strip()])
+
+    def lineno(row: int) -> int:
+        """File line of ``rows[row]``; only an error message needs one."""
+        return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
+
     names = header.split(",")
     if not rows:
-        return np.empty((0, len(names)), dtype=np.int64), linenos
+        return np.empty((0, len(names)), dtype=np.int64), lineno
     try:
         cells = _loadtxt(rows)
         if cells.shape[1] == len(names):
-            return cells, linenos
+            return cells, lineno
     except ValueError:
         pass
     good, bad = 0, len(rows)  # bisect for the first row that does not load
     while bad - good > 1:
         mid = (good + bad) // 2
         good, bad = (mid, bad) if _loads(rows[:mid], len(names)) else (good, mid)
-    row, where = rows[bad - 1], f"{path}:{linenos[bad - 1]}"
+    row, where = rows[bad - 1], f"{path}:{lineno(bad - 1)}"
     fields = row.split(",")
     if len(fields) != len(names):
         raise ValueError(f"{where}: expected {len(names)} comma-separated fields, got {len(fields)}")
@@ -204,13 +220,13 @@ def load_predictions(path, num_classes: Optional[int] = None,
     the offending line.
     """
     path = Path(path)
-    cells, linenos = _read_int_csv(path, PREDICTION_HEADER)
+    cells, lineno = _read_int_csv(path, PREDICTION_HEADER)
     if not len(cells):
         raise ValueError(f"{path}: no predictions found")
     query, teacher, label = cells.T
     bad = _out_of_range(label, num_classes)
     if bad.size:
-        where, value = f"{path}:{linenos[bad[0]]}", int(label[bad[0]])
+        where, value = f"{path}:{lineno(bad[0])}", int(label[bad[0]])
         if value < 0:
             raise ValueError(f"{where}: label must be non-negative, got {value}")
         raise ValueError(f"{where}: label {value} out of range [0, {num_classes})")
@@ -220,8 +236,8 @@ def load_predictions(path, num_classes: Optional[int] = None,
     repeat = _first_repeat(cell)
     if repeat:
         row, first = repeat
-        raise ValueError(f"{path}:{linenos[row]}: duplicate prediction for query {query[row]}, "
-                         f"teacher {teacher[row]} (first seen on line {linenos[first]})")
+        raise ValueError(f"{path}:{lineno(row)}: duplicate prediction for query {query[row]}, "
+                         f"teacher {teacher[row]} (first seen on line {lineno(first)})")
     if len(cell) < len(query_ids) * len(teacher_ids):
         absent = np.flatnonzero(np.sort(cell) != np.arange(len(cell)))
         q, t = divmod(int(absent[0]) if absent.size else len(cell), len(teacher_ids))
@@ -241,17 +257,17 @@ def load_predictions(path, num_classes: Optional[int] = None,
 def load_ground_truth(path, num_classes: Optional[int] = None) -> dict[int, int]:
     """Read a ``query_id,label`` CSV into a dict, validating ranges and duplicates."""
     path = Path(path)
-    cells, linenos = _read_int_csv(path, TRUTH_HEADER)
+    cells, lineno = _read_int_csv(path, TRUTH_HEADER)
     query, label = cells.T
     bad = _out_of_range(label, num_classes)
     if bad.size:
         hi = num_classes if num_classes is not None else "inf"
-        raise ValueError(f"{path}:{linenos[bad[0]]}: label {label[bad[0]]} out of range [0, {hi})")
+        raise ValueError(f"{path}:{lineno(bad[0])}: label {label[bad[0]]} out of range [0, {hi})")
     repeat = _first_repeat(query)
     if repeat:
         row, first = repeat
-        raise ValueError(f"{path}:{linenos[row]}: duplicate ground truth for query {query[row]} "
-                         f"(first seen on line {linenos[first]})")
+        raise ValueError(f"{path}:{lineno(row)}: duplicate ground truth for query {query[row]} "
+                         f"(first seen on line {lineno(first)})")
     return dict(zip(query.tolist(), label.tolist()))
 
 

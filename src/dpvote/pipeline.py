@@ -160,13 +160,18 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
+def _is_number(value) -> bool:
+    """Whether ``value`` is a real that converts to a float other than NaN; infinities count."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
-        return math.isfinite(value)
+        return not math.isnan(float(value))
     except OverflowError:  # an integer beyond the float range
         return False
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
 
 
 # declared base type -> (what the error message asks for, check)
@@ -176,15 +181,18 @@ _TYPE_CHECKS = {
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
 }
+# a privacy figure may be infinite: an eps whose accounting overflowed is emitted as Infinity
+_PRIVACY_CHECKS = {**_TYPE_CHECKS, float: ("a number", _is_number)}
 
 
-def _check_type(where: str, name: str, value, declared: tuple[type, bool]) -> None:
+def _check_type(where: str, name: str, value, declared: tuple[type, bool],
+                checks: dict = _TYPE_CHECKS) -> None:
     """Raise a one-line ValueError naming ``where`` and ``name`` unless ``value`` fits ``declared``.
 
     ``declared`` is a (base type, whether None is allowed) pair from ``_field_types``.
     """
     base, optional = declared
-    wanted, fits = _TYPE_CHECKS[base]
+    wanted, fits = checks[base]
     if not (optional if value is None else fits(value)):
         raise ValueError(f"{where} {name} must be {wanted}{' or null' if optional else ''}, "
                          f"got {value!r}")
@@ -358,8 +366,10 @@ _SUMMARY_FIELDS = tuple(
 _FIGURE_TYPES = _field_types(PrivacyFigure)
 _FIGURE_FIELDS = tuple((f, f, base) for f, (base, _) in _FIGURE_TYPES.items())
 # ExperimentReport figures at the top level of summary.json, with their declared types
-_ACCURACY_TYPES = {key: _field_types(ExperimentReport)[key]
-                   for key in ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct")}
+_ACCURACY_TYPES = {key: declared for key, declared in _field_types(ExperimentReport).items()
+                   if key in ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct")}
+# declared type of the fraction in each (n, fraction) pair of ExperimentReport.qualified_fractions
+_FRACTION_TYPE = (float, False)
 _QUERY_HEADER = ",".join(_QUERY_TYPES)
 _query_row = attrgetter(*_QUERY_TYPES)
 
@@ -438,10 +448,10 @@ def read_report(out_dir) -> ExperimentReport:
     for key, declared in _ACCURACY_TYPES.items():
         _check_type(where, key, figures[key], declared)
     for _, fraction in qualified:
-        _check_type(where, "qualified fraction", fraction, (float, False))
+        _check_type(where, "qualified fraction", fraction, _FRACTION_TYPE)
     for figure in privacy:
         for name, declared in _FIGURE_TYPES.items():
-            _check_type(f"{where} privacy", name, getattr(figure, name), declared)
+            _check_type(f"{where} privacy", name, getattr(figure, name), declared, _PRIVACY_CHECKS)
     if qualified:
         values["distance_grid"] = tuple(n for n, _ in qualified)
     return ExperimentReport(

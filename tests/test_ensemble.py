@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -334,6 +335,34 @@ def test_cell_outside_the_int64_grammar_is_a_one_line_error(tmp_path, case):
     load, text, message = GRAMMAR_ERRORS[case]
     path = tmp_path / "in.csv"
     assert _error(load, path, text, None) == f"{path}{message}"
+
+
+def _loadtxt_with_float_fallback(loadtxt):
+    """``loadtxt`` as numpy releases behave that read an integer cell through a float:
+    a cell the integer parse rejects is read as a float, truncated, with a DeprecationWarning."""
+    def fallback(rows, dtype=float, **kwargs):
+        try:
+            return loadtxt(rows, dtype=dtype, **kwargs)
+        except ValueError:
+            values = loadtxt(rows, dtype=float, **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return values.astype(dtype)
+    return fallback
+
+
+@pytest.mark.parametrize("cell,message", [
+    ("1.5", "label must be an integer, got '1.5'"),
+    ("1e3", "label must be an integer, got '1e3'"),
+    ("99999999999999999999", "label must lie in the int64 range, got '99999999999999999999'"),
+])
+def test_float_fallback_of_older_numpy_is_a_one_line_error(tmp_path, monkeypatch, cell, message):
+    fallback = _loadtxt_with_float_fallback(np.loadtxt)
+    with pytest.warns(DeprecationWarning):  # the emulation accepts the cell on its own
+        assert fallback(["0,0,1.5"], dtype=np.int64, delimiter=",").tolist() == [0, 0, 1]
+    monkeypatch.setattr(np, "loadtxt", fallback)
+    path = tmp_path / "preds.csv"
+    assert _error(load_predictions, path, PRED + f"0,0,{cell}\n", None) == f"{path}:2: {message}"
 
 
 @pytest.mark.parametrize("row", [0, 1, 373, 748, 749])

@@ -193,6 +193,15 @@ class TestEmitAndRead:
         for key in ("summary", "queries", "ledger"):
             assert paths[key].read_bytes() == again[key].read_bytes()
 
+    def test_round_trip_keeps_an_eps_that_overflowed(self, tmp_path):
+        report = run_experiment(small_config(mechanism="lnmax", gamma=1e200, queries=3))
+        assert math.inf in [f.eps for f in report.privacy]
+        paths = emit_report(report, tmp_path / "first")
+        parsed = read_report(tmp_path / "first")
+        assert parsed.privacy == report.privacy
+        again = emit_report(parsed, tmp_path / "second")
+        assert paths["summary"].read_bytes() == again["summary"].read_bytes()
+
     def test_zero_query_report_round_trips_an_empty_privacy_list(self, tmp_path):
         paths = emit_report(run_experiment(small_config(queries=0)), tmp_path / "first")
         assert json.loads(paths["summary"].read_text())["privacy"] == []
@@ -285,12 +294,15 @@ class TestEmitAndRead:
         (lambda summary: {**summary, "qualified_fractions": [{"n": 1, "fraction": None}]},
          "qualified fraction must be a finite number, got None"),
         (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "eps": "abc"}]},
-         "privacy eps must be a finite number or null, got 'abc'"),
+         "privacy eps must be a number or null, got 'abc'"),
+        (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "eps": math.nan}]},
+         "privacy eps must be a number or null, got nan"),
         (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "delta": None}]},
-         "privacy delta must be a finite number, got None"),
+         "privacy delta must be a number, got None"),
         (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "accounting": 3}]},
          "privacy accounting must be a string, got 3"),
-    ], ids=["accuracy_string", "accuracy_bool", "fraction_null", "eps_string", "delta_null", "accounting_int"])
+    ], ids=["accuracy_string", "accuracy_bool", "fraction_null", "eps_string", "eps_nan",
+          "delta_null", "accounting_int"])
     def test_summary_value_of_wrong_type_is_one_line_error_naming_the_file(
             self, tmp_path, mutate, message):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
