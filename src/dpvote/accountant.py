@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
+
+from ._table import TYPE_CHECKS, field_types, format_table, read_table
 
 __all__ = [
     "NOISE_KIND",
@@ -132,9 +135,9 @@ class LedgerEntry:
     """One answered query: mechanism kind, its noise parameter, and the sensitivity used."""
 
     mechanism: str
-    sensitivity: float
     gamma: Optional[float] = None
     sigma: Optional[float] = None
+    sensitivity: float = field(kw_only=True)
 
     def __post_init__(self) -> None:
         kind = NOISE_KIND.get(self.mechanism)
@@ -172,12 +175,9 @@ def _fsum_counted(counts: Counter, term) -> float:
     return math.fsum(chain.from_iterable(repeat(term(g), n) for g, n in counts.items()))
 
 
-_COLUMNS = ("index", "mechanism", "gamma", "sigma", "sensitivity")
-_HEADER = ",".join(_COLUMNS)
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.12g}"
+# ledger.csv columns: the row position, then the LedgerEntry fields in their order
+_ENTRY_TYPES = field_types(LedgerEntry)
+_ROW_TYPES = {"index": (int, False), **_ENTRY_TYPES}
 
 
 class PrivacyLedger:
@@ -255,20 +255,9 @@ class PrivacyLedger:
         return tuple(figures)
 
     def export_text(self) -> str:
-        """Line-oriented export, 12 significant digits, one record per query.
-
-        A row holds only what was spent: mechanism, gamma or sigma, and the
-        sensitivity.  Every cost is derived from gamma on load.
-        """
-        lines = [_HEADER]
-        cells: dict[LedgerEntry, str] = {}  # the cells after the index, once per distinct entry
-        for i, entry in enumerate(self.entries):
-            text = cells.get(entry)
-            if text is None:
-                text = cells[entry] = ",".join((entry.mechanism, _fmt(entry.gamma),
-                                                _fmt(entry.sigma), _fmt(entry.sensitivity)))
-            lines.append(f"{i},{text}")
-        return "\n".join(lines) + "\n"
+        """ledger.csv text: one row per query of what it spent; every cost is derived on load."""
+        columns = [list(map(attrgetter(name), self.entries)) for name in _ENTRY_TYPES]
+        return format_table(_ROW_TYPES, [range(self.query_count), *columns])
 
     def export(self, path) -> None:
         Path(path).write_text(self.export_text(), encoding="utf-8")
@@ -276,36 +265,7 @@ class PrivacyLedger:
     @classmethod
     def load(cls, path) -> "PrivacyLedger":
         """Read an exported ledger; every error is one line naming ``path:line``."""
-        text = Path(path).read_text(encoding="utf-8")
-        lines = text.splitlines()
-        if not any(lines):
-            raise ValueError(f"{path}: empty ledger file")
-        if lines[0] != _HEADER:
-            raise ValueError(f"{path}:1: expected the ledger header {_HEADER!r}")
         ledger = cls()
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
-            cells = line.split(",")
-            try:
-                if len(cells) != len(_COLUMNS):
-                    raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(cells)}")
-                if cells[0] != str(ledger.query_count):
-                    raise ValueError(f"index must be {ledger.query_count}, got {cells[0]!r}")
-                gamma, sigma = (_parse_number(cells[i], _COLUMNS[i]) if cells[i] else None
-                                for i in (2, 3))
-                sensitivity = _parse_number(cells[4], "sensitivity")
-                ledger.record(LedgerEntry(cells[1], sensitivity, gamma=gamma, sigma=sigma))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        ledger.entries = read_table(path, _ROW_TYPES, TYPE_CHECKS,
+                                    lambda index, *row: LedgerEntry(*row[:-1], sensitivity=row[-1]))
         return ledger
-
-
-def _parse_number(cell: str, name: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {cell!r}")
-    return value

@@ -92,7 +92,13 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
     else:
         # a unit parameter with sensitivity = raw_scale draws at exactly raw_scale
         spec = NoiseSpec(kind, sensitivity=raw_scale, **{param_name: 1.0})
-        params = raw_scale / sens if kind == "gaussian" else sens / raw_scale
+        with np.errstate(over="ignore"):
+            params = raw_scale / sens if kind == "gaussian" else sens / raw_scale
+        bad = np.flatnonzero(~((params > 0.0) & (params < np.inf)))
+        if bad.size:
+            raise ValueError(f"{mechanism}: {scale_name} {raw_scale!r} at sensitivity "
+                             f"{float(sens[bad[0]])!r} gives {param_name} "
+                             f"{float(params[bad[0]])!r}; it must be finite and positive")
     noise = spec.sample(rng, size=values.shape)
     keys = list(zip(sens.tolist(), params.tolist()))
     shared = {key: LedgerEntry(mechanism, sensitivity=key[0], **{param_name: key[1]})

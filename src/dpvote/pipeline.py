@@ -12,10 +12,7 @@ composition is an order-independent sum.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
-import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -23,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._table import PRIVACY_CHECKS, check_type, field_types, format12, format_table, read_table
 from .accountant import NOISE_KIND, PrivacyFigure, PrivacyLedger
 from .ensemble import (
     SyntheticTeacherSpec,
@@ -94,7 +92,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for name, declared in _CONFIG_TYPES.items():
-            _check_type("config field", name, getattr(self, name), declared)
+            check_type("config field", name, getattr(self, name), declared)
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism {self.mechanism!r}; choose one of {MECHANISMS}")
         if self.seed < 0:
@@ -140,62 +138,8 @@ class QueryResult:
     epsilon: Optional[float]  # per-query pure-DP cost; None for Gaussian runs
 
 
-def _field_types(cls) -> dict[str, tuple[type, bool]]:
-    """Field name -> (base type, whether None is allowed), read from the annotations."""
-    hints = typing.get_type_hints(cls)
-    out = {}
-    for f in fields(cls):
-        hint = hints[f.name]
-        args = [a for a in typing.get_args(hint) if a is not type(None)]
-        optional = len(args) < len(typing.get_args(hint))
-        out[f.name] = (args[0] if optional else typing.get_origin(hint) or hint, optional)
-    return out
-
-
-_CONFIG_TYPES = _field_types(ExperimentConfig)
-_QUERY_TYPES = _field_types(QueryResult)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """Whether ``value`` is a real that converts to a float other than NaN; infinities count."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return not math.isnan(float(value))
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
-# declared base type -> (what the error message asks for, check)
-_TYPE_CHECKS = {
-    int: ("an integer", _is_int),
-    float: ("a finite number", _is_finite),
-    str: ("a string", lambda v: isinstance(v, str)),
-    tuple: ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
-}
-# a privacy figure may be infinite: an eps whose accounting overflowed is emitted as Infinity
-_PRIVACY_CHECKS = {**_TYPE_CHECKS, float: ("a number", _is_number)}
-
-
-def _check_type(where: str, name: str, value, declared: tuple[type, bool],
-                checks: dict = _TYPE_CHECKS) -> None:
-    """Raise a one-line ValueError naming ``where`` and ``name`` unless ``value`` fits ``declared``.
-
-    ``declared`` is a (base type, whether None is allowed) pair from ``_field_types``.
-    """
-    base, optional = declared
-    wanted, fits = checks[base]
-    if not (optional if value is None else fits(value)):
-        raise ValueError(f"{where} {name} must be {wanted}{' or null' if optional else ''}, "
-                         f"got {value!r}")
+_CONFIG_TYPES = field_types(ExperimentConfig)
+_QUERY_TYPES = field_types(QueryResult)
 
 
 def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
@@ -217,7 +161,10 @@ def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
         if f.default is MISSING and f.name not in values:
             raise ValueError(f"{source}: config field {f.name} is required")
     config = ExperimentConfig(**values)
-    config.validate()
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     return config
 
 
@@ -335,23 +282,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _round12(value: Optional[float]) -> Optional[float]:
-    if value is None:
-        return None
-    return float(f"{float(value):.12g}")
+    return None if value is None else float(format12(value))
 
 
 def _summary_object(obj, summary_fields) -> dict:
     """summary.json object of (field name, key, declared base type) fields, floats rounded."""
     return {key: _round12(getattr(obj, name)) if base is float else getattr(obj, name)
             for name, key, base in summary_fields}
-
-
-def _fmt12(value, base: type) -> str:
-    if value is None:
-        return ""
-    if base is float:
-        return f"{float(value):.12g}"
-    return str(value)
 
 
 SUMMARY_FILE = "summary.json"
@@ -363,15 +300,13 @@ _SUMMARY_FIELDS = tuple(
     for f in fields(ExperimentConfig) if f.metadata.get("summary", f.name) is not None
 )
 # (field name, key, declared base type) of each PrivacyFigure field in the privacy list
-_FIGURE_TYPES = _field_types(PrivacyFigure)
+_FIGURE_TYPES = field_types(PrivacyFigure)
 _FIGURE_FIELDS = tuple((f, f, base) for f, (base, _) in _FIGURE_TYPES.items())
 # ExperimentReport figures at the top level of summary.json, with their declared types
-_ACCURACY_TYPES = {key: declared for key, declared in _field_types(ExperimentReport).items()
+_ACCURACY_TYPES = {key: declared for key, declared in field_types(ExperimentReport).items()
                    if key in ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct")}
 # declared type of the fraction in each (n, fraction) pair of ExperimentReport.qualified_fractions
 _FRACTION_TYPE = (float, False)
-_QUERY_HEADER = ",".join(_QUERY_TYPES)
-_query_row = attrgetter(*_QUERY_TYPES)
 
 
 def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
@@ -388,27 +323,13 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     summary_path = out / SUMMARY_FILE
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
-    bases = [base for base, _ in _QUERY_TYPES.values()]
-    lines = [_QUERY_HEADER]
-    for r in report.results:
-        lines.append(",".join(_fmt12(v, base) for v, base in zip(_query_row(r), bases)))
     queries_path = out / QUERIES_FILE
-    queries_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = [list(map(attrgetter(name), report.results)) for name in _QUERY_TYPES]
+    queries_path.write_text(format_table(_QUERY_TYPES, columns), encoding="utf-8")
 
     ledger_path = out / LEDGER_FILE
     report.ledger.export(ledger_path)
     return {"summary": summary_path, "queries": queries_path, "ledger": ledger_path}
-
-
-def _parse_cell(cell: str, column: tuple[str, tuple[type, bool]]):
-    """One queries.csv cell as its column's declared type; an empty optional cell is None."""
-    name, (base, optional) = column
-    if optional and not cell:
-        return None
-    try:
-        return base(cell)
-    except ValueError:
-        raise ValueError(f"{name} must be {_TYPE_CHECKS[base][0]}, got {cell!r}") from None
 
 
 def read_report(out_dir) -> ExperimentReport:
@@ -419,20 +340,7 @@ def read_report(out_dir) -> ExperimentReport:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{out / SUMMARY_FILE}: not valid JSON: {exc}") from None
 
-    results = []
-    lines = (out / QUERIES_FILE).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _QUERY_HEADER:
-        raise ValueError(f"{out / QUERIES_FILE}: unrecognized header")
-    columns = list(_QUERY_TYPES.items())
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        try:
-            if len(cells) != len(columns):
-                raise ValueError(f"expected {len(columns)} fields, got {len(cells)}")
-            results.append(QueryResult(*map(_parse_cell, cells, columns)))
-        except ValueError as exc:
-            raise ValueError(f"{out / QUERIES_FILE}:{lineno}: {exc}") from None
-
+    results = read_table(out / QUERIES_FILE, _QUERY_TYPES, PRIVACY_CHECKS, QueryResult)
     try:
         qualified = tuple((e["n"], e["fraction"]) for e in summary["qualified_fractions"])
         values = {name: summary[key] for name, key, _ in _SUMMARY_FIELDS}
@@ -446,12 +354,12 @@ def read_report(out_dir) -> ExperimentReport:
                          f"{{accounting, definition, eps, delta}} objects") from None
     where = f"{out / SUMMARY_FILE}:"
     for key, declared in _ACCURACY_TYPES.items():
-        _check_type(where, key, figures[key], declared)
+        check_type(where, key, figures[key], declared)
     for _, fraction in qualified:
-        _check_type(where, "qualified fraction", fraction, _FRACTION_TYPE)
+        check_type(where, "qualified fraction", fraction, _FRACTION_TYPE)
     for figure in privacy:
         for name, declared in _FIGURE_TYPES.items():
-            _check_type(f"{where} privacy", name, getattr(figure, name), declared, _PRIVACY_CHECKS)
+            check_type(f"{where} privacy", name, getattr(figure, name), declared, PRIVACY_CHECKS)
     if qualified:
         values["distance_grid"] = tuple(n for n, _ in qualified)
     return ExperimentReport(

@@ -241,6 +241,13 @@ class TestCostPerDistinctGamma:
         ledger = self._ledger()
         assert ledger.export_text() == _per_entry_export(ledger)
 
+    def test_export_keeps_the_sign_of_a_zero(self):
+        # -0.0 == 0.0, so formatting each distinct value once must not write one for the other
+        ledger = PrivacyLedger()
+        ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=-0.0),
+                      LedgerEntry("lnmax", sensitivity=1.0, gamma=0.0))
+        assert ledger.export_text() == _per_entry_export(ledger)
+
     def test_composition_matches_per_entry_sums(self):
         ledger = self._ledger()
         gammas = [e.gamma for e in ledger.entries if e.gamma is not None]

@@ -89,6 +89,22 @@ class TestRunCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert field in err
 
+    @pytest.mark.parametrize("mechanism, message", [
+        ("nzc-laplace", "scale 1e-300 at sensitivity 3.6787944117144233e+99 gives gamma inf"),
+        ("nzc-gaussian", "std 1e-300 at sensitivity 3.6787944117144233e+99 gives sigma 0.0"),
+    ])
+    def test_effective_parameter_out_of_range_is_one_line_error(self, tmp_path, capsys,
+                                                                mechanism, message):
+        # sensitivity / scale overflows to an infinite gamma, and scale / sensitivity
+        # underflows to a zero sigma; the ledger can hold neither
+        out_dir = tmp_path / "r"
+        code = run_cli(["run", "--mechanism", mechanism, "--teachers", "5", "--queries", "3",
+                        "--c", "1e100", "--scale", "1e-300", "--seed", "1", "--out", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {mechanism}: {message}; it must be finite and positive\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("queries, printed", [("0", False), ("3", True)])
     def test_gaussian_inapplicable_line_needs_an_answered_query(self, capsys, queries, printed):
         code = run_cli(["run", "--mechanism", "nzc-gaussian", "--teachers", "5",
@@ -161,7 +177,7 @@ class TestAccountCommand:
         (2, 2, "abc", "ledger.csv:2: gamma must be a finite number, got 'abc'"),
         (3, 2, "inf", "ledger.csv:3: gamma must be a finite number, got 'inf'"),
         (1, 4, "sensitivity,epsilon,alpha_1",
-         "ledger.csv:1: expected the ledger header 'index,mechanism,gamma,sigma,sensitivity'"),
+         "ledger.csv:1: expected the header 'index,mechanism,gamma,sigma,sensitivity'"),
         (2, 1, "magic", "ledger.csv:2: unknown mechanism 'magic'"),
         (2, 1, "nzc-gaussian", "ledger.csv:2: a nzc-gaussian entry carries sigma and no gamma"),
         (3, 0, "x", "ledger.csv:3: index must be 1, got 'x'"),

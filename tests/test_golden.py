@@ -50,6 +50,13 @@ GOLDEN = {
 }
 
 
+def assert_round_trip(paths, again_dir):
+    """read_report of the emitted report, emitted again, gives the same bytes."""
+    again = emit_report(read_report(paths["summary"].parent), again_dir)
+    for key in ("summary", "queries", "ledger"):
+        assert again[key].read_bytes() == paths[key].read_bytes(), key
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_bytes_match_golden(tmp_path, name):
     config = ExperimentConfig(seed=11, queries=50, teachers=10, **RUNS[name])
@@ -57,6 +64,7 @@ def test_report_bytes_match_golden(tmp_path, name):
     digests = tuple(hashlib.sha256(paths[key].read_bytes()).hexdigest()
                     for key in ("summary", "queries", "ledger"))
     assert digests == GOLDEN[name]
+    assert_round_trip(paths, tmp_path / "again")
 
 
 def write_replay_files(seed, queries=200, teachers=25, classes=100, accuracy=0.5):
@@ -102,6 +110,7 @@ def test_replay_report_bytes_match_golden(tmp_path, monkeypatch, name):
     digests = tuple(hashlib.sha256(paths[key].read_bytes()).hexdigest()
                     for key in ("summary", "queries", "ledger"))
     assert digests == REPLAY_GOLDEN[name]
+    assert_round_trip(paths, "again")
 
 
 # `dpvote account --ledger ledger.csv --delta 1e-5 --eps 1` on two of the runs above

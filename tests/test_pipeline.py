@@ -245,6 +245,48 @@ class TestEmitAndRead:
         assert "\n" not in message
         assert message.endswith("queries.csv:3: returned_label must be an integer, got 'x'")
 
+    @pytest.mark.parametrize("name", ["queries", "ledger"])
+    def test_empty_table_lines_are_skipped(self, tmp_path, name):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "first")
+        text = paths[name].read_text()
+        lines = text.splitlines()
+        paths[name].write_text("\n".join(lines[:2] + ["", ""] + lines[2:] + [""]) + "\n")
+        again = emit_report(read_report(tmp_path / "first"), tmp_path / "second")
+        assert again[name].read_text() == text
+
+    # (file, line, cell index, new cell text, error after the file's path)
+    @pytest.mark.parametrize("name, line, cell, value, message", [
+        ("queries", 1, 0, "id", ":1: expected the header 'query_id,returned_label,clean_label,"
+                                "truth_label,gap,sensitivity,epsilon'"),
+        ("ledger", 1, 0, "id", ":1: expected the header 'index,mechanism,gamma,sigma,sensitivity'"),
+        ("queries", 3, 0, "x", ":3: query_id must be 1, got 'x'"),
+        ("ledger", 3, 0, "2", ":3: index must be 1, got '2'"),
+        ("queries", 4, 2, "1,1", ":4: expected 7 fields, got 8"),
+        ("ledger", 4, 3, ",", ":4: expected 5 fields, got 6"),
+        ("queries", 2, 5, "nan", ":2: sensitivity must be a number, got 'nan'"),
+        ("ledger", 2, 4, "nan", ":2: sensitivity must be a finite number, got 'nan'"),
+    ])
+    def test_table_fault_is_one_line_error_naming_its_line(self, tmp_path, name, line, cell,
+                                                           value, message):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        lines = paths[name].read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        cells[cell] = value
+        lines[line - 1] = ",".join(cells)
+        paths[name].write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == f"{paths[name]}{message}"
+
+    def test_round_trip_keeps_a_query_epsilon_that_overflowed(self, tmp_path):
+        # a query's epsilon = 2 * gamma is inf for gamma above about 9e307, yet gamma is finite
+        report = run_experiment(small_config(mechanism="lnmax", gamma=1e308, queries=3))
+        assert [r.epsilon for r in report.results] == [math.inf] * 3
+        paths = emit_report(report, tmp_path / "first")
+        again = emit_report(read_report(tmp_path / "first"), tmp_path / "second")
+        for key in ("summary", "queries", "ledger"):
+            assert paths[key].read_bytes() == again[key].read_bytes()
+
     def test_malformed_summary_is_one_line_error_naming_the_file(self, tmp_path):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
         paths["summary"].write_text("{not json")
@@ -301,8 +343,9 @@ class TestEmitAndRead:
          "privacy delta must be a number, got None"),
         (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "accounting": 3}]},
          "privacy accounting must be a string, got 3"),
+        (lambda summary: {**summary, "seed": "x"}, "config field seed must be an integer, got 'x'"),
     ], ids=["accuracy_string", "accuracy_bool", "fraction_null", "eps_string", "eps_nan",
-          "delta_null", "accounting_int"])
+          "delta_null", "accounting_int", "seed_string"])
     def test_summary_value_of_wrong_type_is_one_line_error_naming_the_file(
             self, tmp_path, mutate, message):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
