@@ -70,11 +70,12 @@ def format12(value) -> str:
 
 
 def _column_cells(values, base: type):
-    """The cells of one column; each distinct value is formatted once."""
-    fmt = format12 if base is float else str
-    text = {value: "" if value is None else fmt(value) for value in set(values)}
-    if base is float and 0.0 in text:  # 0.0 and -0.0 are one key, but -0.0 is written "-0"
-        return ["" if value is None else fmt(value) for value in values]
+    """The cells of one column; each distinct float is formatted once."""
+    if base is not float:
+        return ["" if value is None else str(value) for value in values]
+    text = {value: "" if value is None else format12(value) for value in set(values)}
+    if 0.0 in text:  # 0.0 and -0.0 are one key, but -0.0 is written "-0"
+        return ["" if value is None else format12(value) for value in values]
     return map(text.__getitem__, values)
 
 
@@ -117,7 +118,7 @@ def read_table(path, types: dict[str, tuple[type, bool]], checks: dict, make) ->
 
 
 def _cell_parser(name: str, declared: tuple[type, bool], checks: dict):
-    """Cell text -> value of its declared type; each distinct cell is parsed and checked once."""
+    """Cell text -> value; each distinct cell is checked once, an int only as ``str`` writes it."""
     base, optional = declared
     wanted, fits = checks[base]
     known = {"": None} if optional else {}
@@ -128,7 +129,7 @@ def _cell_parser(name: str, declared: tuple[type, bool], checks: dict):
                 value = base(cell)
             except ValueError:
                 value = None
-            if value is None or not fits(value):
+            if value is None or not fits(value) or (base is int and str(value) != cell):
                 raise ValueError(f"{name} must be {wanted}, got {cell!r}")
             known[cell] = value
         return known[cell]

@@ -89,17 +89,22 @@ class TestRunCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert field in err
 
-    @pytest.mark.parametrize("mechanism, message", [
-        ("nzc-laplace", "scale 1e-300 at sensitivity 3.6787944117144233e+99 gives gamma inf"),
-        ("nzc-gaussian", "std 1e-300 at sensitivity 3.6787944117144233e+99 gives sigma 0.0"),
+    @pytest.mark.parametrize("mechanism, flags, message", [
+        ("nzc-laplace", ["--c", "1e100", "--scale", "1e-300"],
+         "scale 1e-300 at sensitivity 3.6787944117144233e+99 gives gamma inf"),
+        ("nzc-gaussian", ["--c", "1e100", "--scale", "1e-300"],
+         "std 1e-300 at sensitivity 3.6787944117144233e+99 gives sigma 0.0"),
+        ("nzc-gaussian", ["--beta", "800", "--scale", "1"],
+         "std 1.0 at sensitivity 0.0 gives sigma inf"),
     ])
     def test_effective_parameter_out_of_range_is_one_line_error(self, tmp_path, capsys,
-                                                                mechanism, message):
-        # sensitivity / scale overflows to an infinite gamma, and scale / sensitivity
-        # underflows to a zero sigma; the ledger can hold neither
+                                                                mechanism, flags, message):
+        # sensitivity / scale overflows to an infinite gamma, scale / sensitivity underflows
+        # to a zero sigma, and exp(-beta) underflows to a zero sensitivity, so the scale is
+        # divided by zero; the ledger can hold none of them
         out_dir = tmp_path / "r"
         code = run_cli(["run", "--mechanism", mechanism, "--teachers", "5", "--queries", "3",
-                        "--c", "1e100", "--scale", "1e-300", "--seed", "1", "--out", str(out_dir)])
+                        *flags, "--seed", "1", "--out", str(out_dir)])
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {mechanism}: {message}; it must be finite and positive\n")

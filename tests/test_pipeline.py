@@ -265,6 +265,7 @@ class TestEmitAndRead:
         ("ledger", 4, 3, ",", ":4: expected 5 fields, got 6"),
         ("queries", 2, 5, "nan", ":2: sensitivity must be a number, got 'nan'"),
         ("ledger", 2, 4, "nan", ":2: sensitivity must be a finite number, got 'nan'"),
+        ("queries", 2, 1, " +1_0", ":2: returned_label must be an integer, got ' +1_0'"),
     ])
     def test_table_fault_is_one_line_error_naming_its_line(self, tmp_path, name, line, cell,
                                                            value, message):
