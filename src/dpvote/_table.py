@@ -2,7 +2,7 @@
 
 A table is a header of column names, then one row per record starting with its
 position (0, 1, ...): ints in full, floats at 12 significant digits, None as an
-empty cell.  Empty lines are skipped on reading.
+empty cell.  Reading skips empty lines and takes a cell only as it is written.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ def read_table(path, types: dict[str, tuple[type, bool]], checks: dict, make) ->
 
     Every error is one ValueError line naming ``path:line``: a header other than
     the names of ``types``, a row without one cell per column or whose first cell
-    is not its position, or a cell that does not fit its declared type in ``checks``.
+    is not its position, a cell that does not fit its declared type in ``checks``
+    or that ``format_table`` would write otherwise, or a ValueError from ``make``.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = ",".join(types)
@@ -118,9 +119,10 @@ def read_table(path, types: dict[str, tuple[type, bool]], checks: dict, make) ->
 
 
 def _cell_parser(name: str, declared: tuple[type, bool], checks: dict):
-    """Cell text -> value; each distinct cell is checked once, an int only as ``str`` writes it."""
+    """Cell text -> value; each distinct cell is checked once, and only as it is written."""
     base, optional = declared
     wanted, fits = checks[base]
+    write = format12 if base is float else str
     known = {"": None} if optional else {}
 
     def parse(cell: str):
@@ -129,7 +131,7 @@ def _cell_parser(name: str, declared: tuple[type, bool], checks: dict):
                 value = base(cell)
             except ValueError:
                 value = None
-            if value is None or not fits(value) or (base is int and str(value) != cell):
+            if value is None or not fits(value) or write(value) != cell:
                 raise ValueError(f"{name} must be {wanted}, got {cell!r}")
             known[cell] = value
         return known[cell]

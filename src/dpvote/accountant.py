@@ -23,7 +23,6 @@ __all__ = [
     "delta_for_eps",
     "eps_for_delta",
     "advanced_composition",
-    "simple_composition",
     "classical_gaussian_epsilon",
 ]
 
@@ -56,17 +55,6 @@ class MomentCurve:
                              f"got {len(self.alpha)}")
         if any(a < 0.0 for a in self.alpha):
             raise ValueError("moment bounds must be non-negative")
-
-    @classmethod
-    def zero(cls) -> "MomentCurve":
-        return cls((0.0,) * len(cls.orders))
-
-    @classmethod
-    def for_laplace(cls, gamma: float) -> "MomentCurve":
-        return cls(tuple(per_query_moment(gamma, o) for o in cls.orders))
-
-    def __add__(self, other: "MomentCurve") -> "MomentCurve":
-        return MomentCurve(tuple(a + b for a, b in zip(self.alpha, other.alpha)))
 
 
 def delta_for_eps(curve: MomentCurve, eps: float) -> float:
@@ -101,16 +89,6 @@ def advanced_composition(num_queries: int, gamma: float, delta: float) -> float:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     t = float(num_queries)
     return 4.0 * t * g * g + 2.0 * g * math.sqrt(2.0 * t * math.log(1.0 / d))
-
-
-def simple_composition(num_queries: int, gamma: float) -> float:
-    """Pure-DP sum over T queries at (2*gamma, 0) each."""
-    if num_queries < 0:
-        raise ValueError(f"query count must be non-negative, got {num_queries}")
-    g = float(gamma)
-    if g < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma!r}")
-    return 2.0 * g * num_queries
 
 
 def classical_gaussian_epsilon(sigma: float, delta: float) -> Optional[float]:
@@ -191,11 +169,6 @@ class PrivacyLedger:
 
     def __init__(self) -> None:
         self.entries: list[LedgerEntry] = []
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrivacyLedger):
-            return NotImplemented
-        return self.entries == other.entries
 
     @property
     def query_count(self) -> int:

@@ -105,10 +105,6 @@ class PredictionTable:
     num_classes: int
     truth: Optional[dict[int, int]] = None
 
-    @property
-    def teacher_count(self) -> int:
-        return len(self.teacher_ids)
-
     def counts(self) -> np.ndarray:
         """(queries, classes) vote counts in query-id order, from one offset bincount."""
         rows, classes = len(self.query_ids), self.num_classes

@@ -16,7 +16,7 @@ import numpy as np
 
 from .accountant import NOISE_KIND, LedgerEntry
 from .noise import MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks
-from .sensitivity import SensitivityEstimate, enumerate_neighbors, smooth_sensitivity, smooth_values
+from .sensitivity import enumerate_neighbors, smooth_sensitivity, smooth_values
 from .votes import VoteHistogram, Votes, argmax, boost, count_matrix
 
 __all__ = [
@@ -40,7 +40,7 @@ class MechanismOutcome:
     """What one mechanism invocation returned and what it cost."""
 
     returned_label: int
-    sensitivity_used: SensitivityEstimate
+    sensitivity: float
     ledger_entry: LedgerEntry
 
 
@@ -106,12 +106,12 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
     return MechanismBatch(noisy_argmax(values, noise), sens, tuple(map(shared.__getitem__, keys)))
 
 
-def _answer(votes: Votes, batch: MechanismBatch, kind: str, beta: float = 0.0):
+def _answer(votes: Votes, batch: MechanismBatch):
     """The batch for a count matrix; its one row as a MechanismOutcome for a histogram."""
     if not isinstance(votes, VoteHistogram):
         return batch
-    sens = SensitivityEstimate(kind=kind, value=float(batch.sensitivities[0]), beta=float(beta))
-    return MechanismOutcome(int(batch.returned_labels[0]), sens, batch.ledger_entries[0])
+    return MechanismOutcome(int(batch.returned_labels[0]), float(batch.sensitivities[0]),
+                            batch.ledger_entries[0])
 
 
 def lnmax(votes: Votes, gamma: Optional[float], rng: RngLike, *, scale: Optional[float] = None):
@@ -121,8 +121,7 @@ def lnmax(votes: Votes, gamma: Optional[float], rng: RngLike, *, scale: Optional
     """
     counts = count_matrix(votes)
     sens = np.ones(len(counts))
-    return _answer(votes, _release("lnmax", counts.astype(np.float64), sens, gamma, scale, rng),
-                   "global")
+    return _answer(votes, _release("lnmax", counts.astype(np.float64), sens, gamma, scale, rng))
 
 
 def nzc_laplace(votes: Votes, boost_constant: float, gamma: Optional[float], beta: float,
@@ -131,7 +130,7 @@ def nzc_laplace(votes: Votes, boost_constant: float, gamma: Optional[float], bet
     counts = count_matrix(votes)
     sens = smooth_values(counts, boost_constant, beta)
     batch = _release("nzc-laplace", boost(counts, boost_constant), sens, gamma, scale, rng)
-    return _answer(votes, batch, "smooth", beta)
+    return _answer(votes, batch)
 
 
 def nzc_gaussian(votes: Votes, boost_constant: float, sigma: Optional[float], beta: float,
@@ -140,7 +139,7 @@ def nzc_gaussian(votes: Votes, boost_constant: float, sigma: Optional[float], be
     counts = count_matrix(votes)
     sens = smooth_values(counts, boost_constant, beta)
     batch = _release("nzc-gaussian", boost(counts, boost_constant), sens, sigma, std, rng)
-    return _answer(votes, batch, "smooth", beta)
+    return _answer(votes, batch)
 
 
 def flip_probability_mc(

@@ -117,7 +117,7 @@ class NoiseSpec:
         2 e^(-threshold^2 / (2 std^2)), clamped to 1; the true tail is smaller.
         """
         c = float(threshold)
-        if c < 0.0:
+        if not c >= 0.0:
             raise ValueError(f"threshold must be non-negative, got {threshold!r}")
         s = float(self.scale)
         if self.kind == "laplace":
@@ -200,6 +200,8 @@ def exceedance_probability_mc(
     if num_classes < 1:
         raise ValueError(f"need at least one class, got {num_classes}")
     c = float(threshold)
+    if not c >= 0.0:
+        raise ValueError(f"threshold must be non-negative, got {threshold!r}")
     hits = sum(int(np.count_nonzero(np.max(np.abs(noise), axis=1) >= c))
                for noise in noise_blocks(spec, num_classes, trials, rng))
     return MonteCarloEstimate.from_hits(hits, trials)

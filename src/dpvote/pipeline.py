@@ -340,7 +340,6 @@ def read_report(out_dir) -> ExperimentReport:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{out / SUMMARY_FILE}: not valid JSON: {exc}") from None
 
-    results = read_table(out / QUERIES_FILE, _QUERY_TYPES, PRIVACY_CHECKS, QueryResult)
     try:
         qualified = tuple((e["n"], e["fraction"]) for e in summary["qualified_fractions"])
         values = {name: summary[key] for name, key, _ in _SUMMARY_FIELDS}
@@ -362,11 +361,20 @@ def read_report(out_dir) -> ExperimentReport:
             check_type(f"{where} privacy", name, getattr(figure, name), declared, PRIVACY_CHECKS)
     if qualified:
         values["distance_grid"] = tuple(n for n, _ in qualified)
-    return ExperimentReport(
-        config=config_from_dict(values, str(out / SUMMARY_FILE)),
-        qualified_fractions=qualified,
-        privacy=privacy,
-        results=tuple(results),
-        ledger=PrivacyLedger.load(out / LEDGER_FILE),
-        **figures,
-    )
+    config = config_from_dict(values, str(out / SUMMARY_FILE))
+
+    def query_row(*cells) -> QueryResult:  # every label is a class of the run
+        row = QueryResult(*cells)
+        for name in ("returned_label", "clean_label", "truth_label"):
+            label = getattr(row, name)
+            if label is not None and not 0 <= label < config.num_classes:
+                raise ValueError(f"{name} must lie in [0, {config.num_classes}), got {label}")
+        return row
+
+    results = read_table(out / QUERIES_FILE, _QUERY_TYPES, PRIVACY_CHECKS, query_row)
+    ledger = PrivacyLedger.load(out / LEDGER_FILE)
+    for name, rows in ((QUERIES_FILE, len(results)), (LEDGER_FILE, ledger.query_count)):
+        if rows != config.queries:
+            raise ValueError(f"{out / name}: {rows} rows, but query_count is {config.queries}")
+    return ExperimentReport(config=config, qualified_fractions=qualified, privacy=privacy,
+                            results=tuple(results), ledger=ledger, **figures)

@@ -5,10 +5,10 @@ one bin to another (or nothing changed at all).  Sensitivity is measured per
 coordinate: the largest absolute difference between the boosted count vectors
 of a histogram and any of its neighbors.
 
-Both sensitivities follow from one number per histogram, the fewest vote
-moves that change the lowest-index argmax (``flip_moves``), computed for a
-whole count matrix at once.  The exhaustive neighbor scans remain only as
-oracles.
+The sensitivity follows from one number per histogram, the fewest vote moves
+that change the lowest-index argmax (``flip_moves``, k*), computed for a whole
+count matrix at once: the local sensitivity is 1 + c when k* is 1, else 1.  The
+exhaustive neighbor scans remain only as oracles.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .votes import VoteHistogram, Votes, check_boost_constant, count_matrix
+from .votes import VoteHistogram, Votes, boost, check_boost_constant, count_matrix
 
 __all__ = [
     "SensitivityEstimate",
     "flip_moves",
     "smooth_values",
-    "local_sensitivity",
     "smooth_sensitivity",
     "enumerate_neighbors",
     "brute_force_local",
@@ -34,12 +33,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SensitivityEstimate:
-    """A sensitivity value and the kind of bound it is; the value is the one
-    validated by the exhaustive neighbor oracle."""
+    """A smooth sensitivity and the beta it was discounted at."""
 
-    kind: str  # "global" | "local" | "smooth"
     value: float
-    beta: float = 0.0
+    beta: float
 
 
 def _neighbor_rows(counts: np.ndarray) -> np.ndarray:
@@ -91,18 +88,6 @@ def smooth_values(votes: Votes, boost_constant: float, beta: float) -> np.ndarra
     return np.where(flip_moves(votes) <= 2, 1.0 + c, 1.0) * math.exp(-b)
 
 
-def local_sensitivity(votes: VoteHistogram, boost_constant: float) -> SensitivityEstimate:
-    """Largest per-coordinate change any single vote move can cause.
-
-    1 when no move can change the winning class (the boost stays put), else
-    1 + c (the boost relocates along with the moved vote): 1 + c exactly when
-    ``flip_moves`` is 1.
-    """
-    c = check_boost_constant(boost_constant)
-    value = (1.0 + c) if flip_moves(votes)[0] <= 1 else 1.0
-    return SensitivityEstimate(kind="local", value=value)
-
-
 def smooth_sensitivity(votes: VoteHistogram, boost_constant: float, beta: float) -> SensitivityEstimate:
     """Exponentially discounted worst local sensitivity over the radius-1 neighborhood.
 
@@ -111,7 +96,7 @@ def smooth_sensitivity(votes: VoteHistogram, boost_constant: float, beta: float)
     is exactly ``flip_moves`` <= 2.
     """
     value = float(smooth_values(votes, boost_constant, beta)[0])
-    return SensitivityEstimate(kind="smooth", value=value, beta=float(beta))
+    return SensitivityEstimate(value, float(beta))
 
 
 def enumerate_neighbors(votes: VoteHistogram) -> list[VoteHistogram]:
@@ -119,31 +104,22 @@ def enumerate_neighbors(votes: VoteHistogram) -> list[VoteHistogram]:
     return [VoteHistogram(row) for row in _neighbor_rows(votes.as_array())]
 
 
-def _boost_rows(rows: np.ndarray, boost_constant: float) -> np.ndarray:
-    """Boost each row at its own lowest-index argmax."""
-    boosted = rows.astype(np.float64)
-    winners = np.argmax(rows, axis=1)
-    boosted[np.arange(rows.shape[0]), winners] += boost_constant
-    return boosted
-
-
 def _brute_local(counts: np.ndarray, boost_constant: float) -> float:
-    boosted = _boost_rows(_neighbor_rows(counts), boost_constant)
+    boosted = boost(_neighbor_rows(counts), boost_constant)
     return float(np.max(np.abs(boosted - boosted[0])))
 
 
 def brute_force_local(votes: VoteHistogram, boost_constant: float) -> float:
-    """Oracle for ``local_sensitivity``: exhaustive scan of the boosted neighbors.
+    """Oracle for the local sensitivity: exhaustive scan of the boosted neighbors.
 
     Intended for small instances (teacher counts up to a few hundred are fine;
     cost grows with the square of the class count).
     """
-    return _brute_local(votes.as_array(), check_boost_constant(boost_constant))
+    return _brute_local(votes.as_array(), boost_constant)
 
 
 def brute_force_smooth(votes: VoteHistogram, boost_constant: float, beta: float) -> float:
     """Oracle for ``smooth_sensitivity``: exhaustive radius-1 scan of local oracles."""
-    c = check_boost_constant(boost_constant)
     b = _check_beta(beta)
-    worst = max(_brute_local(row, c) for row in _neighbor_rows(votes.as_array()))
+    worst = max(_brute_local(row, boost_constant) for row in _neighbor_rows(votes.as_array()))
     return worst * math.exp(-b)

@@ -13,8 +13,9 @@ import pytest
 
 from dpvote import (
     ExperimentConfig,
-    MomentCurve,
+    LedgerEntry,
     NoiseSpec,
+    PrivacyLedger,
     RngStream,
     VoteHistogram,
     advanced_composition,
@@ -28,14 +29,13 @@ from dpvote import (
     enumerate_neighbors,
     eps_for_delta,
     exceedance_probability_mc,
+    flip_moves,
     flip_probability_mc,
     is_distance_n,
-    local_sensitivity,
     noisy_argmax,
     per_query_moment,
     required_constant_laplace,
     run_experiment,
-    simple_composition,
     smooth_sensitivity,
     union_flip_bound,
 )
@@ -109,7 +109,7 @@ def test_02_neighbor_immutability():
 
 
 def test_03_sensitivity_closed_forms():
-    """Closed-form local and smooth sensitivity match the exhaustive oracles."""
+    """Closed-form local (from flip_moves) and smooth sensitivity match the exhaustive oracles."""
     seed = 20250809
     gen = np.random.default_rng(seed + 3)
     boosts = (0.0, 1.0, 9.0, 100.0)
@@ -121,7 +121,7 @@ def test_03_sensitivity_closed_forms():
         votes = VoteHistogram(gen.multinomial(teachers, gen.dirichlet(np.ones(num_classes))))
         c = boosts[i % 4]
         beta = betas[i % 3]
-        if local_sensitivity(votes, c).value != brute_force_local(votes, c):
+        if brute_force_local(votes, c) != (1.0 + c if flip_moves(votes)[0] <= 1 else 1.0):
             mismatches += 1
         if smooth_sensitivity(votes, c, beta).value != brute_force_smooth(votes, c, beta):
             mismatches += 1
@@ -182,8 +182,13 @@ def test_05_accountant_arithmetic():
     if abs(adv - 0.999664) > 1e-4:
         failures.append(f"advanced composition {adv} not within 1e-4 of 0.999664")
 
+    def ledger_of(*gammas):
+        ledger = PrivacyLedger()
+        ledger.record(*(LedgerEntry("lnmax", sensitivity=1.0, gamma=g) for g in gammas))
+        return ledger
+
     for T, gamma in ((1, 0.3), (1000, 0.01), (0, 0.7)):
-        close(simple_composition(T, gamma), 2.0 * gamma * T, f"simple({T},{gamma})")
+        close(ledger_of(*[gamma] * T).simple_epsilon(), 2.0 * gamma * T, f"simple({T},{gamma})")
 
     def scan_delta(curve, eps):
         return min(1.0, min(math.exp(min(a - o * eps, 700.0))
@@ -193,11 +198,7 @@ def test_05_accountant_arithmetic():
         return min((a + math.log(1.0 / delta)) / o
                    for o, a in zip(curve.orders, curve.alpha))
 
-    curves = [
-        MomentCurve.zero(),
-        MomentCurve.for_laplace(0.05),
-        MomentCurve.for_laplace(0.05) + MomentCurve.for_laplace(0.2),
-    ]
+    curves = [ledger_of(*gammas).moment_curve() for gammas in ((), (0.05,), (0.05, 0.2))]
     for k, curve in enumerate(curves):
         for eps in (0.0, 0.25, 1.0, 4.0):
             close(delta_for_eps(curve, eps), scan_delta(curve, eps), f"delta_for_eps[{k}]({eps})")

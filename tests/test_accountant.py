@@ -7,15 +7,20 @@ from hypothesis import strategies as st
 from dpvote import (
     DEFAULT_ORDERS,
     LedgerEntry,
-    MomentCurve,
     PrivacyLedger,
     advanced_composition,
     classical_gaussian_epsilon,
     delta_for_eps,
     eps_for_delta,
     per_query_moment,
-    simple_composition,
 )
+
+
+def curve_of(*gammas):
+    """The moment curve of a ledger with one lnmax entry per gamma."""
+    ledger = PrivacyLedger()
+    ledger.record(*(LedgerEntry("lnmax", sensitivity=1.0, gamma=g) for g in gammas))
+    return ledger.moment_curve()
 
 
 def grid_scan_delta(curve, eps):
@@ -43,14 +48,12 @@ class TestPerQueryMoment:
 
 class TestMomentCurve:
     def test_zero_curve(self):
-        curve = MomentCurve.zero()
+        curve = curve_of()
         assert curve.orders == DEFAULT_ORDERS
         assert all(a == 0.0 for a in curve.alpha)
 
     def test_addition_is_pointwise(self):
-        a = MomentCurve.for_laplace(0.1)
-        b = MomentCurve.for_laplace(0.2)
-        combined = a + b
+        combined = curve_of(0.1, 0.2)
         assert combined.alpha[0] == pytest.approx(0.04 + 0.16, rel=1e-12)
 
 
@@ -61,9 +64,9 @@ class TestCompose:
         ledger = PrivacyLedger()
         for _ in range(7):
             ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=gamma))
-        single = MomentCurve.for_laplace(gamma)
+        single = [per_query_moment(gamma, o) for o in DEFAULT_ORDERS]
         total = ledger.moment_curve()
-        assert all(t == 7 * s for t, s in zip(total.alpha, single.alpha))
+        assert all(t == 7 * s for t, s in zip(total.alpha, single))
 
     def test_fsum_keeps_composition_exact_for_generic_gamma(self):
         gamma = 0.1
@@ -74,7 +77,7 @@ class TestCompose:
         assert ledger.moment_curve().alpha[0] == 1000 * single
 
     def test_empty_ledger_is_zero_curve(self):
-        assert PrivacyLedger().moment_curve() == MomentCurve.zero()
+        assert PrivacyLedger().moment_curve().alpha == (0.0,) * len(DEFAULT_ORDERS)
 
     def test_two_distinct_entries(self):
         ledger = PrivacyLedger()
@@ -86,49 +89,49 @@ class TestCompose:
 
 class TestDeltaForEps:
     def test_single_query_grid_scan(self):
-        curve = MomentCurve.for_laplace(0.05)
+        curve = curve_of(0.05)
         for eps in (0.25, 1.0, 3.0):
             assert delta_for_eps(curve, eps) == pytest.approx(grid_scan_delta(curve, eps), rel=1e-12)
 
     def test_minimum_location_single_query(self):
         # with gamma=0.05 and eps=1 the quadratic term never dominates on the
         # default grid, so the scan bottoms out at the largest order
-        curve = MomentCurve.for_laplace(0.05)
+        curve = curve_of(0.05)
         args = [a - o * 1.0 for o, a in zip(curve.orders, curve.alpha)]
         assert min(args) == args[-1]
         assert delta_for_eps(curve, 1.0) == pytest.approx(math.exp(args[-1]), rel=1e-12)
 
     def test_huge_eps_gives_zero(self):
-        curve = MomentCurve.for_laplace(0.05)
+        curve = curve_of(0.05)
         assert delta_for_eps(curve, 1e6) == 0.0
 
     def test_zero_curve_zero_eps_gives_one(self):
-        assert delta_for_eps(MomentCurve.zero(), 0.0) == 1.0
+        assert delta_for_eps(curve_of(), 0.0) == 1.0
 
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError):
-            delta_for_eps(MomentCurve.zero(), -1.0)
+            delta_for_eps(curve_of(), -1.0)
 
 
 class TestEpsForDelta:
     def test_round_trip_bound(self):
-        curve = MomentCurve.for_laplace(0.05) + MomentCurve.for_laplace(0.05)
+        curve = curve_of(0.05, 0.05)
         for delta in (1e-3, 1e-5, 1e-8):
             eps = eps_for_delta(curve, delta)
             assert delta_for_eps(curve, eps) <= delta * (1 + 1e-12)
 
     def test_zero_curve_value(self):
-        eps = eps_for_delta(MomentCurve.zero(), 1e-5)
+        eps = eps_for_delta(curve_of(), 1e-5)
         assert eps == pytest.approx(math.log(1e5) / 32, rel=1e-12)
         assert eps == pytest.approx(0.359779, rel=1e-5)
 
     def test_monotone_in_curve_scaling(self):
-        one = MomentCurve.for_laplace(0.3)
-        two = one + one
+        one = curve_of(0.3)
+        two = curve_of(0.3, 0.3)
         assert eps_for_delta(two, 1e-5) >= eps_for_delta(one, 1e-5)
 
     def test_monotone_non_increasing_in_delta(self):
-        curve = MomentCurve.for_laplace(0.2)
+        curve = curve_of(0.2)
         values = [eps_for_delta(curve, d) for d in (1e-8, 1e-5, 1e-2)]
         assert values == sorted(values, reverse=True)
 
@@ -152,7 +155,9 @@ class TestCompositionFormulas:
         (1000, 0.01, 20.0),
     ])
     def test_simple_composition(self, T, gamma, expected):
-        assert simple_composition(T, gamma) == pytest.approx(expected, rel=1e-12)
+        ledger = PrivacyLedger()
+        ledger.record(*[LedgerEntry("lnmax", sensitivity=1.0, gamma=gamma)] * T)
+        assert ledger.simple_epsilon() == pytest.approx(expected, rel=1e-12)
 
 
 class TestClassicalGaussian:
@@ -273,7 +278,7 @@ def test_moment_bound_non_negative(gamma, order):
 
 @given(st.floats(0.001, 0.999), st.floats(0, 0.5))
 def test_delta_for_eps_stays_in_unit_interval(delta, gamma):
-    curve = MomentCurve.for_laplace(gamma)
+    curve = curve_of(gamma)
     eps = eps_for_delta(curve, delta)
     assert eps >= 0.0
     assert 0.0 <= delta_for_eps(curve, eps) <= 1.0

@@ -32,6 +32,17 @@ BOOSTED_SYNTH_COUNTS = {
     "sensitivity.neighbor_rows": 0,
     "accountant.moment_terms": 32000,
 }
+# Counts of traced operation 1 on oracle-mc at seed 1.  It is the one workload
+# that calls smooth_sensitivity: once, in dp_ratio_check, on a 3-class input
+# with 7 neighbour rows.  Calling it under another name reads 0 here, and a
+# result without value and beta leaves the call uncounted.
+ORACLE_MC_COUNTS = {
+    "sensitivity.smooth_calls": 1,
+    "sensitivity.neighbor_rows": 7,
+    "noise.sample_calls": 10,
+    "noise.generators_made": 4,
+}
+PINNED_COUNTS = {"boosted-synth": BOOSTED_SYNTH_COUNTS, "oracle-mc": ORACLE_MC_COUNTS}
 
 
 def _reject_constant(name):
@@ -57,9 +68,8 @@ def _run_bench(workload, trace):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_run_reports_every_metric(workload):
     metrics = _run_bench(workload, trace=1)
-    if workload == "boosted-synth":
-        counts = {name: metrics[name] for name in BOOSTED_SYNTH_COUNTS}
-        assert counts == BOOSTED_SYNTH_COUNTS
+    pinned = PINNED_COUNTS.get(workload, {})
+    assert {name: metrics[name] for name in pinned} == pinned
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

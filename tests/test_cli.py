@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dpvote import (MomentCurve, PrivacyLedger, advanced_composition, classical_gaussian_epsilon,
+from dpvote import (LedgerEntry, PrivacyLedger, advanced_composition, classical_gaussian_epsilon,
                     eps_for_delta)
 from dpvote.cli import main
 
@@ -181,6 +181,7 @@ class TestAccountCommand:
     @pytest.mark.parametrize("line, cell, value, expected", [
         (2, 2, "abc", "ledger.csv:2: gamma must be a finite number, got 'abc'"),
         (3, 2, "inf", "ledger.csv:3: gamma must be a finite number, got 'inf'"),
+        (2, 2, " 0.5", "ledger.csv:2: gamma must be a finite number, got ' 0.5'"),
         (1, 4, "sensitivity,epsilon,alpha_1",
          "ledger.csv:1: expected the header 'index,mechanism,gamma,sigma,sensitivity'"),
         (2, 1, "magic", "ledger.csv:2: unknown mechanism 'magic'"),
@@ -245,10 +246,13 @@ class TestAccountCommand:
         lines = capsys.readouterr().out.splitlines()
         assert code == 0
         figures = PrivacyLedger.load(ledger).figures(1e-4)
+        laplace = PrivacyLedger()  # the Laplace rows alone
+        laplace.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=0.5),
+                       LedgerEntry("lnmax", sensitivity=1.0, gamma=0.25))
         assert [f.accounting for f in figures] == [
             "paper-moments", "paper-simple", "paper-advanced", "classical-gaussian"]
         assert [f.eps for f in figures] == [
-            eps_for_delta(MomentCurve.for_laplace(0.5) + MomentCurve.for_laplace(0.25), 1e-4),
+            eps_for_delta(laplace.moment_curve(), 1e-4),
             1.5, advanced_composition(2, 0.5, 1e-4),
             classical_gaussian_epsilon(1e6, 1e-4)]  # one Gaussian entry: delta is not split
         assert lines[0] == "queries recorded: 3"

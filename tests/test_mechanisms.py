@@ -87,7 +87,7 @@ class TestNzcLaplace:
 
     def test_sensitivity_used_on_wide_margin(self):
         out = nzc_laplace(STRONG, 1e100, 1e-10, 1.0, RngStream(111))
-        assert out.sensitivity_used.value == pytest.approx(math.exp(-1), rel=1e-12)
+        assert out.sensitivity == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_zero_boost_matches_lnmax_with_same_scale(self):
         # with c=0 the boosted counts equal the raw counts and the smooth
@@ -161,7 +161,7 @@ class TestBatch:
             assert head.ledger_entries == batch.ledger_entries[:k]
         one = call(VoteHistogram(self.COUNTS[0]), RngStream(130))
         assert one.returned_label == batch.returned_labels[0]
-        assert one.sensitivity_used.value == batch.sensitivities[0]
+        assert one.sensitivity == batch.sensitivities[0]
         assert one.ledger_entry == batch.ledger_entries[0]
 
     def test_raw_scale_is_drawn_exactly(self, monkeypatch):

@@ -102,6 +102,13 @@ class TestGaussianTailBound:
         assert gaussian(2.0).tail(4.0) == pytest.approx(gaussian(1.0).tail(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("threshold", [-1.0, math.nan])
+def test_tail_refuses_a_negative_or_nan_threshold(threshold):
+    for spec in (laplace(1.0), gaussian(1.0)):
+        with pytest.raises(ValueError, match=r"^threshold must be non-negative, got "):
+            spec.tail(threshold)
+
+
 class TestUnionFlipBound:
     def test_laplace_inverts_required_constant(self):
         c = required_constant_laplace(10, 1e-6, 0.01)
@@ -183,6 +190,11 @@ class TestExceedanceAgainstUnionBound:
             c = ratio * spec.scale
             est = exceedance_probability_mc(spec, num_classes, c, N, stream.substream(i))
             assert est.estimate <= union_flip_bound(num_classes, spec, c)
+
+    @pytest.mark.parametrize("threshold", [-1.0, math.nan])
+    def test_refuses_a_negative_or_nan_threshold(self, threshold):
+        with pytest.raises(ValueError, match=r"^threshold must be non-negative, got "):
+            exceedance_probability_mc(laplace(1.0), 10, threshold, 100, RngStream(92))
 
 
 @given(st.floats(0.01, 100), st.floats(0.01, 100))

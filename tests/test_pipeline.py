@@ -266,6 +266,10 @@ class TestEmitAndRead:
         ("queries", 2, 5, "nan", ":2: sensitivity must be a number, got 'nan'"),
         ("ledger", 2, 4, "nan", ":2: sensitivity must be a finite number, got 'nan'"),
         ("queries", 2, 1, " +1_0", ":2: returned_label must be an integer, got ' +1_0'"),
+        ("queries", 2, 5, " 1_0.5", ":2: sensitivity must be a number, got ' 1_0.5'"),
+        ("queries", 3, 1, "10", ":3: returned_label must lie in [0, 10), got 10"),
+        ("queries", 3, 2, "-1", ":3: clean_label must lie in [0, 10), got -1"),
+        ("queries", 3, 3, "10", ":3: truth_label must lie in [0, 10), got 10"),
     ])
     def test_table_fault_is_one_line_error_naming_its_line(self, tmp_path, name, line, cell,
                                                            value, message):
@@ -278,6 +282,16 @@ class TestEmitAndRead:
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
         assert str(info.value) == f"{paths[name]}{message}"
+
+    @pytest.mark.parametrize("name, rows", [("queries", 2), ("ledger", 4)])
+    def test_row_count_other_than_query_count_is_one_line_error(self, tmp_path, name, rows):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        lines = paths[name].read_text().splitlines()
+        lines = lines[:rows + 1] if rows < 3 else lines + [f"3,{lines[-1].split(',', 1)[1]}"]
+        paths[name].write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == f"{paths[name]}: {rows} rows, but query_count is 3"
 
     def test_round_trip_keeps_a_query_epsilon_that_overflowed(self, tmp_path):
         # a query's epsilon = 2 * gamma is inf for gamma above about 9e307, yet gamma is finite

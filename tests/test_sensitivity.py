@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpvote import (
+    SensitivityEstimate,
     VoteHistogram,
     argmax,
     brute_force_local,
@@ -14,7 +15,6 @@ from dpvote import (
     flip_moves,
     gap,
     is_distance_n,
-    local_sensitivity,
     smooth_sensitivity,
     smooth_values,
 )
@@ -23,27 +23,29 @@ histograms = st.lists(st.integers(0, 30), min_size=2, max_size=8).filter(lambda 
 boost_values = st.sampled_from([0.0, 1.0, 9.0, 100.0])
 
 
+def local_from_flip_moves(votes, c):
+    """The closed-form local sensitivity: 1 + c when one vote move changes the argmax."""
+    return 1.0 + c if flip_moves(votes)[0] <= 1 else 1.0
+
+
 class TestLocalSensitivity:
     def test_wide_margin(self):
-        est = local_sensitivity(VoteHistogram([10, 2, 2]), 5.0)
-        assert est.value == 1.0
-        assert est.kind == "local"
+        assert local_from_flip_moves(VoteHistogram([10, 2, 2]), 5.0) == 1.0
 
     def test_narrow_margin(self):
-        est = local_sensitivity(VoteHistogram([5, 4, 0]), 5.0)
-        assert est.value == 6.0
+        assert local_from_flip_moves(VoteHistogram([5, 4, 0]), 5.0) == 6.0
 
     def test_zero_boost_collapses_branches(self):
-        assert local_sensitivity(VoteHistogram([7, 5, 0]), 0.0).value == 1.0
+        assert local_from_flip_moves(VoteHistogram([7, 5, 0]), 0.0) == 1.0
 
     def test_margin_two_protected_by_tie_rule(self):
         # moving a vote from the winner only creates a tie, which the
         # lowest-index rule resolves back to the winner
-        assert local_sensitivity(VoteHistogram([5, 3]), 3.0).value == 1.0
+        assert local_from_flip_moves(VoteHistogram([5, 3]), 3.0) == 1.0
         assert brute_force_local(VoteHistogram([5, 3]), 3.0) == 1.0
 
     def test_margin_two_flippable_when_runner_up_precedes(self):
-        assert local_sensitivity(VoteHistogram([3, 5]), 3.0).value == 4.0
+        assert local_from_flip_moves(VoteHistogram([3, 5]), 3.0) == 4.0
         assert brute_force_local(VoteHistogram([3, 5]), 3.0) == 4.0
 
 
@@ -114,7 +116,7 @@ class TestOracleAgreement:
     @given(histograms, boost_values)
     def test_local_matches_brute_force(self, counts, c):
         v = VoteHistogram(counts)
-        assert local_sensitivity(v, c).value == brute_force_local(v, c)
+        assert local_from_flip_moves(v, c) == brute_force_local(v, c)
 
     @settings(max_examples=200, deadline=None)
     @given(histograms, boost_values, st.sampled_from([0.5, 1.0, 2.0]))
@@ -130,7 +132,7 @@ class TestOracleAgreement:
             v = VoteHistogram(gen.multinomial(teachers, gen.dirichlet(np.ones(num_classes))))
             c = (0.0, 1.0, 9.0, 100.0)[i % 4]
             beta = (0.5, 1.0, 2.0)[i % 3]
-            assert local_sensitivity(v, c).value == brute_force_local(v, c)
+            assert local_from_flip_moves(v, c) == brute_force_local(v, c)
             assert smooth_sensitivity(v, c, beta).value == brute_force_smooth(v, c, beta)
 
 
@@ -139,7 +141,7 @@ class TestDominance:
     @given(histograms, boost_values, st.sampled_from([0.5, 1.0, 2.0]))
     def test_local_below_global_and_smooth_below_worst_neighbor(self, counts, c, beta):
         v = VoteHistogram(counts)
-        assert local_sensitivity(v, c).value <= 1.0 + c  # the global sensitivity
+        assert brute_force_local(v, c) <= 1.0 + c  # the global sensitivity
         assert smooth_sensitivity(v, c, beta).value * math.exp(beta) <= 1.0 + c + 1e-9
 
 
@@ -196,7 +198,7 @@ class TestFlipMoves:
     @pytest.mark.parametrize("counts", [[4, 4, 0], [5, 3], [3, 5], [6, 3, 0], [1, 0], [2, 6]])
     def test_zero_boost_constant_collapses_both_branches(self, counts):
         v = VoteHistogram(counts)
-        assert local_sensitivity(v, 0.0).value == 1.0 == brute_force_local(v, 0.0)
+        assert local_from_flip_moves(v, 0.0) == 1.0 == brute_force_local(v, 0.0)
         assert smooth_values(v, 0.0, 1.0).tolist() == [math.exp(-1)]
         assert brute_force_smooth(v, 0.0, 1.0) == math.exp(-1)
 
@@ -219,4 +221,5 @@ class TestFlipMoves:
         counts = np.array([[5, 3], [3, 5], [9, 1]])
         smooth = smooth_values(counts, 9.0, 1.0)
         for row, value in zip(counts, smooth):
-            assert smooth_sensitivity(VoteHistogram(row), 9.0, 1.0).value == value
+            estimate = smooth_sensitivity(VoteHistogram(row), 9.0, 1.0)
+            assert estimate == SensitivityEstimate(value, 1.0)
