@@ -16,12 +16,9 @@ __all__ = [
     "NOISE_KIND",
     "DEFAULT_ORDERS",
     "per_query_moment",
-    "MomentCurve",
     "LedgerEntry",
     "PrivacyFigure",
     "PrivacyLedger",
-    "delta_for_eps",
-    "eps_for_delta",
     "advanced_composition",
     "classical_gaussian_epsilon",
 ]
@@ -39,42 +36,6 @@ def per_query_moment(gamma: float, order: int) -> float:
     if g < 0.0:
         raise ValueError(f"gamma must be non-negative, got {gamma!r}")
     return 2.0 * g * g * order * (order + 1)
-
-
-@dataclass(frozen=True)
-class MomentCurve:
-    """Accumulated log moment-generating-function bounds, one per order of DEFAULT_ORDERS."""
-
-    orders = DEFAULT_ORDERS
-    alpha: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        if len(self.alpha) != len(self.orders):
-            raise ValueError(f"expected {len(self.orders)} moment bounds, one per order, "
-                             f"got {len(self.alpha)}")
-        if any(a < 0.0 for a in self.alpha):
-            raise ValueError("moment bounds must be non-negative")
-
-
-def delta_for_eps(curve: MomentCurve, eps: float) -> float:
-    """Tail-bound conversion: min over the grid of exp(alpha - order * eps), clamped to [0, 1]."""
-    e = float(eps)
-    if not 0.0 <= e < math.inf:
-        raise ValueError(f"eps must be a finite non-negative number, got {eps!r}")
-    best = min(a - o * e for o, a in zip(curve.orders, curve.alpha))
-    if best >= 0.0:
-        return 1.0
-    return math.exp(best) if best > -745.0 else 0.0
-
-
-def eps_for_delta(curve: MomentCurve, delta: float) -> float:
-    """Smallest eps on the grid with delta_for_eps(curve, eps) <= delta."""
-    d = float(delta)
-    if not 0.0 < d <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
-    log_inv = math.log(1.0 / d)
-    return min((a + log_inv) / o for o, a in zip(curve.orders, curve.alpha))
 
 
 def advanced_composition(num_queries: int, gamma: float, delta: float) -> float:
@@ -185,21 +146,32 @@ class PrivacyLedger:
         """How many entries carry each gamma (Gaussian entries carry none)."""
         return Counter(e.gamma for e in self.entries if e.gamma is not None)
 
-    def moment_curve(self) -> MomentCurve:
-        """Pointwise exact sum of the per-entry moment bounds (Gaussian entries contribute none)."""
+    def moment_curve(self) -> tuple[float, ...]:
+        """Exact sum of the entries' moment bounds at each of ``orders``; Gaussian entries add none."""
         counts = self._gamma_counts()
-        return MomentCurve(tuple(_fsum_counted(counts, lambda g: per_query_moment(g, o))
-                                 for o in self.orders))
+        return tuple(_fsum_counted(counts, lambda g: per_query_moment(g, o)) for o in self.orders)
 
     def simple_epsilon(self) -> float:
         """Exact sum of the per-entry pure-DP costs (Gaussian entries contribute none)."""
         return _fsum_counted(self._gamma_counts(), lambda g: 2.0 * g)
 
     def delta_for_eps(self, eps: float) -> float:
-        return delta_for_eps(self.moment_curve(), eps)
+        """Tail-bound conversion: min over the orders of exp(alpha - order * eps), clamped to [0, 1]."""
+        e = float(eps)
+        if not 0.0 <= e < math.inf:
+            raise ValueError(f"eps must be a finite non-negative number, got {eps!r}")
+        best = min(a - o * e for o, a in zip(self.orders, self.moment_curve()))
+        if best >= 0.0:
+            return 1.0
+        return math.exp(best) if best > -745.0 else 0.0
 
     def eps_for_delta(self, delta: float) -> float:
-        return eps_for_delta(self.moment_curve(), delta)
+        """Smallest eps on the order grid with delta_for_eps(eps) <= delta."""
+        d = float(delta)
+        if not 0.0 < d <= 1.0:
+            raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
+        log_inv = math.log(1.0 / d)
+        return min((a + log_inv) / o for o, a in zip(self.orders, self.moment_curve()))
 
     def figures(self, delta: float) -> tuple[PrivacyFigure, ...]:
         """Every privacy figure of this ledger at ``delta``, in a fixed order; none when empty."""

@@ -92,7 +92,7 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
     else:
         # a unit parameter with sensitivity = raw_scale draws at exactly raw_scale
         spec = NoiseSpec(kind, sensitivity=raw_scale, **{param_name: 1.0})
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore"):
             params = raw_scale / sens if kind == "gaussian" else sens / raw_scale
         bad = np.flatnonzero(~((params > 0.0) & (params < np.inf)))
         if bad.size:

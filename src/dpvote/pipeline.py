@@ -363,16 +363,25 @@ def read_report(out_dir) -> ExperimentReport:
         values["distance_grid"] = tuple(n for n, _ in qualified)
     config = config_from_dict(values, str(out / SUMMARY_FILE))
 
+    ledger = PrivacyLedger.load(out / LEDGER_FILE)
+
     def query_row(*cells) -> QueryResult:  # every label is a class of the run
         row = QueryResult(*cells)
         for name in ("returned_label", "clean_label", "truth_label"):
             label = getattr(row, name)
             if label is not None and not 0 <= label < config.num_classes:
                 raise ValueError(f"{name} must lie in [0, {config.num_classes}), got {label}")
+        if row.query_id < ledger.query_count:  # a row count that differs is refused below
+            entry = ledger.entries[row.query_id]
+            if row.sensitivity != entry.sensitivity:
+                raise ValueError(f"sensitivity {row.sensitivity!r} differs from the "
+                                 f"{entry.sensitivity!r} of {LEDGER_FILE} row {row.query_id}")
+            if (row.epsilon is None) != (entry.epsilon is None):
+                raise ValueError(f"epsilon must be {'empty' if entry.epsilon is None else 'set'} "
+                                 f"on a {entry.mechanism} row")
         return row
 
     results = read_table(out / QUERIES_FILE, _QUERY_TYPES, PRIVACY_CHECKS, query_row)
-    ledger = PrivacyLedger.load(out / LEDGER_FILE)
     for name, rows in ((QUERIES_FILE, len(results)), (LEDGER_FILE, ledger.query_count)):
         if rows != config.queries:
             raise ValueError(f"{out / name}: {rows} rows, but query_count is {config.queries}")

@@ -74,18 +74,22 @@ def flip_moves(votes: Votes) -> np.ndarray:
     return moves.min(axis=1)
 
 
-def _check_beta(beta: float) -> float:
+def _discount(beta: float) -> float:
+    """The discount e^-beta; a one-line error unless beta is positive and e^-beta is not 0."""
     b = float(beta)
     if not b > 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    return b
+    discount = math.exp(-b)
+    if discount == 0.0:
+        raise ValueError(f"beta {beta!r} is too large: e^-beta underflows to 0, "
+                         "which leaves no sensitivity to scale the noise to")
+    return discount
 
 
 def smooth_values(votes: Votes, boost_constant: float, beta: float) -> np.ndarray:
     """``smooth_sensitivity`` of each row of ``count_matrix(votes)``, as a float64 array."""
     c = check_boost_constant(boost_constant)
-    b = _check_beta(beta)
-    return np.where(flip_moves(votes) <= 2, 1.0 + c, 1.0) * math.exp(-b)
+    return np.where(flip_moves(votes) <= 2, 1.0 + c, 1.0) * _discount(beta)
 
 
 def smooth_sensitivity(votes: VoteHistogram, boost_constant: float, beta: float) -> SensitivityEstimate:
@@ -120,6 +124,6 @@ def brute_force_local(votes: VoteHistogram, boost_constant: float) -> float:
 
 def brute_force_smooth(votes: VoteHistogram, boost_constant: float, beta: float) -> float:
     """Oracle for ``smooth_sensitivity``: exhaustive radius-1 scan of local oracles."""
-    b = _check_beta(beta)
+    discount = _discount(beta)
     worst = max(_brute_local(row, boost_constant) for row in _neighbor_rows(votes.as_array()))
-    return worst * math.exp(-b)
+    return worst * discount

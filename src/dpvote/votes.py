@@ -51,10 +51,6 @@ class VoteHistogram:
     def num_classes(self) -> int:
         return len(self.counts)
 
-    @property
-    def teacher_count(self) -> int:
-        return sum(self.counts)
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=np.int64)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dpvote import (
+    DEFAULT_ORDERS,
     ExperimentConfig,
     LedgerEntry,
     NoiseSpec,
@@ -23,11 +24,9 @@ from dpvote import (
     boost,
     brute_force_local,
     brute_force_smooth,
-    delta_for_eps,
     dp_ratio_check,
     emit_report,
     enumerate_neighbors,
-    eps_for_delta,
     exceedance_probability_mc,
     flip_moves,
     flip_probability_mc,
@@ -192,20 +191,21 @@ def test_05_accountant_arithmetic():
 
     def scan_delta(curve, eps):
         return min(1.0, min(math.exp(min(a - o * eps, 700.0))
-                            for o, a in zip(curve.orders, curve.alpha)))
+                            for o, a in zip(DEFAULT_ORDERS, curve)))
 
     def scan_eps(curve, delta):
         return min((a + math.log(1.0 / delta)) / o
-                   for o, a in zip(curve.orders, curve.alpha))
+                   for o, a in zip(DEFAULT_ORDERS, curve))
 
-    curves = [ledger_of(*gammas).moment_curve() for gammas in ((), (0.05,), (0.05, 0.2))]
-    for k, curve in enumerate(curves):
+    ledgers = [ledger_of(*gammas) for gammas in ((), (0.05,), (0.05, 0.2))]
+    for k, ledger in enumerate(ledgers):
+        curve = ledger.moment_curve()
         for eps in (0.0, 0.25, 1.0, 4.0):
-            close(delta_for_eps(curve, eps), scan_delta(curve, eps), f"delta_for_eps[{k}]({eps})")
+            close(ledger.delta_for_eps(eps), scan_delta(curve, eps), f"delta_for_eps[{k}]({eps})")
         for delta in (1e-2, 1e-5, 1e-9):
-            got = eps_for_delta(curve, delta)
+            got = ledger.eps_for_delta(delta)
             close(got, scan_eps(curve, delta), f"eps_for_delta[{k}]({delta})")
-            if delta_for_eps(curve, got) > delta * (1.0 + 1e-9):
+            if ledger.delta_for_eps(got) > delta * (1.0 + 1e-9):
                 failures.append(f"round trip [{k}] delta={delta}")
 
     report("5 (accountant arithmetic)", not failures,

@@ -10,23 +10,21 @@ from dpvote import (
     PrivacyLedger,
     advanced_composition,
     classical_gaussian_epsilon,
-    delta_for_eps,
-    eps_for_delta,
     per_query_moment,
 )
 
 
-def curve_of(*gammas):
-    """The moment curve of a ledger with one lnmax entry per gamma."""
+def ledger_of(*gammas):
+    """A ledger with one lnmax entry per gamma."""
     ledger = PrivacyLedger()
     ledger.record(*(LedgerEntry("lnmax", sensitivity=1.0, gamma=g) for g in gammas))
-    return ledger.moment_curve()
+    return ledger
 
 
 def grid_scan_delta(curve, eps):
     # independent re-implementation of the tail bound, plain python
     best = float("inf")
-    for order, alpha in zip(curve.orders, curve.alpha):
+    for order, alpha in zip(DEFAULT_ORDERS, curve):
         best = min(best, math.exp(min(alpha - order * eps, 700.0)))
     return min(1.0, best)
 
@@ -48,13 +46,13 @@ class TestPerQueryMoment:
 
 class TestMomentCurve:
     def test_zero_curve(self):
-        curve = curve_of()
-        assert curve.orders == DEFAULT_ORDERS
-        assert all(a == 0.0 for a in curve.alpha)
+        ledger = ledger_of()
+        assert ledger.orders == DEFAULT_ORDERS
+        assert all(a == 0.0 for a in ledger.moment_curve())
 
     def test_addition_is_pointwise(self):
-        combined = curve_of(0.1, 0.2)
-        assert combined.alpha[0] == pytest.approx(0.04 + 0.16, rel=1e-12)
+        combined = ledger_of(0.1, 0.2).moment_curve()
+        assert combined[0] == pytest.approx(0.04 + 0.16, rel=1e-12)
 
 
 class TestCompose:
@@ -66,7 +64,7 @@ class TestCompose:
             ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=gamma))
         single = [per_query_moment(gamma, o) for o in DEFAULT_ORDERS]
         total = ledger.moment_curve()
-        assert all(t == 7 * s for t, s in zip(total.alpha, single))
+        assert all(t == 7 * s for t, s in zip(total, single))
 
     def test_fsum_keeps_composition_exact_for_generic_gamma(self):
         gamma = 0.1
@@ -74,65 +72,65 @@ class TestCompose:
         for _ in range(1000):
             ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=gamma))
         single = per_query_moment(gamma, 1)
-        assert ledger.moment_curve().alpha[0] == 1000 * single
+        assert ledger.moment_curve()[0] == 1000 * single
 
     def test_empty_ledger_is_zero_curve(self):
-        assert PrivacyLedger().moment_curve().alpha == (0.0,) * len(DEFAULT_ORDERS)
+        assert PrivacyLedger().moment_curve() == (0.0,) * len(DEFAULT_ORDERS)
 
     def test_two_distinct_entries(self):
         ledger = PrivacyLedger()
         ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=0.1))
         ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=0.2))
-        assert ledger.moment_curve().alpha[0] == pytest.approx(0.20, rel=1e-12)
+        assert ledger.moment_curve()[0] == pytest.approx(0.20, rel=1e-12)
         assert ledger.query_count == 2
 
 
 class TestDeltaForEps:
     def test_single_query_grid_scan(self):
-        curve = curve_of(0.05)
+        ledger = ledger_of(0.05)
         for eps in (0.25, 1.0, 3.0):
-            assert delta_for_eps(curve, eps) == pytest.approx(grid_scan_delta(curve, eps), rel=1e-12)
+            expected = grid_scan_delta(ledger.moment_curve(), eps)
+            assert ledger.delta_for_eps(eps) == pytest.approx(expected, rel=1e-12)
 
     def test_minimum_location_single_query(self):
         # with gamma=0.05 and eps=1 the quadratic term never dominates on the
         # default grid, so the scan bottoms out at the largest order
-        curve = curve_of(0.05)
-        args = [a - o * 1.0 for o, a in zip(curve.orders, curve.alpha)]
+        ledger = ledger_of(0.05)
+        args = [a - o * 1.0 for o, a in zip(DEFAULT_ORDERS, ledger.moment_curve())]
         assert min(args) == args[-1]
-        assert delta_for_eps(curve, 1.0) == pytest.approx(math.exp(args[-1]), rel=1e-12)
+        assert ledger.delta_for_eps(1.0) == pytest.approx(math.exp(args[-1]), rel=1e-12)
 
     def test_huge_eps_gives_zero(self):
-        curve = curve_of(0.05)
-        assert delta_for_eps(curve, 1e6) == 0.0
+        assert ledger_of(0.05).delta_for_eps(1e6) == 0.0
 
     def test_zero_curve_zero_eps_gives_one(self):
-        assert delta_for_eps(curve_of(), 0.0) == 1.0
+        assert ledger_of().delta_for_eps(0.0) == 1.0
 
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError):
-            delta_for_eps(curve_of(), -1.0)
+            ledger_of().delta_for_eps(-1.0)
 
 
 class TestEpsForDelta:
     def test_round_trip_bound(self):
-        curve = curve_of(0.05, 0.05)
+        ledger = ledger_of(0.05, 0.05)
         for delta in (1e-3, 1e-5, 1e-8):
-            eps = eps_for_delta(curve, delta)
-            assert delta_for_eps(curve, eps) <= delta * (1 + 1e-12)
+            eps = ledger.eps_for_delta(delta)
+            assert ledger.delta_for_eps(eps) <= delta * (1 + 1e-12)
 
     def test_zero_curve_value(self):
-        eps = eps_for_delta(curve_of(), 1e-5)
+        eps = ledger_of().eps_for_delta(1e-5)
         assert eps == pytest.approx(math.log(1e5) / 32, rel=1e-12)
         assert eps == pytest.approx(0.359779, rel=1e-5)
 
     def test_monotone_in_curve_scaling(self):
-        one = curve_of(0.3)
-        two = curve_of(0.3, 0.3)
-        assert eps_for_delta(two, 1e-5) >= eps_for_delta(one, 1e-5)
+        one = ledger_of(0.3)
+        two = ledger_of(0.3, 0.3)
+        assert two.eps_for_delta(1e-5) >= one.eps_for_delta(1e-5)
 
     def test_monotone_non_increasing_in_delta(self):
-        curve = curve_of(0.2)
-        values = [eps_for_delta(curve, d) for d in (1e-8, 1e-5, 1e-2)]
+        ledger = ledger_of(0.2)
+        values = [ledger.eps_for_delta(d) for d in (1e-8, 1e-5, 1e-2)]
         assert values == sorted(values, reverse=True)
 
 
@@ -258,7 +256,7 @@ class TestCostPerDistinctGamma:
         gammas = [e.gamma for e in ledger.entries if e.gamma is not None]
         assert len(set(gammas)) == 2
         expected = tuple(math.fsum(per_query_moment(g, o) for g in gammas) for o in ledger.orders)
-        assert ledger.moment_curve().alpha == expected
+        assert ledger.moment_curve() == expected
         assert ledger.simple_epsilon() == math.fsum(2.0 * g for g in gammas)
 
     def test_record_appends_several_entries_in_order(self):
@@ -278,7 +276,7 @@ def test_moment_bound_non_negative(gamma, order):
 
 @given(st.floats(0.001, 0.999), st.floats(0, 0.5))
 def test_delta_for_eps_stays_in_unit_interval(delta, gamma):
-    curve = curve_of(gamma)
-    eps = eps_for_delta(curve, delta)
+    ledger = ledger_of(gamma)
+    eps = ledger.eps_for_delta(delta)
     assert eps >= 0.0
-    assert 0.0 <= delta_for_eps(curve, eps) <= 1.0
+    assert 0.0 <= ledger.delta_for_eps(eps) <= 1.0

@@ -42,7 +42,20 @@ ORACLE_MC_COUNTS = {
     "noise.sample_calls": 10,
     "noise.generators_made": 4,
 }
-PINNED_COUNTS = {"boosted-synth": BOOSTED_SYNTH_COUNTS, "oracle-mc": ORACLE_MC_COUNTS}
+# Counts of traced operation 1 on baseline-replay at seed 1 (lnmax over 1000
+# queries read from a prediction CSV).  It makes one generator and one noise
+# draw, converts its 1000-entry ledger once with eps_for_delta (1000 entries x
+# 32 orders) and scans its 1000 histograms once per distance-grid entry (8).
+# A change that stops calling eps_for_delta or qualified_fraction by its traced
+# name reads 0 here.
+BASELINE_REPLAY_COUNTS = {
+    "noise.sample_calls": 1,
+    "noise.generators_made": 1,
+    "accountant.moment_terms": 32000,
+    "ensemble.histogram_scans": 8000,
+}
+PINNED_COUNTS = {"boosted-synth": BOOSTED_SYNTH_COUNTS, "baseline-replay": BASELINE_REPLAY_COUNTS,
+                 "oracle-mc": ORACLE_MC_COUNTS}
 
 
 def _reject_constant(name):

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from dpvote import (LedgerEntry, PrivacyLedger, advanced_composition, classical_gaussian_epsilon,
-                    eps_for_delta)
+from dpvote import LedgerEntry, PrivacyLedger, advanced_composition, classical_gaussian_epsilon
 from dpvote.cli import main
 
 
@@ -94,20 +93,35 @@ class TestRunCommand:
          "scale 1e-300 at sensitivity 3.6787944117144233e+99 gives gamma inf"),
         ("nzc-gaussian", ["--c", "1e100", "--scale", "1e-300"],
          "std 1e-300 at sensitivity 3.6787944117144233e+99 gives sigma 0.0"),
-        ("nzc-gaussian", ["--beta", "800", "--scale", "1"],
-         "std 1.0 at sensitivity 0.0 gives sigma inf"),
     ])
     def test_effective_parameter_out_of_range_is_one_line_error(self, tmp_path, capsys,
                                                                 mechanism, flags, message):
-        # sensitivity / scale overflows to an infinite gamma, scale / sensitivity underflows
-        # to a zero sigma, and exp(-beta) underflows to a zero sensitivity, so the scale is
-        # divided by zero; the ledger can hold none of them
+        # sensitivity / scale overflows to an infinite gamma, and scale / sensitivity
+        # underflows to a zero sigma; the ledger can hold neither
         out_dir = tmp_path / "r"
         code = run_cli(["run", "--mechanism", mechanism, "--teachers", "5", "--queries", "3",
                         *flags, "--seed", "1", "--out", str(out_dir)])
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: {mechanism}: {message}; it must be finite and positive\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("mechanism, flags", [
+        ("nzc-laplace", ["--gamma", "0.5", "--beta", "1e300", "--c", "10"]),
+        ("nzc-gaussian", ["--sigma", "0.5", "--beta", "800"]),
+        ("nzc-gaussian", ["--scale", "1", "--beta", "800"]),
+    ])
+    def test_beta_that_discounts_to_zero_is_one_line_error(self, tmp_path, capsys,
+                                                          mechanism, flags):
+        # e^-beta is 0.0 above beta ~745, which would leave every sensitivity at 0
+        out_dir = tmp_path / "r"
+        code = run_cli(["run", "--mechanism", mechanism, "--teachers", "5", "--queries", "3",
+                        *flags, "--seed", "1", "--out", str(out_dir)])
+        beta = float(flags[flags.index("--beta") + 1])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: beta {beta!r} is too large: e^-beta underflows to 0, "
+            "which leaves no sensitivity to scale the noise to\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("queries, printed", [("0", False), ("3", True)])
@@ -252,7 +266,7 @@ class TestAccountCommand:
         assert [f.accounting for f in figures] == [
             "paper-moments", "paper-simple", "paper-advanced", "classical-gaussian"]
         assert [f.eps for f in figures] == [
-            eps_for_delta(laplace.moment_curve(), 1e-4),
+            laplace.eps_for_delta(1e-4),
             1.5, advanced_composition(2, 0.5, 1e-4),
             classical_gaussian_epsilon(1e6, 1e-4)]  # one Gaussian entry: delta is not split
         assert lines[0] == "queries recorded: 3"

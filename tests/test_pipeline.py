@@ -7,6 +7,7 @@ import pytest
 from dpvote import (
     BLOCK,
     ExperimentConfig,
+    PrivacyLedger,
     classical_gaussian_epsilon,
     emit_report,
     read_report,
@@ -282,6 +283,26 @@ class TestEmitAndRead:
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
         assert str(info.value) == f"{paths[name]}{message}"
+
+    # (config overrides, cell index in row 0 of queries.csv, new cell text, error after its path)
+    @pytest.mark.parametrize("overrides, cell, value, message", [
+        ({}, 5, "123", ":2: sensitivity 123.0 differs from the {sensitivity!r} of ledger.csv row 0"),
+        ({}, 6, "", ":2: epsilon must be set on a nzc-laplace row"),
+        ({"mechanism": "nzc-gaussian", "gamma": None, "sigma": 2.0}, 6, "9",
+         ":2: epsilon must be empty on a nzc-gaussian row"),
+    ])
+    def test_query_row_that_disagrees_with_its_ledger_row_is_one_line_error(
+            self, tmp_path, overrides, cell, value, message):
+        paths = emit_report(run_experiment(small_config(queries=3, **overrides)), tmp_path / "r")
+        lines = paths["queries"].read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[cell] = value
+        lines[1] = ",".join(cells)
+        paths["queries"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        sensitivity = PrivacyLedger.load(paths["ledger"]).entries[0].sensitivity
+        assert str(info.value) == f"{paths['queries']}{message.format(sensitivity=sensitivity)}"
 
     @pytest.mark.parametrize("name, rows", [("queries", 2), ("ledger", 4)])
     def test_row_count_other_than_query_count_is_one_line_error(self, tmp_path, name, rows):

@@ -78,6 +78,12 @@ class TestSmoothSensitivity:
         with pytest.raises(ValueError):
             smooth_sensitivity(VoteHistogram([5, 4]), 1.0, 0.0)
 
+    @pytest.mark.parametrize("smooth", [smooth_sensitivity, brute_force_smooth])
+    def test_rejects_beta_whose_discount_underflows(self, smooth):
+        # e^-746 is 0.0, which would make every sensitivity 0
+        with pytest.raises(ValueError, match=r"^beta 746\.0 is too large: e\^-beta underflows"):
+            smooth(VoteHistogram([5, 4]), 1.0, 746.0)
+
 
 class TestEnumerateNeighbors:
     def test_two_bins_one_empty(self):
@@ -97,7 +103,7 @@ class TestEnumerateNeighbors:
     def test_every_neighbor_preserves_total(self, counts):
         v = VoteHistogram(counts)
         for w in enumerate_neighbors(v):
-            assert w.teacher_count == v.teacher_count
+            assert sum(w.counts) == sum(v.counts)
             assert max(abs(a - b) for a, b in zip(w.counts, v.counts)) <= 1
 
 

@@ -13,7 +13,7 @@ class TestVoteHistogram:
         v = VoteHistogram([1, 3, 2])
         assert v.counts == (1, 3, 2)
         assert v.num_classes == 3
-        assert v.teacher_count == 6
+        assert sum(v.counts) == 6
 
     def test_accepts_numpy_input(self):
         v = VoteHistogram(np.array([2, 0, 1]))
