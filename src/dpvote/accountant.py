@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -110,8 +109,26 @@ class PrivacyFigure:
 
 
 def _fsum_counted(counts: Counter, term) -> float:
-    """Exact sum of ``term(g)`` taken ``counts[g]`` times per g, evaluating ``term`` once per g."""
-    return math.fsum(chain.from_iterable(repeat(term(g), n) for g, n in counts.items()))
+    """fsum of ``term(g)`` taken ``counts[g]`` times per g, with ``term`` evaluated once per g.
+
+    Finite terms are integers over powers of two; their exact sum is rounded once by an int
+    division (inf on overflow).  Non-finite terms, and a zero sum's sign, take fsum's result.
+    """
+    terms = [(term(g), n) for g, n in counts.items()]
+    total, scale = 0, 1  # the exact sum so far is total / scale
+    for t, n in terms:
+        if not math.isfinite(t):
+            return math.fsum(t for t, _ in terms if not math.isfinite(t))
+        m, d = t.as_integer_ratio()
+        if d > scale:
+            total, scale = total * (d // scale), d
+        total += n * m * (scale // d)
+    if not total:
+        return math.fsum(t for t, _ in terms)
+    try:
+        return total / scale
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 # ledger.csv columns: the row position, then the LedgerEntry fields in their order
@@ -142,18 +159,20 @@ class PrivacyLedger:
                 raise TypeError(f"expected a LedgerEntry, got {type(entry).__name__}")
         self.entries.extend(entries)
 
-    def _gamma_counts(self) -> Counter:
-        """How many entries carry each gamma (Gaussian entries carry none)."""
-        return Counter(e.gamma for e in self.entries if e.gamma is not None)
+    def _counts(self, param: str) -> Counter:
+        """How many entries carry each value of ``param`` (gamma or sigma), other kinds left out."""
+        counts = Counter(map(attrgetter(param), self.entries))
+        del counts[None]
+        return counts
 
     def moment_curve(self) -> tuple[float, ...]:
         """Exact sum of the entries' moment bounds at each of ``orders``; Gaussian entries add none."""
-        counts = self._gamma_counts()
+        counts = self._counts("gamma")
         return tuple(_fsum_counted(counts, lambda g: per_query_moment(g, o)) for o in self.orders)
 
     def simple_epsilon(self) -> float:
         """Exact sum of the per-entry pure-DP costs (Gaussian entries contribute none)."""
-        return _fsum_counted(self._gamma_counts(), lambda g: 2.0 * g)
+        return _fsum_counted(self._counts("gamma"), lambda g: 2.0 * g)
 
     def delta_for_eps(self, eps: float) -> float:
         """Tail-bound conversion: min over the orders of exp(alpha - order * eps), clamped to [0, 1]."""
@@ -175,8 +194,7 @@ class PrivacyLedger:
 
     def figures(self, delta: float) -> tuple[PrivacyFigure, ...]:
         """Every privacy figure of this ledger at ``delta``, in a fixed order; none when empty."""
-        gammas = [e.gamma for e in self.entries if e.gamma is not None]
-        sigmas = [e.sigma for e in self.entries if e.sigma is not None]
+        gammas, sigmas = self._counts("gamma"), self._counts("sigma")
         figures = []
         if gammas:
             figures += [
@@ -188,15 +206,15 @@ class PrivacyLedger:
                 PrivacyFigure("paper-advanced", "advanced composition: 4*T*gamma^2 + "
                               "2*gamma*sqrt(2*T*ln(1/delta)) at the largest gamma "
                               "(paper; Dwork, Rothblum & Vadhan 2010)",
-                              advanced_composition(len(gammas), max(gammas), delta), delta),
+                              advanced_composition(gammas.total(), max(gammas), delta), delta),
             ]
         if sigmas:
-            per_query = classical_gaussian_epsilon(min(sigmas), delta / len(sigmas))
+            per_query = classical_gaussian_epsilon(min(sigmas), delta / sigmas.total())
             figures.append(PrivacyFigure(
                 "classical-gaussian", "classical Gaussian: sqrt(2*ln(1.25*T/delta))/sigma per "
                 "query at the smallest sigma, summed; inapplicable unless each is < 1 "
                 "(Dwork & Roth 2014, Thm A.1)",
-                None if per_query is None else per_query * len(sigmas), delta))
+                None if per_query is None else per_query * sigmas.total(), delta))
         return tuple(figures)
 
     def export_text(self) -> str:

@@ -53,6 +53,7 @@ class MechanismBatch:
 
     returned_labels: np.ndarray  # (queries,) int64
     sensitivities: np.ndarray  # (queries,) float64
+    parameters: np.ndarray  # (queries,) float64: each row's gamma or sigma, as in its ledger entry
     ledger_entries: tuple[LedgerEntry, ...]
 
 
@@ -100,10 +101,11 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
                              f"{float(sens[bad[0]])!r} gives {param_name} "
                              f"{float(params[bad[0]])!r}; it must be finite and positive")
     noise = spec.sample(rng, size=values.shape)
-    keys = list(zip(sens.tolist(), params.tolist()))
-    shared = {key: LedgerEntry(mechanism, sensitivity=key[0], **{param_name: key[1]})
-              for key in set(keys)}
-    return MechanismBatch(noisy_argmax(values, noise), sens, tuple(map(shared.__getitem__, keys)))
+    distinct, first, rows = np.unique(sens, return_index=True, return_inverse=True)
+    shared = [LedgerEntry(mechanism, sensitivity=s, **{param_name: p})  # p is a function of s
+              for s, p in zip(distinct.tolist(), params[first].tolist())]
+    return MechanismBatch(noisy_argmax(values, noise), sens, params,
+                          tuple(map(shared.__getitem__, rows.tolist())))
 
 
 def _answer(votes: Votes, batch: MechanismBatch):

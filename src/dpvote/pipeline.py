@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -176,13 +175,18 @@ class ExperimentReport:
     agreement_pct: Optional[float]
     qualified_fractions: tuple[tuple[int, float], ...]
     privacy: tuple[PrivacyFigure, ...]  # the ledger's figures at config.delta
-    results: tuple[QueryResult, ...]
+    columns: list[list]  # one list per QueryResult field, in queries.csv column order
     ledger: PrivacyLedger = field(compare=False, repr=False, default_factory=PrivacyLedger)
     runtime_seconds: float = field(compare=False, default=0.0)
 
     @property
+    def results(self) -> tuple[QueryResult, ...]:
+        """One QueryResult per query, built from ``columns`` on each access."""
+        return tuple(map(QueryResult, *self.columns))
+
+    @property
     def query_count(self) -> int:
-        return len(self.results)
+        return len(self.columns[0])
 
     @property
     def eps_simple(self) -> Optional[float]:
@@ -244,16 +248,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ledger = PrivacyLedger()
     labels = np.empty(queries, dtype=np.int64)
     sensitivities = np.empty(queries)
+    parameters = np.empty(queries)
     for block, rows in _blocks(queries):
         batch = _run_mechanism(config, counts[rows], root.substream(_MECH, block))
         labels[rows] = batch.returned_labels
         sensitivities[rows] = batch.sensitivities
+        parameters[rows] = batch.parameters
         ledger.record(*batch.ledger_entries)
     clean = argmax(counts)
-    results = tuple(map(
-        QueryResult, range(queries), labels.tolist(), clean.tolist(),
-        [None] * queries if truths is None else truths, gap(counts).tolist(),
-        sensitivities.tolist(), [e.epsilon for e in ledger.entries]))
+    with np.errstate(over="ignore"):  # 2 * gamma is inf above about 9e307, as in LedgerEntry
+        epsilons = (2.0 * parameters).tolist() if NOISE_KIND[config.mechanism] == "laplace" else None
+    columns = [list(range(queries)), labels.tolist(), clean.tolist(), truths or [None] * queries,
+               gap(counts).tolist(), sensitivities.tolist(), epsilons or [None] * queries]
 
     if truths is not None and queries:
         summary = ensemble_accuracy(counts, truths, labels)
@@ -275,7 +281,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         agreement_pct=agree_pct,
         qualified_fractions=qualified,
         privacy=ledger.figures(config.delta),
-        results=results,
+        columns=columns,
         ledger=ledger,
         runtime_seconds=time.perf_counter() - start,
     )
@@ -324,8 +330,7 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 
     queries_path = out / QUERIES_FILE
-    columns = [list(map(attrgetter(name), report.results)) for name in _QUERY_TYPES]
-    queries_path.write_text(format_table(_QUERY_TYPES, columns), encoding="utf-8")
+    queries_path.write_text(format_table(_QUERY_TYPES, report.columns), encoding="utf-8")
 
     ledger_path = out / LEDGER_FILE
     report.ledger.export(ledger_path)
@@ -364,8 +369,14 @@ def read_report(out_dir) -> ExperimentReport:
     config = config_from_dict(values, str(out / SUMMARY_FILE))
 
     ledger = PrivacyLedger.load(out / LEDGER_FILE)
+    for index, entry in enumerate(ledger.entries):
+        if entry.mechanism != config.mechanism:  # row i is the line whose first cell is i
+            lines = (out / LEDGER_FILE).read_text(encoding="utf-8").splitlines()
+            line = [row.split(",")[0] for row in lines].index(str(index)) + 1
+            raise ValueError(f"{out / LEDGER_FILE}:{line}: mechanism {entry.mechanism!r} "
+                             f"differs from the config's {config.mechanism!r}")
 
-    def query_row(*cells) -> QueryResult:  # every label is a class of the run
+    def query_row(*cells) -> tuple:  # every label is a class of the run
         row = QueryResult(*cells)
         for name in ("returned_label", "clean_label", "truth_label"):
             label = getattr(row, name)
@@ -379,11 +390,12 @@ def read_report(out_dir) -> ExperimentReport:
             if (row.epsilon is None) != (entry.epsilon is None):
                 raise ValueError(f"epsilon must be {'empty' if entry.epsilon is None else 'set'} "
                                  f"on a {entry.mechanism} row")
-        return row
+        return cells
 
-    results = read_table(out / QUERIES_FILE, _QUERY_TYPES, PRIVACY_CHECKS, query_row)
-    for name, rows in ((QUERIES_FILE, len(results)), (LEDGER_FILE, ledger.query_count)):
-        if rows != config.queries:
-            raise ValueError(f"{out / name}: {rows} rows, but query_count is {config.queries}")
+    rows = read_table(out / QUERIES_FILE, _QUERY_TYPES, PRIVACY_CHECKS, query_row)
+    for name, count in ((QUERIES_FILE, len(rows)), (LEDGER_FILE, ledger.query_count)):
+        if count != config.queries:
+            raise ValueError(f"{out / name}: {count} rows, but query_count is {config.queries}")
+    columns = [[row[i] for row in rows] for i in range(len(_QUERY_TYPES))]
     return ExperimentReport(config=config, qualified_fractions=qualified, privacy=privacy,
-                            results=tuple(results), ledger=ledger, **figures)
+                            columns=columns, ledger=ledger, **figures)

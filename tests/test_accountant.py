@@ -1,4 +1,7 @@
 import math
+import random
+from collections import Counter
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given
@@ -12,6 +15,7 @@ from dpvote import (
     classical_gaussian_epsilon,
     per_query_moment,
 )
+from dpvote.accountant import _fsum_counted
 
 
 def ledger_of(*gammas):
@@ -267,6 +271,81 @@ class TestCostPerDistinctGamma:
         assert ledger.entries == [a, b, a]
         with pytest.raises(TypeError):
             ledger.record(a, "not an entry")
+
+
+def _fsum_repeated(counts, term):
+    # the reference: fsum over every entry's term, each distinct term repeated once per entry
+    return math.fsum(chain.from_iterable(repeat(term(g), n) for g, n in counts.items()))
+
+
+class TestCountedSum:
+    """Composition sums each distinct term once, times its count, to fsum's bits."""
+
+    # +-0, the smallest subnormal, 1/3, and gammas from 1e-12 up to 1e150; those of
+    # one ledger lie within three decades, so that every term moves the rounding
+    SPECIAL_GAMMAS = (0.0, -0.0, 5e-324, 1 / 3)
+
+    def _counts(self, rng):
+        low = rng.uniform(-12.0, 147.0)
+        gammas = [rng.choice(self.SPECIAL_GAMMAS) if rng.random() < 0.3
+                  else 10.0 ** rng.uniform(low, low + 3.0) for _ in range(rng.randint(1, 6))]
+        return Counter({g: rng.randint(1, 3000) for g in gammas})
+
+    def test_matches_repeated_fsum_bit_for_bit_on_mixed_gamma_ledgers(self):
+        rng = random.Random(20)
+        compared = 0
+        for _ in range(500):
+            counts = self._counts(rng)
+            terms = [lambda g: 2.0 * g] + [
+                lambda g, o=o: per_query_moment(g, o) for o in DEFAULT_ORDERS]
+            for term in terms:
+                # float.hex tells -0.0 from 0.0
+                assert _fsum_counted(counts, term).hex() == _fsum_repeated(counts, term).hex()
+                compared += 1
+        assert compared == 500 * 33
+
+    @pytest.mark.parametrize("counts", [
+        {-0.0: 3}, {0.0: 2}, {-0.0: 1, 0.0: 1}, {5e-324: 3000, 0.0: 1}, {}])
+    def test_zero_and_subnormal_sums_match_repeated_fsum(self, counts):
+        counts = Counter(counts)
+        for term in (lambda g: g, lambda g: 2.0 * g, lambda g: -g):
+            assert _fsum_counted(counts, term).hex() == _fsum_repeated(counts, term).hex()
+
+    def test_ledger_composition_matches_repeated_fsum(self):
+        rng = random.Random(21)
+        ledger = PrivacyLedger()
+        for g, n in self._counts(rng).items():
+            ledger.record(*[LedgerEntry("lnmax", sensitivity=1.0, gamma=g)] * n)
+        counts = Counter(e.gamma for e in ledger.entries)
+        assert ledger.simple_epsilon().hex() == _fsum_repeated(counts, lambda g: 2.0 * g).hex()
+        assert ledger.moment_curve() == tuple(
+            _fsum_repeated(counts, lambda g: per_query_moment(g, o)) for o in ledger.orders)
+
+    def test_non_finite_terms_sum_as_fsum_does(self):
+        assert _fsum_counted(Counter({1.0: 3, 2.0: 1}), lambda g: math.inf * g) == math.inf
+        assert math.isnan(_fsum_counted(Counter({1.0: 2}), lambda g: math.nan))
+        assert _fsum_counted(Counter({1.0: 2, 2.0: 5}), lambda g: g if g < 2 else math.inf) \
+            == math.inf
+
+
+class TestOverflowingComposition:
+    """A composed sum beyond the float range is inf, as the paper-advanced figure already is."""
+
+    def test_simple_epsilon_that_overflows_is_inf(self):
+        # each 2 * gamma is 2e306; a thousand of them exceed the largest float
+        assert ledger_of(*[1e306] * 1000).simple_epsilon() == math.inf
+
+    def test_moment_curve_that_overflows_is_inf(self):
+        # the order-1 term 4 * gamma^2 is 1e306 here; the order-32 term alone is inf
+        ledger = ledger_of(*[5e152] * 1000)
+        assert ledger.moment_curve() == (math.inf,) * len(DEFAULT_ORDERS)
+        assert [(f.accounting, f.eps) for f in ledger.figures(1e-5)] == [
+            ("paper-moments", math.inf), ("paper-simple", 1e156), ("paper-advanced", math.inf)]
+
+    def test_counted_sum_that_overflows_is_inf_with_its_sign(self):
+        counts = Counter({1e308: 2})
+        assert _fsum_counted(counts, lambda g: g) == math.inf
+        assert _fsum_counted(counts, lambda g: -g) == -math.inf
 
 
 @given(st.floats(0, 2), st.integers(1, 64))

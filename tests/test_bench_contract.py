@@ -24,13 +24,16 @@ END_TO_END = ("setup_s", "items_per_s", "op_s_p50", "op_s_tail", "peak_rss_mb")
 # sensitivity scan that is meant to move these counts updates them in the same
 # commit.  The batch core draws one block: one generator each for truths,
 # votes and noise, and one noise draw; the closed-form sensitivity calls no
-# neighbour scan.
+# neighbour scan.  The run scans its 1000 histograms once per distance-grid
+# entry (8), so a change that stops calling qualified_fraction by its traced
+# name reads 0 here.
 BOOSTED_SYNTH_COUNTS = {
     "noise.sample_calls": 1,
     "noise.generators_made": 3,
     "sensitivity.smooth_calls": 0,
     "sensitivity.neighbor_rows": 0,
     "accountant.moment_terms": 32000,
+    "ensemble.histogram_scans": 8000,
 }
 # Counts of traced operation 1 on oracle-mc at seed 1.  It is the one workload
 # that calls smooth_sensitivity: once, in dp_ratio_check, on a 3-class input

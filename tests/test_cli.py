@@ -188,6 +188,21 @@ class TestAccountCommand:
         assert "delta_at_eps" not in captured.out
         assert captured.err == f"error: eps must be a finite non-negative number, got {float(eps)!r}\n"
 
+    def test_composed_sum_that_overflows_prints_inf(self, tmp_path, capsys):
+        # 1000 moment terms of 1e306 each overflow the float range at order 1
+        out_dir = tmp_path / "report"
+        assert run_cli(["run", "--mechanism", "lnmax", "--teachers", "5", "--queries", "1000",
+                        "--gamma", "5e152", "--seed", "1", "--out", str(out_dir)]) == 0
+        run_lines = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("privacy: ")]
+        assert [line.split(" (")[0] for line in run_lines] == [
+            "privacy: paper-moments eps=inf delta=1e-05",
+            "privacy: paper-simple eps=1e+156 delta=0",
+            "privacy: paper-advanced eps=inf delta=1e-05"]
+        assert run_cli(["account", "--ledger", str(out_dir / "ledger.csv"), "--eps", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["queries recorded: 1000", *run_lines, "delta_at_eps(1): 1"]
+
     def test_missing_ledger_is_error(self, tmp_path, capsys):
         code = run_cli(["account", "--ledger", str(tmp_path / "nope.csv")])
         assert code != 0

@@ -8,6 +8,7 @@ from dpvote import (
     BLOCK,
     ExperimentConfig,
     PrivacyLedger,
+    QueryResult,
     classical_gaussian_epsilon,
     emit_report,
     read_report,
@@ -313,6 +314,24 @@ class TestEmitAndRead:
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
         assert str(info.value) == f"{paths[name]}: {rows} rows, but query_count is 3"
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"mechanism": "nzc-gaussian", "gamma": None, "sigma": 2.0}, {"queries": 0}])
+    def test_results_are_the_rows_of_the_columns(self, tmp_path, overrides):
+        report = run_experiment(small_config(**{"queries": 30, **overrides}))
+        emit_report(report, tmp_path / "r")
+        for each in (report, read_report(tmp_path / "r")):
+            assert [len(column) for column in each.columns] == [each.query_count] * 7
+            assert each.results == tuple(map(QueryResult, *each.columns))
+
+    def test_ledger_row_of_another_mechanism_is_one_line_error(self, tmp_path):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        ledger = paths["ledger"].read_text().replace(",nzc-laplace,", ",lnmax,")
+        paths["ledger"].write_text(ledger)
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == (f"{paths['ledger']}:2: mechanism 'lnmax' differs from the "
+                                   f"config's 'nzc-laplace'")
 
     def test_round_trip_keeps_a_query_epsilon_that_overflowed(self, tmp_path):
         # a query's epsilon = 2 * gamma is inf for gamma above about 9e307, yet gamma is finite
