@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .noise import RngLike, ensure_generator
-from .votes import VoteHistogram, Votes, argmax, count_matrix, is_distance_n
+from .votes import VoteHistogram
 
 __all__ = [
     "DEFAULT_TEACHER_ACCURACY",
@@ -267,12 +267,16 @@ def load_ground_truth(path, num_classes: Optional[int] = None) -> dict[int, int]
     return dict(zip(query.tolist(), label.tolist()))
 
 
-def qualified_fraction(histograms: Votes, n: int) -> float:
-    """Fraction of histograms whose top-two gap strictly exceeds ``n``."""
-    if not len(histograms):
-        raise ValueError("qualified_fraction needs at least one histogram")
-    hits = int(np.count_nonzero(is_distance_n(count_matrix(histograms), n)))
-    return hits / len(histograms)
+def qualified_fraction(gaps, n: int) -> float:
+    """Fraction of queries whose top-two gap strictly exceeds ``n`` (distance-n qualified).
+
+    ``gaps`` is a gap column, such as ``gap(counts)`` or the ``gap`` column of queries.csv.
+    """
+    if not len(gaps):
+        raise ValueError("qualified_fraction needs at least one gap")
+    if n < 0 or int(n) != n:
+        raise ValueError(f"distance threshold must be a non-negative integer, got {n!r}")
+    return int(np.count_nonzero(np.asarray(gaps) > n)) / len(gaps)
 
 
 @dataclass(frozen=True)
@@ -284,26 +288,24 @@ class AccuracySummary:
     agreement_pct: float  # mechanism label == plurality label
 
 
-def ensemble_accuracy(
-    histograms: Votes,
-    truths: Sequence[int],
-    mechanism_labels: Sequence[int],
-) -> AccuracySummary:
-    """Compare the noiseless plurality and the mechanism output against ground truth."""
-    if not (len(histograms) == len(truths) == len(mechanism_labels)):
-        raise ValueError("histograms, truths and mechanism labels must align")
-    if not len(histograms):
+def ensemble_accuracy(clean_labels: Sequence[int], truths: Sequence[int],
+                      mechanism_labels: Sequence[int]) -> AccuracySummary:
+    """Compare the noiseless plurality and the mechanism output against ground truth.
+
+    The three label columns are aligned, one entry per query; ``clean_labels`` is
+    ``argmax(counts)`` or the ``clean_label`` column of queries.csv.
+    """
+    clean, truths, labels = map(np.asarray, (clean_labels, truths, mechanism_labels))
+    if not (len(clean) == len(truths) == len(labels)):
+        raise ValueError("clean labels, truths and mechanism labels must align")
+    if not len(clean):
         raise ValueError("ensemble_accuracy needs at least one query")
-    clean = argmax(count_matrix(histograms))
-    truths = np.asarray(truths)
-    mechanism_labels = np.asarray(mechanism_labels)
-    n = len(clean)
 
     def pct(hits: np.ndarray) -> float:
-        return 100.0 * int(np.count_nonzero(hits)) / n
+        return 100.0 * int(np.count_nonzero(hits)) / len(clean)
 
     return AccuracySummary(
         clean_pct=pct(clean == truths),
-        mechanism_pct=pct(mechanism_labels == truths),
-        agreement_pct=pct(clean == mechanism_labels),
+        mechanism_pct=pct(labels == truths),
+        agreement_pct=pct(clean == labels),
     )

@@ -91,8 +91,6 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
         spec = NoiseSpec(kind, sensitivity=sens[:, None], **{param_name: param})
         params = np.full_like(sens, param)
     else:
-        # a unit parameter with sensitivity = raw_scale draws at exactly raw_scale
-        spec = NoiseSpec(kind, sensitivity=raw_scale, **{param_name: 1.0})
         with np.errstate(over="ignore"):
             params = raw_scale / sens if kind == "gaussian" else sens / raw_scale
         bad = np.flatnonzero(~((params > 0.0) & (params < np.inf)))
@@ -100,6 +98,8 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
             raise ValueError(f"{mechanism}: {scale_name} {raw_scale!r} at sensitivity "
                              f"{float(sens[bad[0]])!r} gives {param_name} "
                              f"{float(params[bad[0]])!r}; it must be finite and positive")
+        # a unit parameter with sensitivity = raw_scale draws at exactly raw_scale
+        spec = NoiseSpec(kind, sensitivity=raw_scale, **{param_name: 1.0})
     noise = spec.sample(rng, size=values.shape)
     distinct, first, rows = np.unique(sens, return_index=True, return_inverse=True)
     shared = [LedgerEntry(mechanism, sensitivity=s, **{param_name: p})  # p is a function of s

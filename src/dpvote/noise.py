@@ -81,8 +81,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("laplace", "gaussian"):
             raise ValueError(f"noise kind must be 'laplace' or 'gaussian', got {self.kind!r}")
-        bad = np.asarray(self.sensitivity, dtype=np.float64)
-        bad = bad[~(bad > 0.0)]
+        sens = np.asarray(self.sensitivity, dtype=np.float64)
+        bad = sens[~(sens > 0.0)]
         if bad.size:
             raise ValueError(f"sensitivity must be positive, got {float(bad[0])!r}")
         if self.kind == "laplace":
@@ -95,6 +95,12 @@ class NoiseSpec:
                 raise ValueError("gaussian noise needs a positive sigma")
             if self.gamma is not None:
                 raise ValueError("gaussian noise takes sigma, not gamma")
+        with np.errstate(over="ignore"):
+            bad = sens[~np.isfinite(self.scale)]
+        if bad.size:
+            name, op = ("gamma", "/") if self.kind == "laplace" else ("sigma", "*")
+            raise ValueError(f"{self.kind} noise scale must be finite, got sensitivity "
+                             f"{float(bad[0])!r} {op} {name} {getattr(self, name)!r}")
 
     @property
     def scale(self):

@@ -238,6 +238,23 @@ def _run_mechanism(config: ExperimentConfig, counts: np.ndarray, rng: RngStream)
                         rng, std=config.scale)
 
 
+def _figures(clean, truths, labels, gaps, grid) -> dict:
+    """The accuracy and qualified-fraction fields of an ExperimentReport, from its query columns.
+
+    The columns are arrays; ``truths`` is None when no query has a truth label, which
+    leaves only the agreement.  With no query every figure is None and there is no fraction.
+    """
+    if not len(clean):
+        return dict(dict.fromkeys(_ACCURACY_TYPES), qualified_fractions=())
+    if truths is None:
+        pcts = None, None, 100.0 * int(np.count_nonzero(labels == clean)) / len(clean)
+    else:
+        summary = ensemble_accuracy(clean, truths, labels)
+        pcts = summary.clean_pct, summary.mechanism_pct, summary.agreement_pct
+    return dict(zip(_ACCURACY_TYPES, pcts),
+                qualified_fractions=tuple((n, qualified_fraction(gaps, n)) for n in grid))
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     start = time.perf_counter()
@@ -255,31 +272,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         sensitivities[rows] = batch.sensitivities
         parameters[rows] = batch.parameters
         ledger.record(*batch.ledger_entries)
-    clean = argmax(counts)
+    clean, gaps = argmax(counts), gap(counts)
     with np.errstate(over="ignore"):  # 2 * gamma is inf above about 9e307, as in LedgerEntry
         epsilons = (2.0 * parameters).tolist() if NOISE_KIND[config.mechanism] == "laplace" else None
     columns = [list(range(queries)), labels.tolist(), clean.tolist(), truths or [None] * queries,
-               gap(counts).tolist(), sensitivities.tolist(), epsilons or [None] * queries]
-
-    if truths is not None and queries:
-        summary = ensemble_accuracy(counts, truths, labels)
-        clean_pct, mech_pct, agree_pct = summary.clean_pct, summary.mechanism_pct, summary.agreement_pct
-    elif queries:
-        clean_pct = mech_pct = None
-        agree_pct = 100.0 * int(np.count_nonzero(labels == clean)) / queries
-    else:
-        clean_pct = mech_pct = agree_pct = None
-
-    qualified = tuple(
-        (n, qualified_fraction(counts, n)) for n in config.distance_grid
-    ) if queries else tuple()
+               gaps.tolist(), sensitivities.tolist(), epsilons or [None] * queries]
 
     return ExperimentReport(
         config=replace(config, queries=queries, teacher_accuracy=accuracy_used),
-        clean_accuracy_pct=clean_pct,
-        mechanism_accuracy_pct=mech_pct,
-        agreement_pct=agree_pct,
-        qualified_fractions=qualified,
+        **_figures(clean, truths, labels, gaps, config.distance_grid),
         privacy=ledger.figures(config.delta),
         columns=columns,
         ledger=ledger,
@@ -397,5 +398,18 @@ def read_report(out_dir) -> ExperimentReport:
         if count != config.queries:
             raise ValueError(f"{out / name}: {count} rows, but query_count is {config.queries}")
     columns = [[row[i] for row in rows] for i in range(len(_QUERY_TYPES))]
+    _, labels, clean, truths, gaps = columns[:5]
+    with_truth = sum(truth is not None for truth in truths)
+    if 0 < with_truth < len(truths):
+        raise ValueError(f"{out / QUERIES_FILE}: truth_label is set on {with_truth} of "
+                         f"{len(truths)} rows; set it on every row or none")
+    stated = {**figures, "qualified_fractions": qualified}
+    for key, value in _figures(np.asarray(clean), truths if with_truth else None,
+                               np.asarray(labels), np.asarray(gaps),
+                               tuple(n for n, _ in qualified)).items():
+        value = (tuple((n, _round12(f)) for n, f in value) if key == "qualified_fractions"
+                 else _round12(value))
+        if stated[key] != value:
+            raise ValueError(f"{where} {key} is {stated[key]!r}, but {QUERIES_FILE} gives {value!r}")
     return ExperimentReport(config=config, qualified_fractions=qualified, privacy=privacy,
                             columns=columns, ledger=ledger, **figures)

@@ -24,9 +24,9 @@ END_TO_END = ("setup_s", "items_per_s", "op_s_p50", "op_s_tail", "peak_rss_mb")
 # sensitivity scan that is meant to move these counts updates them in the same
 # commit.  The batch core draws one block: one generator each for truths,
 # votes and noise, and one noise draw; the closed-form sensitivity calls no
-# neighbour scan.  The run scans its 1000 histograms once per distance-grid
-# entry (8), so a change that stops calling qualified_fraction by its traced
-# name reads 0 here.
+# neighbour scan.  The run reads one cell of its 1000-long gap column per
+# distance-grid entry (8) and query, so a change that stops calling
+# qualified_fraction by its traced name reads 0 here.
 BOOSTED_SYNTH_COUNTS = {
     "noise.sample_calls": 1,
     "noise.generators_made": 3,
@@ -48,7 +48,7 @@ ORACLE_MC_COUNTS = {
 # Counts of traced operation 1 on baseline-replay at seed 1 (lnmax over 1000
 # queries read from a prediction CSV).  It makes one generator and one noise
 # draw, converts its 1000-entry ledger once with eps_for_delta (1000 entries x
-# 32 orders) and scans its 1000 histograms once per distance-grid entry (8).
+# 32 orders) and reads one gap-column cell per distance-grid entry (8) and query.
 # A change that stops calling eps_for_delta or qualified_fraction by its traced
 # name reads 0 here.
 BASELINE_REPLAY_COUNTS = {

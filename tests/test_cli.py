@@ -106,6 +106,22 @@ class TestRunCommand:
             f"error: {mechanism}: {message}; it must be finite and positive\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("mechanism, flags, message", [
+        ("nzc-laplace", ["--c", "1e308", "--gamma", "0.1"],
+         "laplace noise scale must be finite, got sensitivity 3.6787944117144235e+307 / gamma 0.1"),
+        ("nzc-gaussian", ["--c", "1e100", "--sigma", "1e300"],
+         "gaussian noise scale must be finite, got sensitivity 3.6787944117144233e+99 * sigma 1e+300"),
+    ])
+    def test_calibrated_scale_that_overflows_is_one_line_error(self, tmp_path, capsys,
+                                                              mechanism, flags, message):
+        # sensitivity / gamma (or * sigma) is inf: the noise would decide every label
+        out_dir = tmp_path / "r"
+        code = run_cli(["run", "--mechanism", mechanism, "--teachers", "5", "--queries", "20",
+                        *flags, "--seed", "1", "--out", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("mechanism, flags", [
         ("nzc-laplace", ["--gamma", "0.5", "--beta", "1e300", "--c", "10"]),
         ("nzc-gaussian", ["--sigma", "0.5", "--beta", "800"]),

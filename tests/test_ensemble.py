@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpvote import (
+    AccuracySummary,
     RngStream,
     SyntheticTeacherSpec,
     VoteHistogram,
     argmax,
+    count_matrix,
     default_accuracy,
     ensemble_accuracy,
+    gap,
     is_distance_n,
     load_ground_truth,
     load_predictions,
@@ -188,20 +191,48 @@ class TestLoadGroundTruth:
             load_ground_truth(t)
 
 
+def fraction_from_histograms(votes, n):
+    """The definition from the vote counts: the share of rows that are distance-n qualified."""
+    counts = count_matrix(votes)
+    return int(np.count_nonzero(is_distance_n(counts, n))) / len(counts)
+
+
+def accuracy_from_histograms(votes, truths, mechanism_labels):
+    """The accuracies with the clean plurality recounted from the vote counts."""
+    clean = argmax(count_matrix(votes))
+    truths, mechanism_labels = np.asarray(truths), np.asarray(mechanism_labels)
+
+    def pct(hits):
+        return 100.0 * int(np.count_nonzero(hits)) / len(clean)
+
+    return AccuracySummary(clean_pct=pct(clean == truths),
+                           mechanism_pct=pct(mechanism_labels == truths),
+                           agreement_pct=pct(clean == mechanism_labels))
+
+
+def random_count_matrices(seed, cases=300):
+    """(count matrix, teacher count) pairs with few teachers, so ties and gaps of 0 are common."""
+    gen = np.random.default_rng(seed)
+    for _ in range(cases):
+        teachers, classes, rows = (int(gen.integers(1, 13)), int(gen.integers(2, 6)),
+                                   int(gen.integers(1, 41)))
+        yield gen.multinomial(teachers, gen.dirichlet(np.ones(classes)), size=rows), teachers
+
+
 class TestQualifiedFraction:
     def test_unanimous_set(self):
-        hists = [VoteHistogram([12, 0, 0]) for _ in range(4)]
-        assert qualified_fraction(hists, 5) == 1.0
+        gaps = gap([VoteHistogram([12, 0, 0]) for _ in range(4)])
+        assert qualified_fraction(gaps, 5) == 1.0
 
     def test_threshold_at_teacher_count(self):
-        hists = [VoteHistogram([12, 0, 0])]
-        assert qualified_fraction(hists, 12) == 0.0
+        gaps = gap([VoteHistogram([12, 0, 0])])
+        assert qualified_fraction(gaps, 12) == 0.0
 
     def test_monotone_non_increasing_in_n(self):
         spec = SyntheticTeacherSpec(teacher_count=250, num_classes=10, accuracy=0.8118)
         stream = RngStream(10)
-        hists = [synth_votes(spec, i % 10, stream.substream(i)) for i in range(1000)]
-        fracs = [qualified_fraction(hists, n) for n in (3, 10, 50)]
+        gaps = gap([synth_votes(spec, i % 10, stream.substream(i)) for i in range(1000)])
+        fracs = [qualified_fraction(gaps, n) for n in (3, 10, 50)]
         assert fracs[0] >= fracs[1] >= fracs[2]
 
     def test_perfect_teachers_qualify_up_to_t_minus_one(self):
@@ -209,33 +240,70 @@ class TestQualifiedFraction:
         v = synth_votes(spec, 0, RngStream(11))
         assert is_distance_n(v, sum(v.counts) - 1)
 
+    def test_gap_column_matches_the_histogram_definition(self):
+        checked = ties = 0
+        for counts, teachers in random_count_matrices(seed=21):
+            gaps = gap(counts)
+            ties += int(np.count_nonzero(gaps == 0))
+            for n in range(teachers + 2):  # n = 0 up to beyond the teacher count
+                expected = fraction_from_histograms(counts, n)
+                assert qualified_fraction(gaps, n) == expected
+                assert qualified_fraction(gaps.tolist(), n) == expected  # a queries.csv column
+                checked += 1
+        assert checked > 2000 and ties > 100
+
+    @pytest.mark.parametrize("gaps, n, message", [
+        ([], 1, "at least one gap"),
+        (np.array([], dtype=np.int64), 0, "at least one gap"),
+        ([3, 0], -1, "non-negative integer"),
+        ([3, 0], 1.5, "non-negative integer"),
+    ])
+    def test_empty_column_or_bad_threshold_is_refused(self, gaps, n, message):
+        with pytest.raises(ValueError, match=message):
+            qualified_fraction(gaps, n)
+
 
 class TestEnsembleAccuracy:
     def test_noiseless_mechanism_equals_clean(self):
         hists = [VoteHistogram([5, 1, 0]), VoteHistogram([0, 6, 0]), VoteHistogram([1, 2, 3])]
         truths = [0, 1, 0]
-        labels = [argmax(h) for h in hists]
-        summary = ensemble_accuracy(hists, truths, labels)
+        clean = argmax(hists)
+        summary = ensemble_accuracy(clean, truths, clean)
         assert summary.mechanism_pct == summary.clean_pct
         assert summary.agreement_pct == 100.0
         assert summary.clean_pct == pytest.approx(100 * 2 / 3)
 
     def test_degraded_mechanism_scores_lower(self):
-        hists = [VoteHistogram([5, 1]), VoteHistogram([5, 1])]
-        summary = ensemble_accuracy(hists, [0, 0], [0, 1])
+        clean = argmax([VoteHistogram([5, 1]), VoteHistogram([5, 1])])
+        summary = ensemble_accuracy(clean, [0, 0], [0, 1])
         assert summary.mechanism_pct == 50.0
         assert summary.clean_pct == 100.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            ensemble_accuracy([VoteHistogram([1, 1])], [0, 1], [0])
+            ensemble_accuracy(argmax([VoteHistogram([1, 1])]), [0, 1], [0])
 
     def test_count_matrix_equals_histogram_list(self):
         hists = [VoteHistogram([5, 1, 0]), VoteHistogram([0, 6, 0]), VoteHistogram([1, 2, 3])]
         counts = np.array([h.counts for h in hists])
-        assert ensemble_accuracy(counts, [0, 1, 0], [0, 2, 2]) == ensemble_accuracy(
-            hists, [0, 1, 0], [0, 2, 2])
-        assert qualified_fraction(counts, 3) == qualified_fraction(hists, 3) == 2 / 3
+        assert ensemble_accuracy(argmax(counts), [0, 1, 0], [0, 2, 2]) == ensemble_accuracy(
+            argmax(hists), [0, 1, 0], [0, 2, 2])
+        assert qualified_fraction(gap(counts), 3) == qualified_fraction(gap(hists), 3) == 2 / 3
+
+    def test_empty_columns_are_refused(self):
+        with pytest.raises(ValueError, match="at least one query"):
+            ensemble_accuracy([], [], [])
+
+    def test_label_columns_match_the_histogram_definition(self):
+        gen = np.random.default_rng(22)
+        for counts, _ in random_count_matrices(seed=23):
+            classes = counts.shape[1]
+            truths = gen.integers(classes, size=len(counts))
+            labels = gen.integers(classes, size=len(counts))
+            expected = accuracy_from_histograms(counts, truths, labels)
+            assert ensemble_accuracy(argmax(counts), truths, labels) == expected
+            assert ensemble_accuracy(argmax(counts).tolist(), truths.tolist(),
+                                     labels.tolist()) == expected
 
 
 PRED = "query_id,teacher_id,label\n"

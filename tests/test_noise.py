@@ -171,6 +171,21 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kind="laplace", gamma=0.1, sensitivity=3.6787944117144235e307),
+         "laplace noise scale must be finite, got sensitivity 3.6787944117144235e+307 / gamma 0.1"),
+        (dict(kind="laplace", gamma=1.0, sensitivity=np.array([[1.0], [np.inf]])),
+         "laplace noise scale must be finite, got sensitivity inf / gamma 1.0"),
+        (dict(kind="gaussian", sigma=1e300, sensitivity=np.array([[1.0], [1e10]])),
+         "gaussian noise scale must be finite, got sensitivity 10000000000.0 * sigma 1e+300"),
+        (dict(kind="laplace", gamma=5e-324), "got sensitivity 1.0 / gamma 5e-324"),
+    ])
+    def test_rejects_a_scale_that_is_not_finite(self, kwargs, message):
+        # the calibrated scale overflows to inf, which would drown every count in infinite noise
+        with pytest.raises(ValueError) as info:
+            NoiseSpec(**kwargs)
+        assert str(info.value).endswith(message)
+
 
 class TestExceedanceAgainstUnionBound:
     def test_laplace_grid(self):

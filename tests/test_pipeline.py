@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dpvote import (
@@ -152,6 +153,32 @@ class TestRunExperiment:
                                 predictions=str(preds), queries=9, gamma=1.0)
         with pytest.raises(ValueError, match="exceeds"):
             run_experiment(over)
+
+
+    def test_run_partitions_the_count_matrix_at_most_once(self, monkeypatch):
+        # one gap column fills queries.csv and gives every qualified fraction
+        calls = []
+        partition = np.partition
+        monkeypatch.setattr(np, "partition", lambda *args, **kwargs: (
+            calls.append(args[0].shape), partition(*args, **kwargs))[1])
+        report = run_experiment(small_config(queries=1000, teachers=250, boost_constant=1e100))
+        assert len(report.qualified_fractions) == 8
+        assert len(calls) <= 1
+
+    def test_run_without_truth_reports_only_the_agreement(self, tmp_path):
+        preds = tmp_path / "preds.csv"
+        rows = [f"{q},{t},{(q + (t == 0)) % 3}" for q in range(8) for t in range(5)]
+        preds.write_text("query_id,teacher_id,label\n" + "\n".join(rows) + "\n")
+        report = run_experiment(ExperimentConfig(mechanism="lnmax", seed=5, num_classes=3,
+                                                 predictions=str(preds), gamma=0.1))
+        assert (report.clean_accuracy_pct, report.mechanism_accuracy_pct) == (None, None)
+        clean = [r.clean_label for r in report.results]
+        agree = sum(r.returned_label == c for r, c in zip(report.results, clean))
+        assert report.agreement_pct == 100.0 * agree / 8
+        assert report.qualified_fractions[:2] == ((1, 1.0), (2, 1.0))  # every gap is 3
+        paths = emit_report(report, tmp_path / "first")
+        again = emit_report(read_report(tmp_path / "first"), tmp_path / "second")
+        assert paths["summary"].read_bytes() == again["summary"].read_bytes()
 
 
 class TestBlockStreams:
@@ -409,6 +436,52 @@ class TestEmitAndRead:
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
         assert str(info.value) == f"{paths['summary']}: {message}"
+
+    @pytest.mark.parametrize("key, value", [
+        ("agreement_pct", 12),
+        ("clean_accuracy_pct", 33),
+        ("mechanism_accuracy_pct", None),
+        ("qualified_fractions", 0.5),
+    ])
+    def test_summary_figure_that_the_query_columns_contradict_is_one_line_error(
+            self, tmp_path, key, value):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        summary = json.loads(paths["summary"].read_text())
+        edited = json.loads(paths["summary"].read_text())
+        if key == "qualified_fractions":
+            edited[key][0]["fraction"] = value
+            value, derived = (tuple((e["n"], e["fraction"]) for e in rows)
+                              for rows in (edited[key], summary[key]))
+        else:
+            edited[key], derived = value, summary[key]
+        paths["summary"].write_text(json.dumps(edited))
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == (f"{paths['summary']}: {key} is {value!r}, "
+                                   f"but queries.csv gives {derived!r}")
+
+    # (cell index in queries.csv, new text of that cell on the given rows, error after the path)
+    @pytest.mark.parametrize("cell, value, rows, message", [
+        (4, "0", [0, 1, 2], "summary.json: qualified_fractions is ((0, 1.0), (5, 1.0), "
+                            "(25, 1.0)), but queries.csv gives ((0, 0.0), (5, 0.0), (25, 0.0))"),
+        (3, "", [0], "queries.csv: truth_label is set on 2 of 3 rows; set it on every row or none"),
+        (3, "", [0, 1, 2], "summary.json: clean_accuracy_pct is 100.0, but queries.csv gives None"),
+    ], ids=["gap", "truth_on_some_rows", "truth_on_no_row"])
+    def test_query_columns_that_contradict_the_summary_are_one_line_error(
+            self, tmp_path, cell, value, rows, message):
+        report = run_experiment(small_config(queries=3, distance_grid=(0, 5, 25)))
+        assert report.clean_accuracy_pct == 100.0
+        assert report.qualified_fractions == ((0, 1.0), (5, 1.0), (25, 1.0))
+        paths = emit_report(report, tmp_path / "r")
+        lines = paths["queries"].read_text().splitlines()
+        for row in rows:
+            cells = lines[row + 1].split(",")
+            cells[cell] = value
+            lines[row + 1] = ",".join(cells)
+        paths["queries"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == f"{tmp_path / 'r'}/{message}"
 
     def test_qualified_table_has_one_row_per_grid_entry(self, tmp_path):
         report = run_experiment(small_config(queries=30))
