@@ -1,8 +1,11 @@
 """Declared field types, their checks, and the one grammar of queries.csv and ledger.csv.
 
 A table is a header of column names, then one row per record starting with its
-position (0, 1, ...): ints in full, floats at 12 significant digits, None as an
-empty cell.  Reading skips empty lines and takes a cell only as it is written.
+position (0, 1, ...): ints in full, floats in their shortest round-trip form
+(``repr`` without a trailing ``.0``: 1.0 is ``1``, -0.0 is ``-0``), None as an
+empty cell.  A float reads back as the float written, so a figure derived from
+a table is the run's own.  Reading skips empty lines and takes a cell only as
+it is written.
 """
 
 from __future__ import annotations
@@ -47,35 +50,34 @@ TYPE_CHECKS = {
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
 }
-# a privacy figure may be infinite: a summary eps or a query's 2 * gamma can overflow to inf
+# a queries.csv float may be infinite: a query's epsilon 2 * gamma overflows above about 9e307
 PRIVACY_CHECKS = {**TYPE_CHECKS, float: ("a number", _is_number)}
 
 
-def check_type(where: str, name: str, value, declared: tuple[type, bool],
-               checks: dict = TYPE_CHECKS) -> None:
+def check_type(where: str, name: str, value, declared: tuple[type, bool]) -> None:
     """Raise a one-line ValueError naming ``where`` and ``name`` unless ``value`` fits ``declared``.
 
     ``declared`` is a (base type, whether None is allowed) pair from ``field_types``.
     """
     base, optional = declared
-    wanted, fits = checks[base]
+    wanted, fits = TYPE_CHECKS[base]
     if not (optional if value is None else fits(value)):
         raise ValueError(f"{where} {name} must be {wanted}{' or null' if optional else ''}, "
                          f"got {value!r}")
 
 
-def format12(value) -> str:
-    """A float at 12 significant digits, the precision of every float a report holds."""
-    return f"{value:.12g}"
+def _format_float(value) -> str:
+    """The table cell of a float: its shortest round-trip form, without a trailing ``.0``."""
+    return repr(float(value)).removesuffix(".0")
 
 
 def _column_cells(values, base: type):
     """The cells of one column; each distinct float is formatted once."""
     if base is not float:
         return ["" if value is None else str(value) for value in values]
-    text = {value: "" if value is None else format12(value) for value in set(values)}
+    text = {value: "" if value is None else _format_float(value) for value in set(values)}
     if 0.0 in text:  # 0.0 and -0.0 are one key, but -0.0 is written "-0"
-        return ["" if value is None else format12(value) for value in values]
+        return ["" if value is None else _format_float(value) for value in values]
     return map(text.__getitem__, values)
 
 
@@ -122,7 +124,7 @@ def _cell_parser(name: str, declared: tuple[type, bool], checks: dict):
     """Cell text -> value; each distinct cell is checked once, and only as it is written."""
     base, optional = declared
     wanted, fits = checks[base]
-    write = format12 if base is float else str
+    write = _format_float if base is float else str
     known = {"": None} if optional else {}
 
     def parse(cell: str):

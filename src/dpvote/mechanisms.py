@@ -20,7 +20,6 @@ from .sensitivity import enumerate_neighbors, smooth_sensitivity, smooth_values
 from .votes import VoteHistogram, Votes, argmax, boost, count_matrix
 
 __all__ = [
-    "MechanismOutcome",
     "MechanismBatch",
     "DpRatioResult",
     "noisy_argmax",
@@ -35,18 +34,9 @@ __all__ = [
 _PARAMETERS = {"laplace": ("gamma", "scale"), "gaussian": ("sigma", "std")}
 
 
-@dataclass(frozen=True)
-class MechanismOutcome:
-    """What one mechanism invocation returned and what it cost."""
-
-    returned_label: int
-    sensitivity: float
-    ledger_entry: LedgerEntry
-
-
 @dataclass(frozen=True, eq=False)
 class MechanismBatch:
-    """What a mechanism returned for each row of a count matrix, and what each answer cost.
+    """What a mechanism returned for each query, and what each answer cost; a histogram is one row.
 
     Rows with the same sensitivity share one (immutable) ledger entry.
     """
@@ -108,40 +98,31 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
                           tuple(map(shared.__getitem__, rows.tolist())))
 
 
-def _answer(votes: Votes, batch: MechanismBatch):
-    """The batch for a count matrix; its one row as a MechanismOutcome for a histogram."""
-    if not isinstance(votes, VoteHistogram):
-        return batch
-    return MechanismOutcome(int(batch.returned_labels[0]), float(batch.sensitivities[0]),
-                            batch.ledger_entries[0])
-
-
-def lnmax(votes: Votes, gamma: Optional[float], rng: RngLike, *, scale: Optional[float] = None):
+def lnmax(votes: Votes, gamma: Optional[float], rng: RngLike, *,
+          scale: Optional[float] = None) -> MechanismBatch:
     """Baseline noisy argmax: Laplace(1 / gamma) added to the raw counts.
 
     The sensitivity is 1: one teacher changing its vote moves each count by at most 1.
     """
     counts = count_matrix(votes)
     sens = np.ones(len(counts))
-    return _answer(votes, _release("lnmax", counts.astype(np.float64), sens, gamma, scale, rng))
+    return _release("lnmax", counts.astype(np.float64), sens, gamma, scale, rng)
 
 
 def nzc_laplace(votes: Votes, boost_constant: float, gamma: Optional[float], beta: float,
-                rng: RngLike, *, scale: Optional[float] = None):
+                rng: RngLike, *, scale: Optional[float] = None) -> MechanismBatch:
     """Boosted noisy argmax with Laplace noise scaled to the smooth sensitivity."""
     counts = count_matrix(votes)
     sens = smooth_values(counts, boost_constant, beta)
-    batch = _release("nzc-laplace", boost(counts, boost_constant), sens, gamma, scale, rng)
-    return _answer(votes, batch)
+    return _release("nzc-laplace", boost(counts, boost_constant), sens, gamma, scale, rng)
 
 
 def nzc_gaussian(votes: Votes, boost_constant: float, sigma: Optional[float], beta: float,
-                 rng: RngLike, *, std: Optional[float] = None):
+                 rng: RngLike, *, std: Optional[float] = None) -> MechanismBatch:
     """Boosted noisy argmax with Gaussian noise of std = smooth sensitivity * sigma."""
     counts = count_matrix(votes)
     sens = smooth_values(counts, boost_constant, beta)
-    batch = _release("nzc-gaussian", boost(counts, boost_constant), sens, sigma, std, rng)
-    return _answer(votes, batch)
+    return _release("nzc-gaussian", boost(counts, boost_constant), sens, sigma, std, rng)
 
 
 def flip_probability_mc(

@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ._table import PRIVACY_CHECKS, check_type, field_types, format12, format_table, read_table
+from ._table import PRIVACY_CHECKS, check_type, field_types, format_table, read_table
 from .accountant import NOISE_KIND, PrivacyFigure, PrivacyLedger
 from .ensemble import (
     SyntheticTeacherSpec,
@@ -238,21 +239,23 @@ def _run_mechanism(config: ExperimentConfig, counts: np.ndarray, rng: RngStream)
                         rng, std=config.scale)
 
 
-def _figures(clean, truths, labels, gaps, grid) -> dict:
-    """The accuracy and qualified-fraction fields of an ExperimentReport, from its query columns.
+def _figures(config: ExperimentConfig, ledger: PrivacyLedger, labels, clean, truths, gaps) -> dict:
+    """The figure fields of an ExperimentReport, from its query columns and its ledger.
 
-    The columns are arrays; ``truths`` is None when no query has a truth label, which
-    leaves only the agreement.  With no query every figure is None and there is no fraction.
+    ``run_experiment`` and ``read_report`` both derive a report's figures here.  The
+    columns are arrays; ``truths`` is None when no query has a truth label, which leaves
+    only the agreement.  With no query every accuracy is None and there is no fraction.
     """
+    privacy = ledger.figures(config.delta)
     if not len(clean):
-        return dict(dict.fromkeys(_ACCURACY_TYPES), qualified_fractions=())
+        return dict(dict.fromkeys(_ACCURACY_KEYS), qualified_fractions=(), privacy=privacy)
     if truths is None:
         pcts = None, None, 100.0 * int(np.count_nonzero(labels == clean)) / len(clean)
     else:
         summary = ensemble_accuracy(clean, truths, labels)
         pcts = summary.clean_pct, summary.mechanism_pct, summary.agreement_pct
-    return dict(zip(_ACCURACY_TYPES, pcts),
-                qualified_fractions=tuple((n, qualified_fraction(gaps, n)) for n in grid))
+    fractions = tuple((n, qualified_fraction(gaps, n)) for n in config.distance_grid)
+    return dict(zip(_ACCURACY_KEYS, pcts), qualified_fractions=fractions, privacy=privacy)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -280,8 +283,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     return ExperimentReport(
         config=replace(config, queries=queries, teacher_accuracy=accuracy_used),
-        **_figures(clean, truths, labels, gaps, config.distance_grid),
-        privacy=ledger.figures(config.delta),
+        **_figures(config, ledger, labels, clean, truths, gaps),
         columns=columns,
         ledger=ledger,
         runtime_seconds=time.perf_counter() - start,
@@ -289,13 +291,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _round12(value: Optional[float]) -> Optional[float]:
-    return None if value is None else float(format12(value))
-
-
-def _summary_object(obj, summary_fields) -> dict:
-    """summary.json object of (field name, key, declared base type) fields, floats rounded."""
-    return {key: _round12(getattr(obj, name)) if base is float else getattr(obj, name)
-            for name, key, base in summary_fields}
+    return None if value is None else float(f"{value:.12g}")
 
 
 SUMMARY_FILE = "summary.json"
@@ -306,14 +302,27 @@ _SUMMARY_FIELDS = tuple(
     (f.name, f.metadata.get("summary", f.name), _CONFIG_TYPES[f.name][0])
     for f in fields(ExperimentConfig) if f.metadata.get("summary", f.name) is not None
 )
-# (field name, key, declared base type) of each PrivacyFigure field in the privacy list
-_FIGURE_TYPES = field_types(PrivacyFigure)
-_FIGURE_FIELDS = tuple((f, f, base) for f, (base, _) in _FIGURE_TYPES.items())
-# ExperimentReport figures at the top level of summary.json, with their declared types
-_ACCURACY_TYPES = {key: declared for key, declared in field_types(ExperimentReport).items()
-                   if key in ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct")}
-# declared type of the fraction in each (n, fraction) pair of ExperimentReport.qualified_fractions
-_FRACTION_TYPE = (float, False)
+# ExperimentReport figures at the top level of summary.json
+_ACCURACY_KEYS = ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct")
+# the table each summary.json figure is derived from; every other key is a config field
+_SOURCES = {"qualified_fractions": QUERIES_FILE, "privacy": LEDGER_FILE,
+            **dict.fromkeys(_ACCURACY_KEYS, QUERIES_FILE)}
+
+
+def _summary(report: ExperimentReport) -> dict:
+    """The summary.json object of a report: its config fields as the run resolved them,
+    float fields as floats, then its figures at 12 significant digits."""
+    summary = {}
+    for name, key, base in _SUMMARY_FIELDS:
+        value = getattr(report.config, name)
+        summary[key] = float(value) if base is float and value is not None else value
+    summary.update({key: _round12(getattr(report, key)) for key in _ACCURACY_KEYS})
+    summary["qualified_fractions"] = [
+        {"n": n, "fraction": _round12(frac)} for n, frac in report.qualified_fractions
+    ]
+    summary["privacy"] = [{**vars(f), "eps": _round12(f.eps), "delta": _round12(f.delta)}
+                          for f in report.privacy]
+    return summary
 
 
 def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
@@ -321,14 +330,8 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary = _summary_object(report.config, _SUMMARY_FIELDS)
-    summary.update({key: _round12(getattr(report, key)) for key in _ACCURACY_TYPES})
-    summary["qualified_fractions"] = [
-        {"n": n, "fraction": _round12(frac)} for n, frac in report.qualified_fractions
-    ]
-    summary["privacy"] = [_summary_object(f, _FIGURE_FIELDS) for f in report.privacy]
     summary_path = out / SUMMARY_FILE
-    summary_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    summary_path.write_text(json.dumps(_summary(report), indent=2) + "\n", encoding="utf-8")
 
     queries_path = out / QUERIES_FILE
     queries_path.write_text(format_table(_QUERY_TYPES, report.columns), encoding="utf-8")
@@ -339,45 +342,44 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
 
 
 def read_report(out_dir) -> ExperimentReport:
-    """Parse a report directory back into an ExperimentReport (runtime and out_dir are not stored)."""
+    """Parse a report directory back into an ExperimentReport (runtime and out_dir are not stored).
+
+    The config comes from summary.json and the figures are derived from the tables as
+    ``run_experiment`` derives them; a summary.json other than the one ``emit_report``
+    writes for the result is refused with one line naming the first key that differs.
+    """
     out = Path(out_dir)
+    where = f"{out / SUMMARY_FILE}:"
     try:
         summary = json.loads((out / SUMMARY_FILE).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{out / SUMMARY_FILE}: not valid JSON: {exc}") from None
+        raise ValueError(f"{where} not valid JSON: {exc}") from None
 
     try:
-        qualified = tuple((e["n"], e["fraction"]) for e in summary["qualified_fractions"])
         values = {name: summary[key] for name, key, _ in _SUMMARY_FIELDS}
-        figures = {key: summary[key] for key in _ACCURACY_TYPES}
-        privacy = tuple(PrivacyFigure(**figure) for figure in summary["privacy"])
+        values["distance_grid"] = tuple(e["n"] for e in summary["qualified_fractions"])
     except KeyError as exc:
-        raise ValueError(f"{out / SUMMARY_FILE}: missing key {exc.args[0]!r}") from None
-    except TypeError:  # valid JSON of another shape, e.g. a list or "privacy": null
-        raise ValueError(f"{out / SUMMARY_FILE}: expected an object with a qualified_fractions "
-                         f"list of {{n, fraction}} objects and a privacy list of "
-                         f"{{accounting, definition, eps, delta}} objects") from None
-    where = f"{out / SUMMARY_FILE}:"
-    for key, declared in _ACCURACY_TYPES.items():
-        check_type(where, key, figures[key], declared)
-    for _, fraction in qualified:
-        check_type(where, "qualified fraction", fraction, _FRACTION_TYPE)
-    for figure in privacy:
-        for name, declared in _FIGURE_TYPES.items():
-            check_type(f"{where} privacy", name, getattr(figure, name), declared, PRIVACY_CHECKS)
-    if qualified:
-        values["distance_grid"] = tuple(n for n, _ in qualified)
+        raise ValueError(f"{where} missing key {exc.args[0]!r}") from None
+    except TypeError:  # valid JSON of another shape, e.g. a list or "qualified_fractions": 5
+        raise ValueError(f"{where} expected an object with a qualified_fractions "
+                         f"list of {{n, fraction}} objects") from None
     config = config_from_dict(values, str(out / SUMMARY_FILE))
 
     ledger = PrivacyLedger.load(out / LEDGER_FILE)
+    param = "gamma" if NOISE_KIND[config.mechanism] == "laplace" else "sigma"
+    given = getattr(config, param)  # None when the config pins the raw scale instead
     for index, entry in enumerate(ledger.entries):
-        if entry.mechanism != config.mechanism:  # row i is the line whose first cell is i
-            lines = (out / LEDGER_FILE).read_text(encoding="utf-8").splitlines()
-            line = [row.split(",")[0] for row in lines].index(str(index)) + 1
-            raise ValueError(f"{out / LEDGER_FILE}:{line}: mechanism {entry.mechanism!r} "
-                             f"differs from the config's {config.mechanism!r}")
+        if entry.mechanism != config.mechanism:
+            fault = f"mechanism {entry.mechanism!r} differs from the config's {config.mechanism!r}"
+        elif given not in (None, getattr(entry, param)):
+            fault = f"{param} {getattr(entry, param)!r} differs from the config's {given!r}"
+        else:
+            continue
+        lines = (out / LEDGER_FILE).read_text(encoding="utf-8").splitlines()
+        line = [row.split(",")[0] for row in lines].index(str(index)) + 1  # row i starts with i
+        raise ValueError(f"{out / LEDGER_FILE}:{line}: {fault}")
 
-    def query_row(*cells) -> tuple:  # every label is a class of the run
+    def query_row(*cells) -> tuple:  # every label is a class of the run; costs are its ledger row's
         row = QueryResult(*cells)
         for name in ("returned_label", "clean_label", "truth_label"):
             label = getattr(row, name)
@@ -385,12 +387,10 @@ def read_report(out_dir) -> ExperimentReport:
                 raise ValueError(f"{name} must lie in [0, {config.num_classes}), got {label}")
         if row.query_id < ledger.query_count:  # a row count that differs is refused below
             entry = ledger.entries[row.query_id]
-            if row.sensitivity != entry.sensitivity:
-                raise ValueError(f"sensitivity {row.sensitivity!r} differs from the "
-                                 f"{entry.sensitivity!r} of {LEDGER_FILE} row {row.query_id}")
-            if (row.epsilon is None) != (entry.epsilon is None):
-                raise ValueError(f"epsilon must be {'empty' if entry.epsilon is None else 'set'} "
-                                 f"on a {entry.mechanism} row")
+            for name in ("sensitivity", "epsilon"):
+                if getattr(row, name) != getattr(entry, name):
+                    raise ValueError(f"{name} {getattr(row, name)!r} differs from the "
+                                     f"{getattr(entry, name)!r} of {LEDGER_FILE} row {row.query_id}")
         return cells
 
     rows = read_table(out / QUERIES_FILE, _QUERY_TYPES, PRIVACY_CHECKS, query_row)
@@ -403,13 +403,24 @@ def read_report(out_dir) -> ExperimentReport:
     if 0 < with_truth < len(truths):
         raise ValueError(f"{out / QUERIES_FILE}: truth_label is set on {with_truth} of "
                          f"{len(truths)} rows; set it on every row or none")
-    stated = {**figures, "qualified_fractions": qualified}
-    for key, value in _figures(np.asarray(clean), truths if with_truth else None,
-                               np.asarray(labels), np.asarray(gaps),
-                               tuple(n for n, _ in qualified)).items():
-        value = (tuple((n, _round12(f)) for n, f in value) if key == "qualified_fractions"
-                 else _round12(value))
-        if stated[key] != value:
-            raise ValueError(f"{where} {key} is {stated[key]!r}, but {QUERIES_FILE} gives {value!r}")
-    return ExperimentReport(config=config, qualified_fractions=qualified, privacy=privacy,
-                            columns=columns, ledger=ledger, **figures)
+    report = ExperimentReport(config=config, columns=columns, ledger=ledger, **_figures(
+        config, ledger, np.asarray(labels), np.asarray(clean), truths if with_truth else None,
+        np.asarray(gaps)))
+
+    derived = _summary(report)
+    for key, value in derived.items():
+        if key not in summary:
+            raise ValueError(f"{where} missing key {key!r}")
+        name, stated = key, summary[key]
+        if json.dumps(stated) == json.dumps(value):  # JSON text, so 100 is not 100.0
+            continue
+        if key == "privacy" and isinstance(stated, list):  # name the first record that differs
+            stated, value = next(pair for pair in zip_longest(stated, value)
+                                 if json.dumps(pair[0]) != json.dumps(pair[1]))
+            name = f"privacy {value['accounting']}" if value else key
+        raise ValueError(f"{where} {name} is {json.dumps(stated)}, but "
+                         f"{_SOURCES.get(key, 'the config')} gives {json.dumps(value)}")
+    unknown = [key for key in summary if key not in derived]
+    if unknown:
+        raise ValueError(f"{where} unknown key {unknown[0]!r}")
+    return report

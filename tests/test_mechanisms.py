@@ -40,7 +40,7 @@ class TestLnmax:
         v = VoteHistogram([250] + [0] * 9)
         stream = RngStream(100)
         hits = sum(
-            lnmax(v, 20.0, stream.substream(i)).returned_label == 0
+            lnmax(v, 20.0, stream.substream(i)).returned_labels[0] == 0
             for i in range(10_000)
         )
         assert hits / 10_000 >= 0.999
@@ -48,24 +48,24 @@ class TestLnmax:
     def test_zero_noise_limit_recovers_argmax(self):
         v = VoteHistogram([3, 9, 4])
         out = lnmax(v, 1e12, RngStream(101))
-        assert out.returned_label == argmax(v)
+        assert out.returned_labels[0] == argmax(v)
 
     def test_symmetric_votes_split_evenly(self):
         stream = RngStream(102)
         hits = sum(
-            lnmax(SYMMETRIC, 1.0, stream.substream(i)).returned_label == 0
+            lnmax(SYMMETRIC, 1.0, stream.substream(i)).returned_labels[0] == 0
             for i in range(10_000)
         )
         assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
 
     def test_ledger_entry_is_two_gamma(self):
         out = lnmax(VoteHistogram([5, 1]), 0.25, RngStream(103))
-        assert out.ledger_entry.epsilon == 0.5
-        assert out.ledger_entry.mechanism == "lnmax"
+        assert out.ledger_entries[0].epsilon == 0.5
+        assert out.ledger_entries[0].mechanism == "lnmax"
 
     def test_raw_scale_mode_sets_effective_gamma(self):
         out = lnmax(VoteHistogram([5, 1]), None, RngStream(104), scale=10.0)
-        assert out.ledger_entry.gamma == pytest.approx(0.1, rel=1e-12)
+        assert out.ledger_entries[0].gamma == pytest.approx(0.1, rel=1e-12)
 
     def test_rejects_both_gamma_and_scale(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestNzcLaplace:
 
     def test_sensitivity_used_on_wide_margin(self):
         out = nzc_laplace(STRONG, 1e100, 1e-10, 1.0, RngStream(111))
-        assert out.sensitivity == pytest.approx(math.exp(-1), rel=1e-12)
+        assert out.sensitivities[0] == pytest.approx(math.exp(-1), rel=1e-12)
 
     def test_zero_boost_matches_lnmax_with_same_scale(self):
         # with c=0 the boosted counts equal the raw counts and the smooth
@@ -100,24 +100,24 @@ class TestNzcLaplace:
             stream = RngStream(112, (i,))
             a = nzc_laplace(v, 0.0, 0.7, beta, stream)
             b = lnmax(v, 0.7 * math.exp(beta), stream)
-            assert a.returned_label == b.returned_label
+            assert a.returned_labels[0] == b.returned_labels[0]
 
     def test_zero_boost_large_gamma_degenerates_to_argmax(self):
         v = VoteHistogram([3, 9, 4])
         out = nzc_laplace(v, 0.0, 1e12, 1.0, RngStream(113))
-        assert out.returned_label == argmax(v)
+        assert out.returned_labels[0] == argmax(v)
 
 
 class TestNzcGaussian:
     def test_tiny_sigma_recovers_argmax(self):
         v = VoteHistogram([3, 9, 4])
         out = nzc_gaussian(v, 5.0, 1e-9, 1.0, RngStream(120))
-        assert out.returned_label == argmax(v)
+        assert out.returned_labels[0] == argmax(v)
 
     def test_symmetric_votes_split_evenly(self):
         stream = RngStream(121)
         hits = sum(
-            nzc_gaussian(SYMMETRIC, 0.0, 1.0, 1.0, stream.substream(i)).returned_label == 0
+            nzc_gaussian(SYMMETRIC, 0.0, 1.0, 1.0, stream.substream(i)).returned_labels[0] == 0
             for i in range(10_000)
         )
         assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
@@ -133,8 +133,8 @@ class TestNzcGaussian:
 
     def test_ledger_entry_records_sigma(self):
         out = nzc_gaussian(STRONG, 10.0, 3.0, 1.0, RngStream(123))
-        assert out.ledger_entry.sigma == 3.0
-        assert out.ledger_entry.epsilon is None
+        assert out.ledger_entries[0].sigma == 3.0
+        assert out.ledger_entries[0].epsilon is None
 
 
 class TestBatch:
@@ -159,10 +159,12 @@ class TestBatch:
             head = call(self.COUNTS[:k], RngStream(130))
             assert head.returned_labels.tolist() == batch.returned_labels[:k].tolist()
             assert head.ledger_entries == batch.ledger_entries[:k]
+        # a histogram is a batch of one row
         one = call(VoteHistogram(self.COUNTS[0]), RngStream(130))
-        assert one.returned_label == batch.returned_labels[0]
-        assert one.sensitivity == batch.sensitivities[0]
-        assert one.ledger_entry == batch.ledger_entries[0]
+        assert isinstance(one, MechanismBatch)
+        assert one.returned_labels.tolist() == batch.returned_labels[:1].tolist()
+        assert one.sensitivities.tolist() == batch.sensitivities[:1].tolist()
+        assert one.ledger_entries == batch.ledger_entries[:1]
 
     def test_raw_scale_is_drawn_exactly(self, monkeypatch):
         # at c=1e100 most rows have sensitivity 3.68e99, where sens / (sens / 0.7) != 0.7

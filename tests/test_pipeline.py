@@ -1,12 +1,17 @@
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpvote import (
     BLOCK,
+    MECHANISMS,
     ExperimentConfig,
     PrivacyLedger,
     QueryResult,
@@ -315,9 +320,9 @@ class TestEmitAndRead:
     # (config overrides, cell index in row 0 of queries.csv, new cell text, error after its path)
     @pytest.mark.parametrize("overrides, cell, value, message", [
         ({}, 5, "123", ":2: sensitivity 123.0 differs from the {sensitivity!r} of ledger.csv row 0"),
-        ({}, 6, "", ":2: epsilon must be set on a nzc-laplace row"),
+        ({}, 6, "", ":2: epsilon None differs from the 0.02 of ledger.csv row 0"),
         ({"mechanism": "nzc-gaussian", "gamma": None, "sigma": 2.0}, 6, "9",
-         ":2: epsilon must be empty on a nzc-gaussian row"),
+         ":2: epsilon 9.0 differs from the None of ledger.csv row 0"),
     ])
     def test_query_row_that_disagrees_with_its_ledger_row_is_one_line_error(
             self, tmp_path, overrides, cell, value, message):
@@ -351,14 +356,36 @@ class TestEmitAndRead:
             assert [len(column) for column in each.columns] == [each.query_count] * 7
             assert each.results == tuple(map(QueryResult, *each.columns))
 
-    def test_ledger_row_of_another_mechanism_is_one_line_error(self, tmp_path):
-        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
-        ledger = paths["ledger"].read_text().replace(",nzc-laplace,", ",lnmax,")
-        paths["ledger"].write_text(ledger)
+    # (config overrides, ledger.csv row 1 as edited, error after the ledger's path)
+    @pytest.mark.parametrize("overrides, row, message", [
+        ({}, "1,lnmax,0.01,,1", ":3: mechanism 'lnmax' differs from the config's 'nzc-laplace'"),
+        ({}, "1,nzc-laplace,0.5,,{sensitivity}", ":3: gamma 0.5 differs from the config's 0.01"),
+        ({"mechanism": "nzc-gaussian", "gamma": None, "sigma": 2.0},
+         "1,nzc-gaussian,,3,{sensitivity}", ":3: sigma 3.0 differs from the config's 2.0"),
+    ], ids=["mechanism", "gamma", "sigma"])
+    def test_ledger_row_that_disagrees_with_the_config_is_one_line_error(
+            self, tmp_path, overrides, row, message):
+        paths = emit_report(run_experiment(small_config(queries=3, **overrides)), tmp_path / "r")
+        lines = paths["ledger"].read_text().splitlines()
+        lines[2] = row.format(sensitivity=lines[2].rsplit(",", 1)[1])
+        paths["ledger"].write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
-        assert str(info.value) == (f"{paths['ledger']}:2: mechanism 'lnmax' differs from the "
-                                   f"config's 'nzc-laplace'")
+        assert str(info.value) == f"{paths['ledger']}{message}"
+
+    @pytest.mark.parametrize("mechanism, parameter", [
+        ("nzc-laplace", {"gamma": 0.1234567890123456}),
+        ("nzc-gaussian", {"gamma": None, "sigma": 2.718281828459045}),
+    ])
+    def test_parameter_of_more_than_12_digits_round_trips(self, tmp_path, mechanism, parameter):
+        # summary.json keeps config floats as given, so the ledger rows match them exactly
+        report = run_experiment(small_config(mechanism=mechanism, queries=5, **parameter))
+        paths = emit_report(report, tmp_path / "first")
+        (name, value), = ((k, v) for k, v in parameter.items() if v is not None)
+        assert json.loads(paths["summary"].read_text())[name] == value
+        again = emit_report(read_report(tmp_path / "first"), tmp_path / "second")
+        for key in ("summary", "queries", "ledger"):
+            assert paths[key].read_bytes() == again[key].read_bytes()
 
     def test_round_trip_keeps_a_query_epsilon_that_overflowed(self, tmp_path):
         # a query's epsilon = 2 * gamma is inf for gamma above about 9e307, yet gamma is finite
@@ -393,41 +420,70 @@ class TestEmitAndRead:
         with pytest.raises(ValueError, match=rf"summary.json: missing key '{key}'"):
             read_report(tmp_path / "r")
 
-    @pytest.mark.parametrize("mutate", [
-        lambda summary: [],
-        lambda summary: {**summary, "qualified_fractions": 5},
-        lambda summary: {**summary, "privacy": None},
-        lambda summary: {**summary, "privacy": {"eps_simple": 0.1}},
-        lambda summary: {**summary, "privacy": [{"accounting": "paper-simple"}]},
-        lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "alpha": 1.0}]},
+    # (edit, name in the error, the edited part as it reads in the error)
+    @pytest.mark.parametrize("mutate, name, stated", [
+        (lambda summary: [], None, None),
+        (lambda summary: {**summary, "qualified_fractions": 5}, None, None),
+        (lambda summary: {**summary, "privacy": None}, "privacy", "null"),
+        (lambda summary: {**summary, "privacy": {"eps_simple": 0.1}}, "privacy",
+         '{"eps_simple": 0.1}'),
+        (lambda summary: {**summary, "privacy": [{"accounting": "paper-simple"}]},
+         "privacy paper-moments", '{"accounting": "paper-simple"}'),
+        (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "alpha": 1.0}]},
+         "privacy paper-moments", None),
+        (lambda summary: {**summary, "privacy": summary["privacy"] + [{}]}, "privacy", "{}"),
     ], ids=["list", "qualified_fractions_int", "privacy_null", "privacy_object",
-            "privacy_record_missing_key", "privacy_record_extra_key"])
-    def test_summary_of_wrong_shape_is_one_line_error_naming_the_file(self, tmp_path, mutate):
+            "privacy_record_missing_key", "privacy_record_extra_key", "privacy_extra_record"])
+    def test_summary_of_wrong_shape_is_one_line_error_naming_the_file(
+            self, tmp_path, mutate, name, stated):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
         summary = json.loads(paths["summary"].read_text())
         paths["summary"].write_text(json.dumps(mutate(summary)))
-        with pytest.raises(ValueError, match=r"summary\.json: expected an object") as info:
+        with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
-        assert "\n" not in str(info.value)
+        message = str(info.value)
+        assert "\n" not in message
+        if name is None:  # a shape that leaves no config to derive the report from
+            assert message.startswith(f"{paths['summary']}: expected an object")
+        else:
+            assert message.startswith(f"{paths['summary']}: {name} is {stated or ''}")
+            assert ", but ledger.csv gives " in message
+
+    # a privacy record as it reads in an error: the first record of the run below, edited
+    FIRST_FIGURE = ('{{"accounting": {accounting}, "definition": "moments accountant: '
+                    '2*gamma^2*l*(l+1) per query at orders 1..32, tail bound (paper; Abadi et al. '
+                    '2016)", "eps": {eps}, "delta": {delta}}}')
 
     @pytest.mark.parametrize("mutate,message", [
         (lambda summary: {**summary, "clean_accuracy_pct": "x"},
-         "clean_accuracy_pct must be a finite number or null, got 'x'"),
+         'clean_accuracy_pct is "x", but queries.csv gives 100.0'),
         (lambda summary: {**summary, "agreement_pct": True},
-         "agreement_pct must be a finite number or null, got True"),
+         "agreement_pct is true, but queries.csv gives 100.0"),
         (lambda summary: {**summary, "qualified_fractions": [{"n": 1, "fraction": None}]},
-         "qualified fraction must be a finite number, got None"),
+         'qualified_fractions is [{"n": 1, "fraction": null}], but queries.csv gives '
+         '[{"n": 1, "fraction": 1.0}]'),
         (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "eps": "abc"}]},
-         "privacy eps must be a number or null, got 'abc'"),
+         "privacy paper-moments is " + FIRST_FIGURE.format(
+             accounting='"paper-moments"', eps='"abc"', delta=1e-05) + ", but ledger.csv gives "
+         + FIRST_FIGURE.format(accounting='"paper-moments"', eps=0.37957892078, delta=1e-05)),
         (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "eps": math.nan}]},
-         "privacy eps must be a number or null, got nan"),
+         "privacy paper-moments is " + FIRST_FIGURE.format(
+             accounting='"paper-moments"', eps="NaN", delta=1e-05) + ", but ledger.csv gives "
+         + FIRST_FIGURE.format(accounting='"paper-moments"', eps=0.37957892078, delta=1e-05)),
         (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "delta": None}]},
-         "privacy delta must be a number, got None"),
+         "privacy paper-moments is " + FIRST_FIGURE.format(
+             accounting='"paper-moments"', eps=0.37957892078, delta="null")
+         + ", but ledger.csv gives "
+         + FIRST_FIGURE.format(accounting='"paper-moments"', eps=0.37957892078, delta=1e-05)),
         (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "accounting": 3}]},
-         "privacy accounting must be a string, got 3"),
+         "privacy paper-moments is " + FIRST_FIGURE.format(
+             accounting=3, eps=0.37957892078, delta=1e-05) + ", but ledger.csv gives "
+         + FIRST_FIGURE.format(accounting='"paper-moments"', eps=0.37957892078, delta=1e-05)),
         (lambda summary: {**summary, "seed": "x"}, "config field seed must be an integer, got 'x'"),
+        (lambda summary: {**summary, "beta": 1}, "beta is 1, but the config gives 1.0"),
+        (lambda summary: {**summary, "note": 1}, "unknown key 'note'"),
     ], ids=["accuracy_string", "accuracy_bool", "fraction_null", "eps_string", "eps_nan",
-          "delta_null", "accounting_int", "seed_string"])
+          "delta_null", "accounting_int", "seed_string", "float_field_int", "unknown_key"])
     def test_summary_value_of_wrong_type_is_one_line_error_naming_the_file(
             self, tmp_path, mutate, message):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
@@ -439,34 +495,62 @@ class TestEmitAndRead:
 
     @pytest.mark.parametrize("key, value", [
         ("agreement_pct", 12),
+        ("agreement_pct", 100),  # JSON types count: the columns give 100.0
         ("clean_accuracy_pct", 33),
         ("mechanism_accuracy_pct", None),
         ("qualified_fractions", 0.5),
     ])
     def test_summary_figure_that_the_query_columns_contradict_is_one_line_error(
             self, tmp_path, key, value):
-        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        report = run_experiment(small_config(queries=3))
+        assert report.agreement_pct == 100.0
+        paths = emit_report(report, tmp_path / "r")
         summary = json.loads(paths["summary"].read_text())
         edited = json.loads(paths["summary"].read_text())
         if key == "qualified_fractions":
             edited[key][0]["fraction"] = value
-            value, derived = (tuple((e["n"], e["fraction"]) for e in rows)
-                              for rows in (edited[key], summary[key]))
         else:
-            edited[key], derived = value, summary[key]
+            edited[key] = value
         paths["summary"].write_text(json.dumps(edited))
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
-        assert str(info.value) == (f"{paths['summary']}: {key} is {value!r}, "
-                                   f"but queries.csv gives {derived!r}")
+        assert str(info.value) == (f"{paths['summary']}: {key} is {json.dumps(edited[key])}, "
+                                   f"but queries.csv gives {json.dumps(summary[key])}")
+
+    # (privacy record index, field, edited value)
+    @pytest.mark.parametrize("index, field, value", [
+        (1, "eps", 9),  # paper-simple: the ledger gives 3 queries at 2 * 0.01
+        (0, "eps", None),
+        (0, "delta", 1e-4),
+        (2, "definition", "advanced composition"),
+        (2, "accounting", "paper-simple"),
+    ])
+    def test_summary_privacy_figure_that_the_ledger_contradicts_is_one_line_error(
+            self, tmp_path, index, field, value):
+        report = run_experiment(small_config(queries=3))
+        assert report.eps_simple == 0.06
+        paths = emit_report(report, tmp_path / "r")
+        summary = json.loads(paths["summary"].read_text())
+        edited = json.loads(paths["summary"].read_text())
+        edited["privacy"][index][field] = value
+        paths["summary"].write_text(json.dumps(edited))
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        derived = summary["privacy"][index]
+        assert str(info.value) == (
+            f"{paths['summary']}: privacy {derived['accounting']} is "
+            f"{json.dumps(edited['privacy'][index])}, but ledger.csv gives {json.dumps(derived)}")
 
     # (cell index in queries.csv, new text of that cell on the given rows, error after the path)
     @pytest.mark.parametrize("cell, value, rows, message", [
-        (4, "0", [0, 1, 2], "summary.json: qualified_fractions is ((0, 1.0), (5, 1.0), "
-                            "(25, 1.0)), but queries.csv gives ((0, 0.0), (5, 0.0), (25, 0.0))"),
+        (4, "0", [0, 1, 2], 'summary.json: qualified_fractions is [{"n": 0, "fraction": 1.0}, '
+                            '{"n": 5, "fraction": 1.0}, {"n": 25, "fraction": 1.0}], but '
+                            'queries.csv gives [{"n": 0, "fraction": 0.0}, {"n": 5, "fraction": '
+                            '0.0}, {"n": 25, "fraction": 0.0}]'),
         (3, "", [0], "queries.csv: truth_label is set on 2 of 3 rows; set it on every row or none"),
-        (3, "", [0, 1, 2], "summary.json: clean_accuracy_pct is 100.0, but queries.csv gives None"),
-    ], ids=["gap", "truth_on_some_rows", "truth_on_no_row"])
+        (3, "", [0, 1, 2], "summary.json: clean_accuracy_pct is 100.0, but queries.csv gives null"),
+        (6, "0.5", [0], "queries.csv:2: epsilon 0.5 differs from the 0.02 of ledger.csv row 0"),
+    ], ids=["gap", "truth_on_some_rows", "truth_on_no_row", "epsilon"])
     def test_query_columns_that_contradict_the_summary_are_one_line_error(
             self, tmp_path, cell, value, rows, message):
         report = run_experiment(small_config(queries=3, distance_grid=(0, 5, 25)))
@@ -493,3 +577,104 @@ class TestEmitAndRead:
         report = run_experiment(small_config(queries=10))
         paths = emit_report(report, tmp_path / "r")
         assert "runtime" not in paths["summary"].read_text()
+
+
+@st.composite
+def report_configs(draw):
+    """Small synthetic runs of every mechanism, calibrated by parameter or by raw scale."""
+    mechanism = draw(st.sampled_from(MECHANISMS))
+    param = "gamma" if mechanism != "nzc-gaussian" else "sigma"
+    noise = {draw(st.sampled_from([param, "scale"])): draw(st.floats(0.01, 100))}
+    return ExperimentConfig(
+        mechanism=mechanism, seed=draw(st.integers(0, 2**32)), queries=draw(st.integers(0, 5)),
+        num_classes=draw(st.integers(2, 4)), teachers=draw(st.integers(1, 7)),
+        teacher_accuracy=draw(st.floats(0, 1)),
+        boost_constant=0.0 if mechanism == "lnmax" else draw(st.sampled_from([0.0, 3.0, 1e100])),
+        beta=draw(st.floats(0.1, 3)), delta=draw(st.floats(1e-9, 0.5)),
+        distance_grid=tuple(draw(st.lists(st.integers(0, 8), max_size=3))), **noise)
+
+
+def _leaves(value, path=()):
+    """The path of every scalar in a JSON value."""
+    if isinstance(value, (dict, list)):
+        for key, item in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _leaves(item, path + (key,))
+    else:
+        yield path
+
+
+def _variants(value) -> list:
+    """JSON values near ``value``: the same number as another JSON type, a neighbour, a typo."""
+    if isinstance(value, bool) or value is None:
+        return [0, "x"]
+    if isinstance(value, int):
+        return [float(value), value + 1, -value]
+    if isinstance(value, float):
+        near = [value * 2, float(f"{value:.3g}"), -value]
+        return near + [int(value)] if math.isfinite(value) and value == int(value) else near
+    return [value + "x", value[:-1]]
+
+
+def _cell_variants(cell: str) -> list:
+    """Table cell texts near ``cell``: a digit more or less, a sign, another spelling."""
+    return [cell + "0", cell[:-1], "-" + cell, cell + ".0", f"{cell}1", "0" + cell]
+
+
+class TestEditedReport:
+    """read_report derives every figure, so any edit either is refused or is what loads."""
+
+    CELLS = st.one_of(st.sampled_from(["", "0", "1", "-0", "2", "x", "nan", "inf", "1e-05"]),
+                      st.integers(-2, 10**20).map(str),
+                      st.floats(allow_nan=False).map(repr))
+    VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 10**20),
+                       st.floats(allow_nan=True), st.text(max_size=3))
+
+    @staticmethod
+    def edits(text: str, key: str, data) -> list[str]:
+        """The file text with one drawn cell (a JSON scalar of summary.json) edited, each way."""
+        if key == "summary":
+            summary = json.loads(text)
+            *parents, leaf = data.draw(st.sampled_from(list(_leaves(summary))))
+            holder = summary
+            for part in parents:
+                holder = holder[part]
+            original, edited = holder[leaf], []
+            for value in _variants(original) + [data.draw(TestEditedReport.VALUES)]:
+                holder[leaf] = value
+                edited.append(json.dumps(summary, indent=2) + "\n")
+            holder[leaf] = original
+            return edited
+        lines = text.splitlines()
+        line = data.draw(st.integers(0, len(lines) - 1))
+        cells = lines[line].split(",")
+        cell = data.draw(st.integers(0, len(cells) - 1))
+        edited = []
+        for value in _cell_variants(cells[cell]) + [data.draw(TestEditedReport.CELLS)]:
+            row = ",".join(cells[:cell] + [value] + cells[cell + 1:])
+            edited.append("\n".join(lines[:line] + [row] + lines[line + 1:]) + "\n")
+        return edited
+
+    @settings(max_examples=150, deadline=None)
+    @given(config=report_configs(), data=st.data())
+    def test_single_edit_is_refused_in_one_line_or_emitted_as_edited(self, config, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, again = Path(tmp, "first"), Path(tmp, "again")
+            paths = emit_report(run_experiment(config), first)
+            written = {key: path.read_bytes() for key, path in paths.items()}
+            emitted = emit_report(read_report(first), again)
+            assert {key: path.read_bytes() for key, path in emitted.items()} == written
+
+            key = data.draw(st.sampled_from(sorted(paths)))
+            original = paths[key].read_text()
+            for text in self.edits(original, key, data):
+                paths[key].write_text(text)
+                try:
+                    report = read_report(first)
+                except ValueError as exc:
+                    message = str(exc)
+                    assert "\n" not in message
+                    assert message.startswith(str(first))
+                    continue
+                emitted = emit_report(report, again)
+                assert {k: path.read_text() for k, path in emitted.items()} == {
+                    k: path.read_text() for k, path in paths.items()}
