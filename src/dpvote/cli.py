@@ -171,6 +171,10 @@ def _verify_dp_ratio(seed: int, trials: int) -> bool:
 def _cmd_verify(args) -> int:
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, got {args.instances}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     results = [
         _verify_sensitivity(args.seed, args.instances),
         _verify_flip(args.seed, args.trials),

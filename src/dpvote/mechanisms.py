@@ -137,8 +137,10 @@ def flip_probability_mc(
         raise ValueError(f"trials must be positive, got {trials}")
     baseline = argmax(votes)
     boosted = boost(votes, boost_constant)
-    flips = sum(int(np.count_nonzero(np.argmax(boosted + noise, axis=1) != baseline))
-                for noise in noise_blocks(spec, votes.num_classes, trials, rng))
+    flips = 0
+    for noise in noise_blocks(spec, votes.num_classes, trials, rng):
+        noise += boosted
+        flips += int(np.count_nonzero(np.argmax(noise, axis=1) != baseline))
     return MonteCarloEstimate.from_hits(flips, trials)
 
 
@@ -155,8 +157,10 @@ class DpRatioResult:
 def _label_distribution(boosted: np.ndarray, spec: NoiseSpec, trials: int,
                         gen: np.random.Generator) -> np.ndarray:
     num_classes = boosted.size
-    counts = sum(np.bincount(np.argmax(boosted + noise, axis=1), minlength=num_classes)
-                 for noise in noise_blocks(spec, num_classes, trials, gen))
+    counts = np.zeros(num_classes, dtype=np.int64)
+    for noise in noise_blocks(spec, num_classes, trials, gen):
+        noise += boosted
+        counts += np.bincount(np.argmax(noise, axis=1), minlength=num_classes)
     # add-one smoothing keeps ratios finite when a label never shows up
     return (counts + 1.0) / (trials + num_classes)
 

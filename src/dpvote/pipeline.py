@@ -105,6 +105,8 @@ class ExperimentConfig:
                 raise ValueError(f"need at least one teacher, got {self.teachers}")
             if self.queries is None or self.queries < 0:
                 raise ValueError("synthetic runs need a non-negative query budget")
+        if self.teacher_accuracy is not None and not 0.0 <= self.teacher_accuracy <= 1.0:
+            raise ValueError(f"teacher_accuracy must lie in [0, 1], got {self.teacher_accuracy!r}")
         if self.queries is not None and self.queries < 0:
             raise ValueError(f"query budget must be non-negative, got {self.queries}")
         if self.num_classes < 2:

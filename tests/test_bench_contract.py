@@ -38,11 +38,14 @@ BOOSTED_SYNTH_COUNTS = {
 # Counts of traced operation 1 on oracle-mc at seed 1.  It is the one workload
 # that calls smooth_sensitivity: once, in dp_ratio_check, on a 3-class input
 # with 7 neighbour rows.  Calling it under another name reads 0 here, and a
-# result without value and beta leaves the call uncounted.
+# result without value and beta leaves the call uncounted.  Each Monte-Carlo
+# block is one noise draw of 16 384 values: 62 blocks of 1638 rows for each of
+# the three 10-class calls, 19 blocks of 5461 rows for each of the 7 rows of
+# dp_ratio_check.
 ORACLE_MC_COUNTS = {
     "sensitivity.smooth_calls": 1,
     "sensitivity.neighbor_rows": 7,
-    "noise.sample_calls": 10,
+    "noise.sample_calls": 3 * 62 + 7 * 19,
     "noise.generators_made": 4,
 }
 # Counts of traced operation 1 on baseline-replay at seed 1 (lnmax over 1000

@@ -174,6 +174,18 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "error: --instances must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "0"], "--trials must be at least 1, got 0"),
+        (["--trials", "-5"], "--trials must be at least 1, got -5"),
+        (["--seed", "-1"], "--seed must be non-negative, got -1"),
+    ])
+    def test_bad_trials_or_seed_is_one_line_error_before_any_suite(self, capsys, flags, message):
+        code = run_cli(["verify", "--instances", "5", *flags])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestAccountCommand:
     def test_converts_exported_ledger(self, tmp_path, capsys):

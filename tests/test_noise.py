@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,11 @@ from hypothesis import strategies as st
 from dpvote import (
     NoiseSpec,
     RngStream,
+    VoteHistogram,
+    dp_ratio_check,
     exceedance_probability_mc,
+    flip_probability_mc,
+    noise,
     required_constant_gaussian,
     required_constant_laplace,
     union_flip_bound,
@@ -218,3 +223,56 @@ def test_probability_outputs_in_unit_interval(threshold, gamma):
     assert 0.0 <= gaussian(gamma).tail(threshold) <= 1.0
     spec = NoiseSpec("laplace", gamma=gamma)
     assert 0.0 <= union_flip_bound(7, spec, threshold) <= 1.0
+
+
+class TestMonteCarloBlocks:
+    TRIALS = 2_003  # prime, so no block of more than one row divides it
+    FLIP_VOTES = VoteHistogram([3, 6, 5, 1, 0, 2, 0, 0, 1, 2])
+
+    def oracle_outputs(self):
+        stream = RngStream(70)
+        flips = [flip_probability_mc(self.FLIP_VOTES, 1.0, spec, self.TRIALS,
+                                     stream.substream(i)).hits
+                 for i, spec in enumerate([laplace(2.0), gaussian(2.0)])]
+        exceedances = [exceedance_probability_mc(spec, 10, 3.0, self.TRIALS,
+                                                 stream.substream(2 + i)).hits
+                       for i, spec in enumerate([laplace(1.0), gaussian(1.5)])]
+        ratio = dp_ratio_check(VoteHistogram([6, 3, 3]), 100.0, 0.5, 1.0, self.TRIALS,
+                               stream.substream(4))
+        return flips, exceedances, ratio.neighbor_log_ratios
+
+    def test_block_size_does_not_change_any_oracle(self, monkeypatch):
+        # values per block: one row, rows that do not divide the trials, the default, one array
+        outputs = {}
+        for values in (1, 700, noise._MC_BLOCK, 10 * self.TRIALS + 1):
+            monkeypatch.setattr(noise, "_MC_BLOCK", values)
+            outputs[values] = self.oracle_outputs()
+        (flips, exceedances, _), *_ = outputs.values()
+        assert 0 < min(flips + exceedances) and max(flips + exceedances) < self.TRIALS
+        assert all(each == outputs[1] for each in outputs.values())
+
+    def test_a_block_is_the_whole_rows_that_fit_and_at_least_one(self):
+        rows = [len(block) for block in noise.noise_blocks(laplace(1.0), 10, 50_000,
+                                                           RngStream(71))]
+        assert rows[0] == noise._MC_BLOCK // 10 and sum(rows) == 50_000
+        wide = [block.shape for block in noise.noise_blocks(laplace(1.0), 2 * noise._MC_BLOCK,
+                                                            3, RngStream(72))]
+        assert wide == [(1, 2 * noise._MC_BLOCK)] * 3
+
+    @pytest.mark.parametrize("sensitivity", [2.5, np.linspace(0.5, 3.0, 40)[:, None]])
+    def test_in_place_gaussian_draw_equals_scaled_draw(self, sensitivity):
+        spec = NoiseSpec("gaussian", sigma=1.7, sensitivity=sensitivity)
+        drawn = spec.sample(RngStream(73), size=(40, 6))
+        expected = spec.scale * RngStream(73).generator().standard_normal((40, 6))
+        assert drawn.tobytes() == expected.tobytes()
+        assert np.array_equal(spec.sample(RngStream(74)),
+                              spec.scale * RngStream(74).generator().standard_normal())
+
+    def test_exceedance_peak_memory_stays_under_a_megabyte(self):
+        tracemalloc.start()
+        try:
+            exceedance_probability_mc(laplace(1.0), 10, 3.0, 100_000, RngStream(75))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

@@ -58,6 +58,11 @@ class TestConfigValidation:
     def test_gaussian_accepts_sigma(self):
         small_config(mechanism="nzc-gaussian", gamma=None, sigma=2.0).validate()
 
+    @pytest.mark.parametrize("accuracy", [-0.1, 1.5])
+    def test_teacher_accuracy_outside_unit_interval(self, accuracy):
+        with pytest.raises(ValueError, match=r"teacher_accuracy must lie in \[0, 1\]"):
+            small_config(teacher_accuracy=accuracy).validate()
+
 
 class TestRunExperiment:
     def test_zero_queries_empty_report(self):
@@ -480,10 +485,13 @@ class TestEmitAndRead:
              accounting=3, eps=0.37957892078, delta=1e-05) + ", but ledger.csv gives "
          + FIRST_FIGURE.format(accounting='"paper-moments"', eps=0.37957892078, delta=1e-05)),
         (lambda summary: {**summary, "seed": "x"}, "config field seed must be an integer, got 'x'"),
+        (lambda summary: {**summary, "teacher_accuracy": 5.0},
+         "teacher_accuracy must lie in [0, 1], got 5.0"),
         (lambda summary: {**summary, "beta": 1}, "beta is 1, but the config gives 1.0"),
         (lambda summary: {**summary, "note": 1}, "unknown key 'note'"),
     ], ids=["accuracy_string", "accuracy_bool", "fraction_null", "eps_string", "eps_nan",
-          "delta_null", "accounting_int", "seed_string", "float_field_int", "unknown_key"])
+          "delta_null", "accounting_int", "seed_string", "teacher_accuracy_above_one",
+          "float_field_int", "unknown_key"])
     def test_summary_value_of_wrong_type_is_one_line_error_naming_the_file(
             self, tmp_path, mutate, message):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
