@@ -91,6 +91,9 @@ class LedgerEntry:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if not self.sensitivity > 0.0:
             raise ValueError(f"sensitivity must be positive, got {self.sensitivity!r}")
+        for name in (param, "sensitivity"):  # ledger.csv holds only finite floats
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
 
     @property
     def epsilon(self) -> Optional[float]:

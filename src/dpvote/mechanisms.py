@@ -22,6 +22,7 @@ from .votes import VoteHistogram, Votes, argmax, boost, count_matrix
 __all__ = [
     "MechanismBatch",
     "DpRatioResult",
+    "noise_parameters",
     "noisy_argmax",
     "lnmax",
     "nzc_laplace",
@@ -30,8 +31,8 @@ __all__ = [
     "dp_ratio_check",
 ]
 
-# noise kind -> (calibrated parameter, mechanism keyword that pins the raw scale instead)
-_PARAMETERS = {"laplace": ("gamma", "scale"), "gaussian": ("sigma", "std")}
+# noise kind -> its calibrated parameter; every mechanism pins the raw scale with ``scale``
+_PARAMETERS = {"laplace": "gamma", "gaussian": "sigma"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,36 +61,44 @@ def noisy_argmax(values, noise):
     return int(labels) if labels.ndim == 0 else labels
 
 
-def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Optional[float],
-             raw_scale: Optional[float], rng: RngLike) -> MechanismBatch:
-    """Noisy argmax of each row of ``values`` with noise calibrated to that row's ``sens``.
+def noise_parameters(mechanism: str, sens: np.ndarray, param: Optional[float],
+                     scale: Optional[float]) -> np.ndarray:
+    """The gamma (Laplace) or sigma (Gaussian) that each row of ``sens`` is charged.
 
-    The noise is the mechanism's NOISE_KIND: Laplace of scale sens / gamma or
-    Gaussian of std sens * sigma, where ``param`` is gamma or sigma.  Pinning
-    the noise magnitude with ``raw_scale`` instead is allowed because
-    experiments sometimes fix it directly; the ledger then carries the
-    effective parameter it implies, so accounting stays consistent either way.
+    That is ``param``, or, as experiments sometimes pin the noise magnitude with ``scale``
+    instead, the effective parameter it implies: sens / scale (Laplace) or scale / sens
+    (Gaussian), so accounting stays consistent either way.  Exactly one of the two is given
+    and it must be positive; so must every effective parameter, which must also be finite.
     """
     kind = NOISE_KIND[mechanism]
-    param_name, scale_name = _PARAMETERS[kind]
-    if (param is None) == (raw_scale is None):
-        raise ValueError(f"{mechanism}: pass exactly one of {param_name} or {scale_name}")
-    name, given = (param_name, param) if param is not None else (scale_name, raw_scale)
+    param_name = _PARAMETERS[kind]
+    if (param is None) == (scale is None):
+        raise ValueError(f"{mechanism}: pass exactly one of {param_name} or scale")
+    name, given = (param_name, param) if param is not None else ("scale", scale)
     if not given > 0.0:
         raise ValueError(f"{mechanism}: {name} must be positive, got {given!r}")
     if param is not None:
-        spec = NoiseSpec(kind, sensitivity=sens[:, None], **{param_name: param})
-        params = np.full_like(sens, param)
-    else:
-        with np.errstate(over="ignore"):
-            params = raw_scale / sens if kind == "gaussian" else sens / raw_scale
-        bad = np.flatnonzero(~((params > 0.0) & (params < np.inf)))
-        if bad.size:
-            raise ValueError(f"{mechanism}: {scale_name} {raw_scale!r} at sensitivity "
-                             f"{float(sens[bad[0]])!r} gives {param_name} "
-                             f"{float(params[bad[0]])!r}; it must be finite and positive")
-        # a unit parameter with sensitivity = raw_scale draws at exactly raw_scale
-        spec = NoiseSpec(kind, sensitivity=raw_scale, **{param_name: 1.0})
+        return np.full_like(sens, param)
+    with np.errstate(over="ignore"):
+        params = scale / sens if kind == "gaussian" else sens / scale
+    bad = np.flatnonzero(~((params > 0.0) & (params < np.inf)))
+    if bad.size:
+        raise ValueError(f"{mechanism}: scale {scale!r} at sensitivity {float(sens[bad[0]])!r} "
+                         f"gives {param_name} {float(params[bad[0]])!r}; "
+                         f"it must be finite and positive")
+    return params
+
+
+def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Optional[float],
+             scale: Optional[float], rng: RngLike) -> MechanismBatch:
+    """Noisy argmax of each row of ``values`` with the mechanism's NOISE_KIND calibrated to that
+    row's ``sens``: Laplace of scale sens / gamma or Gaussian of std sens * sigma."""
+    params = noise_parameters(mechanism, sens, param, scale)
+    kind = NOISE_KIND[mechanism]
+    param_name = _PARAMETERS[kind]
+    # with ``scale`` pinned, a unit parameter and sensitivity = scale draw at exactly scale
+    spec = NoiseSpec(kind, sensitivity=sens[:, None] if scale is None else scale,
+                     **{param_name: param if scale is None else 1.0})
     noise = spec.sample(rng, size=values.shape)
     distinct, first, rows = np.unique(sens, return_index=True, return_inverse=True)
     shared = [LedgerEntry(mechanism, sensitivity=s, **{param_name: p})  # p is a function of s
@@ -118,11 +127,23 @@ def nzc_laplace(votes: Votes, boost_constant: float, gamma: Optional[float], bet
 
 
 def nzc_gaussian(votes: Votes, boost_constant: float, sigma: Optional[float], beta: float,
-                 rng: RngLike, *, std: Optional[float] = None) -> MechanismBatch:
+                 rng: RngLike, *, scale: Optional[float] = None) -> MechanismBatch:
     """Boosted noisy argmax with Gaussian noise of std = smooth sensitivity * sigma."""
     counts = count_matrix(votes)
     sens = smooth_values(counts, boost_constant, beta)
-    return _release("nzc-gaussian", boost(counts, boost_constant), sens, sigma, std, rng)
+    return _release("nzc-gaussian", boost(counts, boost_constant), sens, sigma, scale, rng)
+
+
+def _label_counts(boosted: np.ndarray, spec: NoiseSpec, trials: int, rng: RngLike) -> np.ndarray:
+    """How often each label is the noisy argmax of ``boosted`` in ``trials`` draws of ``spec``."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    num_classes = boosted.size
+    counts = np.zeros(num_classes, dtype=np.int64)
+    for noise in noise_blocks(spec, num_classes, trials, rng):
+        noise += boosted
+        counts += np.bincount(np.argmax(noise, axis=1), minlength=num_classes)
+    return counts
 
 
 def flip_probability_mc(
@@ -133,15 +154,8 @@ def flip_probability_mc(
     rng: RngLike,
 ) -> MonteCarloEstimate:
     """Fraction of noisy-argmax trials on the boosted counts that disagree with the plain argmax."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    baseline = argmax(votes)
-    boosted = boost(votes, boost_constant)
-    flips = 0
-    for noise in noise_blocks(spec, votes.num_classes, trials, rng):
-        noise += boosted
-        flips += int(np.count_nonzero(np.argmax(noise, axis=1) != baseline))
-    return MonteCarloEstimate.from_hits(flips, trials)
+    counts = _label_counts(boost(votes, boost_constant), spec, trials, rng)
+    return MonteCarloEstimate.from_hits(trials - int(counts[argmax(votes)]), trials)
 
 
 @dataclass(frozen=True)
@@ -152,17 +166,6 @@ class DpRatioResult:
     neighbor_log_ratios: tuple[float, ...]  # aligned with enumerate_neighbors order; [0] is the input itself
     trials: int
     noise_scale: float
-
-
-def _label_distribution(boosted: np.ndarray, spec: NoiseSpec, trials: int,
-                        gen: np.random.Generator) -> np.ndarray:
-    num_classes = boosted.size
-    counts = np.zeros(num_classes, dtype=np.int64)
-    for noise in noise_blocks(spec, num_classes, trials, gen):
-        noise += boosted
-        counts += np.bincount(np.argmax(noise, axis=1), minlength=num_classes)
-    # add-one smoothing keeps ratios finite when a label never shows up
-    return (counts + 1.0) / (trials + num_classes)
 
 
 def dp_ratio_check(
@@ -185,18 +188,15 @@ def dp_ratio_check(
     to build a negative control.  Meant for tiny instances; the cost is
     (number of neighbors) * trials mechanism draws.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     sens_value = smooth_sensitivity(votes, boost_constant, beta).value if sensitivity is None else float(sensitivity)
     spec = NoiseSpec("laplace", gamma=gamma, sensitivity=sens_value)
     gen = ensure_generator(rng)
     neighbors = enumerate_neighbors(votes)
-    distributions = [
-        _label_distribution(boost(h, boost_constant), spec, trials, gen)
-        for h in neighbors
-    ]
+    # add-one smoothing keeps ratios finite when a label never shows up
+    distributions = [(_label_counts(boost(h, boost_constant), spec, trials, gen) + 1.0)
+                     / (trials + h.num_classes) for h in neighbors]
     center = distributions[0]
     ratios = tuple(float(np.max(np.abs(np.log(center) - np.log(dist)))) for dist in distributions)
     return DpRatioResult(

@@ -30,7 +30,7 @@ from .ensemble import (
     qualified_fraction,
     synth_votes,
 )
-from .mechanisms import lnmax, nzc_gaussian, nzc_laplace
+from .mechanisms import lnmax, noise_parameters, nzc_gaussian, nzc_laplace
 from .noise import RngStream
 from .votes import argmax, check_boost_constant, gap
 
@@ -105,6 +105,8 @@ class ExperimentConfig:
                 raise ValueError(f"need at least one teacher, got {self.teachers}")
             if self.queries is None or self.queries < 0:
                 raise ValueError("synthetic runs need a non-negative query budget")
+            if self.truth is not None:
+                raise ValueError("synthetic runs draw their own truth labels; they take no truth file")
         if self.teacher_accuracy is not None and not 0.0 <= self.teacher_accuracy <= 1.0:
             raise ValueError(f"teacher_accuracy must lie in [0, 1], got {self.teacher_accuracy!r}")
         if self.queries is not None and self.queries < 0:
@@ -118,8 +120,7 @@ class ExperimentConfig:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         laplace = NOISE_KIND[self.mechanism] == "laplace"
         param, other = ("gamma", "sigma") if laplace else ("sigma", "gamma")
-        if (getattr(self, param) is None) == (self.scale is None):
-            raise ValueError(f"{self.mechanism} needs exactly one of {param} or scale")
+        noise_parameters(self.mechanism, np.empty(0), getattr(self, param), self.scale)
         if getattr(self, other) is not None:
             raise ValueError(f"{self.mechanism} takes no {other}; "
                              f"its noise is set by {param} or scale")
@@ -234,11 +235,9 @@ def _build_counts(config: ExperimentConfig, root: RngStream):
 def _run_mechanism(config: ExperimentConfig, counts: np.ndarray, rng: RngStream):
     if config.mechanism == "lnmax":
         return lnmax(counts, config.gamma, rng, scale=config.scale)
-    if config.mechanism == "nzc-laplace":
-        return nzc_laplace(counts, config.boost_constant, config.gamma, config.beta,
-                           rng, scale=config.scale)
-    return nzc_gaussian(counts, config.boost_constant, config.sigma, config.beta,
-                        rng, std=config.scale)
+    boosted, param = ((nzc_laplace, config.gamma) if config.mechanism == "nzc-laplace"
+                      else (nzc_gaussian, config.sigma))
+    return boosted(counts, config.boost_constant, param, config.beta, rng, scale=config.scale)
 
 
 def _figures(config: ExperimentConfig, ledger: PrivacyLedger, labels, clean, truths, gaps) -> dict:
@@ -369,12 +368,17 @@ def read_report(out_dir) -> ExperimentReport:
 
     ledger = PrivacyLedger.load(out / LEDGER_FILE)
     param = "gamma" if NOISE_KIND[config.mechanism] == "laplace" else "sigma"
-    given = getattr(config, param)  # None when the config pins the raw scale instead
-    for index, entry in enumerate(ledger.entries):
+    sens = np.array([entry.sensitivity for entry in ledger.entries])
+    try:
+        charged = noise_parameters(config.mechanism, sens, getattr(config, param), config.scale)
+    except ValueError as exc:
+        raise ValueError(f"{out / LEDGER_FILE}: {exc}") from None
+    for index, (entry, given) in enumerate(zip(ledger.entries, charged.tolist())):
         if entry.mechanism != config.mechanism:
             fault = f"mechanism {entry.mechanism!r} differs from the config's {config.mechanism!r}"
-        elif given not in (None, getattr(entry, param)):
-            fault = f"{param} {getattr(entry, param)!r} differs from the config's {given!r}"
+        elif getattr(entry, param) != given:
+            fault = (f"{param} {getattr(entry, param)!r} differs from the config's {given!r} "
+                     f"at sensitivity {entry.sensitivity!r}")
         else:
             continue
         lines = (out / LEDGER_FILE).read_text(encoding="utf-8").splitlines()

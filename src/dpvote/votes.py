@@ -18,7 +18,6 @@ __all__ = [
     "count_matrix",
     "argmax",
     "gap",
-    "is_distance_n",
     "boost",
 ]
 
@@ -93,13 +92,6 @@ def gap(votes: Votes):
     """Difference between the largest and second-largest counts (0 for tied maxima)."""
     part = np.partition(count_matrix(votes), -2, axis=1)
     return _per_query(votes, part[:, -1] - part[:, -2])
-
-
-def is_distance_n(votes: Votes, n: int):
-    """True when the top-two gap strictly exceeds ``n``."""
-    if n < 0 or int(n) != n:
-        raise ValueError(f"distance threshold must be a non-negative integer, got {n!r}")
-    return gap(votes) > n
 
 
 def check_boost_constant(boost_constant: float) -> float:

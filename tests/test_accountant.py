@@ -185,6 +185,22 @@ class TestLedgerEntry:
         with pytest.raises(ValueError):
             LedgerEntry("lnmax", sensitivity=1.0, gamma=0.1, sigma=0.1)
 
+    # an infinite value is refused as ledger.csv would refuse it on load; NaN and
+    # negative values keep the range messages they had
+    @pytest.mark.parametrize("mechanism, values, message", [
+        ("lnmax", dict(gamma=math.inf, sensitivity=1.0), "gamma must be a finite number, got inf"),
+        ("nzc-gaussian", dict(sigma=math.inf, sensitivity=1.0),
+         "sigma must be a finite number, got inf"),
+        ("nzc-laplace", dict(gamma=0.5, sensitivity=math.inf),
+         "sensitivity must be a finite number, got inf"),
+        ("lnmax", dict(gamma=-math.inf, sensitivity=math.inf), "gamma must be non-negative"),
+        ("nzc-gaussian", dict(sigma=math.nan, sensitivity=1.0), "sigma must be positive"),
+        ("lnmax", dict(gamma=math.inf, sensitivity=-math.inf), "sensitivity must be positive"),
+    ])
+    def test_value_that_ledger_csv_cannot_hold_is_refused(self, mechanism, values, message):
+        with pytest.raises(ValueError, match=message):
+            LedgerEntry(mechanism, **values)
+
 
 class TestLedgerExport:
     def _ledger(self):

@@ -1,9 +1,17 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from dpvote import LedgerEntry, PrivacyLedger, advanced_composition, classical_gaussian_epsilon
-from dpvote.cli import main
+from dpvote import (
+    ExperimentConfig,
+    LedgerEntry,
+    PrivacyLedger,
+    advanced_composition,
+    classical_gaussian_epsilon,
+)
+from dpvote.cli import _build_parser, main
 
 
 def run_cli(args):
@@ -78,6 +86,11 @@ class TestRunCommand:
         ({}, ["--seed", "-1"], "seed"),
         ({"sigma": 3.0}, [], "sigma"),
         ({"mechanism": "nzc-gaussian", "sigma": 1.0}, [], "gamma"),
+        # a noise setting that is not positive, refused although no query would use it
+        ({"queries": 0}, ["--gamma", "-1"], "gamma"),
+        ({"mechanism": "nzc-gaussian", "gamma": None, "queries": 0}, ["--sigma", "0"], "sigma"),
+        ({"gamma": None, "queries": 0}, ["--scale", "-2"], "scale"),
+        ({"truth": "missing.csv"}, [], "truth"),  # a synthetic run draws its own truth labels
     ])
     def test_bad_config_value_is_one_line_error(self, tmp_path, capsys, overrides, flags, field):
         config_path = tmp_path / "config.json"
@@ -92,7 +105,7 @@ class TestRunCommand:
         ("nzc-laplace", ["--c", "1e100", "--scale", "1e-300"],
          "scale 1e-300 at sensitivity 3.6787944117144233e+99 gives gamma inf"),
         ("nzc-gaussian", ["--c", "1e100", "--scale", "1e-300"],
-         "std 1e-300 at sensitivity 3.6787944117144233e+99 gives sigma 0.0"),
+         "scale 1e-300 at sensitivity 3.6787944117144233e+99 gives sigma 0.0"),
     ])
     def test_effective_parameter_out_of_range_is_one_line_error(self, tmp_path, capsys,
                                                                 mechanism, flags, message):
@@ -157,6 +170,15 @@ class TestRunCommand:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["gamma"] == 1.0
         assert [row["n"] for row in summary["qualified_fractions"]] == [0, 4]
+
+    def test_every_config_field_but_the_grid_has_a_run_flag(self):
+        # the parser is written by hand; a new config field needs its flag too
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for action in subparsers.choices["run"]._actions}
+        missing = {f.name for f in fields(ExperimentConfig)} - {"distance_grid"} - dests
+        assert not missing
+
 
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):

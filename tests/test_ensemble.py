@@ -16,7 +16,6 @@ from dpvote import (
     default_accuracy,
     ensemble_accuracy,
     gap,
-    is_distance_n,
     load_ground_truth,
     load_predictions,
     qualified_fraction,
@@ -194,7 +193,7 @@ class TestLoadGroundTruth:
 def fraction_from_histograms(votes, n):
     """The definition from the vote counts: the share of rows that are distance-n qualified."""
     counts = count_matrix(votes)
-    return int(np.count_nonzero(is_distance_n(counts, n))) / len(counts)
+    return int(np.count_nonzero(gap(counts) > n)) / len(counts)
 
 
 def accuracy_from_histograms(votes, truths, mechanism_labels):
@@ -238,7 +237,7 @@ class TestQualifiedFraction:
     def test_perfect_teachers_qualify_up_to_t_minus_one(self):
         spec = SyntheticTeacherSpec(teacher_count=9, num_classes=3, accuracy=1.0)
         v = synth_votes(spec, 0, RngStream(11))
-        assert is_distance_n(v, sum(v.counts) - 1)
+        assert gap(v) > sum(v.counts) - 1
 
     def test_gap_column_matches_the_histogram_definition(self):
         checked = ties = 0

@@ -1,7 +1,7 @@
 """Golden report bytes: small runs whose emitted files are pinned by sha256.
 
 Each mechanism runs once with its privacy parameter (gamma or sigma) and once
-with a raw noise scale (``scale``, which nzc-gaussian takes as its std), 50
+with a raw noise scale (``scale``: the Laplace scale or the Gaussian std), 50
 queries over 10 synthetic teachers.  Two more runs replay a seeded prediction
 CSV and truth CSV.  The noise is large enough that labels differ from the
 plurality, so a change in calibration or noise draws moves a hash.  A change

@@ -144,7 +144,7 @@ class TestBatch:
     CALLS = {
         "lnmax": lambda votes, rng: lnmax(votes, None, rng, scale=2.0),
         "nzc-laplace": lambda votes, rng: nzc_laplace(votes, 3.0, None, 1.0, rng, scale=2.0),
-        "nzc-gaussian": lambda votes, rng: nzc_gaussian(votes, 3.0, None, 1.0, rng, std=2.0),
+        "nzc-gaussian": lambda votes, rng: nzc_gaussian(votes, 3.0, None, 1.0, rng, scale=2.0),
     }
 
     @pytest.mark.parametrize("mechanism", sorted(CALLS))
@@ -177,7 +177,7 @@ class TestBatch:
 
         monkeypatch.setattr(NoiseSpec, "sample", spy)
         nzc_laplace(self.COUNTS, 1e100, None, 1.0, RngStream(134), scale=0.7)
-        nzc_gaussian(self.COUNTS, 1e100, None, 1.0, RngStream(134), std=0.7)
+        nzc_gaussian(self.COUNTS, 1e100, None, 1.0, RngStream(134), scale=0.7)
         assert len(scales) == 2
         assert all(np.all(np.asarray(scale) == 0.7) for scale in scales)
 

@@ -16,6 +16,7 @@ from dpvote import (
     PrivacyLedger,
     QueryResult,
     classical_gaussian_epsilon,
+    config_from_dict,
     emit_report,
     read_report,
     required_constant_laplace,
@@ -57,6 +58,19 @@ class TestConfigValidation:
 
     def test_gaussian_accepts_sigma(self):
         small_config(mechanism="nzc-gaussian", gamma=None, sigma=2.0).validate()
+
+    @pytest.mark.parametrize("mechanism, setting, message", [
+        ("lnmax", {"gamma": -1.0}, "lnmax: gamma must be positive, got -1.0"),
+        ("nzc-gaussian", {"sigma": 0.0}, "nzc-gaussian: sigma must be positive, got 0.0"),
+        ("nzc-laplace", {"scale": -2.0}, "nzc-laplace: scale must be positive, got -2.0"),
+    ])
+    def test_noise_setting_not_positive_is_refused_without_a_query(self, mechanism, setting,
+                                                                   message):
+        # no query reaches the mechanism, so only the config can refuse it
+        raw = {"mechanism": mechanism, "seed": 1, "teachers": 5, "queries": 0, **setting}
+        with pytest.raises(ValueError) as info:
+            config_from_dict(raw)
+        assert str(info.value) == f"config: {message}"
 
     @pytest.mark.parametrize("accuracy", [-0.1, 1.5])
     def test_teacher_accuracy_outside_unit_interval(self, accuracy):
@@ -364,19 +378,42 @@ class TestEmitAndRead:
     # (config overrides, ledger.csv row 1 as edited, error after the ledger's path)
     @pytest.mark.parametrize("overrides, row, message", [
         ({}, "1,lnmax,0.01,,1", ":3: mechanism 'lnmax' differs from the config's 'nzc-laplace'"),
-        ({}, "1,nzc-laplace,0.5,,{sensitivity}", ":3: gamma 0.5 differs from the config's 0.01"),
+        ({}, "1,nzc-laplace,0.5,,{sensitivity}",
+         ":3: gamma 0.5 differs from the config's 0.01 at sensitivity {sensitivity}"),
         ({"mechanism": "nzc-gaussian", "gamma": None, "sigma": 2.0},
-         "1,nzc-gaussian,,3,{sensitivity}", ":3: sigma 3.0 differs from the config's 2.0"),
+         "1,nzc-gaussian,,3,{sensitivity}",
+         ":3: sigma 3.0 differs from the config's 2.0 at sensitivity {sensitivity}"),
     ], ids=["mechanism", "gamma", "sigma"])
     def test_ledger_row_that_disagrees_with_the_config_is_one_line_error(
             self, tmp_path, overrides, row, message):
         paths = emit_report(run_experiment(small_config(queries=3, **overrides)), tmp_path / "r")
         lines = paths["ledger"].read_text().splitlines()
-        lines[2] = row.format(sensitivity=lines[2].rsplit(",", 1)[1])
+        cell = lines[2].rsplit(",", 1)[1]
+        lines[2] = row.format(sensitivity=cell)
         paths["ledger"].write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
-        assert str(info.value) == f"{paths['ledger']}{message}"
+        assert str(info.value) == f"{paths['ledger']}{message.format(sensitivity=float(cell))}"
+
+    def test_ledger_forged_to_another_gamma_in_a_scale_run_is_one_line_error(self, tmp_path):
+        # every gamma, every epsilon and the summary's privacy figures agree with each other,
+        # but a scale run charges each row sensitivity / scale
+        report = run_experiment(small_config(gamma=None, scale=2.0, queries=3))
+        paths = emit_report(report, tmp_path / "r")
+        for name, cell, value in (("ledger", 2, "0.5"), ("queries", 6, "1")):
+            header, *rows = paths[name].read_text().splitlines()
+            rows = [",".join([*row.split(",")[:cell], value, *row.split(",")[cell + 1:]])
+                    for row in rows]
+            paths[name].write_text("\n".join([header, *rows]) + "\n")
+        summary = json.loads(paths["summary"].read_text())
+        summary["privacy"] = [{**vars(f), "eps": float(f"{f.eps:.12g}")}
+                              for f in PrivacyLedger.load(paths["ledger"]).figures(1e-5)]
+        paths["summary"].write_text(json.dumps(summary, indent=2) + "\n")
+        sensitivity = report.ledger.entries[0].sensitivity
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == (f"{paths['ledger']}:2: gamma 0.5 differs from the config's "
+                                   f"{sensitivity / 2.0!r} at sensitivity {sensitivity!r}")
 
     @pytest.mark.parametrize("mechanism, parameter", [
         ("nzc-laplace", {"gamma": 0.1234567890123456}),

@@ -14,7 +14,6 @@ from dpvote import (
     enumerate_neighbors,
     flip_moves,
     gap,
-    is_distance_n,
     smooth_sensitivity,
     smooth_values,
 )
@@ -159,11 +158,11 @@ class TestNeighborhoodStructure:
             counts = gen.multinomial(40, gen.dirichlet(np.ones(5)))
             counts[int(np.argmax(counts))] += 5
             v = VoteHistogram(counts)
-            if not is_distance_n(v, 4):
+            if gap(v) <= 4:
                 continue
             checked += 1
             for w in enumerate_neighbors(v):
-                assert is_distance_n(w, 2)
+                assert gap(w) > 2
 
     def test_distance_three_neighbors_keep_argmax_and_margin(self):
         gen = np.random.default_rng(67)
@@ -172,7 +171,7 @@ class TestNeighborhoodStructure:
             counts = gen.multinomial(40, gen.dirichlet(np.ones(5)))
             counts[int(np.argmax(counts))] += 4
             v = VoteHistogram(counts)
-            if not is_distance_n(v, 3):
+            if gap(v) <= 3:
                 continue
             checked += 1
             for w in enumerate_neighbors(v):

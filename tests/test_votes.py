@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpvote import VoteHistogram, argmax, boost, count_matrix, gap, is_distance_n
+from dpvote import VoteHistogram, argmax, boost, count_matrix, gap
 
 histograms = st.lists(st.integers(0, 40), min_size=2, max_size=8).filter(lambda c: sum(c) >= 1)
 
@@ -45,22 +45,6 @@ class TestGap:
         assert gap(VoteHistogram(counts)) == expected
 
 
-class TestIsDistanceN:
-    def test_boundary_is_strict(self):
-        assert not is_distance_n(VoteHistogram([5, 3]), 2)
-        assert is_distance_n(VoteHistogram([6, 3]), 2)
-
-    def test_large_gap(self):
-        v = VoteHistogram([170, 40, 40])
-        top_two = sorted(v.counts, reverse=True)[:2]
-        assert top_two[0] - top_two[1] == 130
-        assert is_distance_n(v, 3)
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            is_distance_n(VoteHistogram([2, 1]), -1)
-
-
 class TestBoost:
     def test_zero_constant_is_identity(self):
         b = boost(VoteHistogram([1, 3, 2]), 0.0)
@@ -95,13 +79,6 @@ class TestProperties:
         values = sorted(boost(v, c).tolist(), reverse=True)
         assert values[0] - values[1] == gap(v) + c
 
-    @given(histograms, st.integers(0, 50))
-    def test_distance_n_monotone(self, counts, n):
-        v = VoteHistogram(counts)
-        if is_distance_n(v, n):
-            for smaller in range(n):
-                assert is_distance_n(v, smaller)
-
 
 
 class TestCountMatrix:
@@ -131,5 +108,4 @@ class TestCountMatrix:
         hists = [VoteHistogram(r) for r in rows]
         assert argmax(counts).tolist() == [argmax(h) for h in hists]
         assert gap(counts).tolist() == [gap(h) for h in hists]
-        assert is_distance_n(counts, 2).tolist() == [is_distance_n(h, 2) for h in hists]
         assert boost(counts, c).tolist() == [boost(h, c).tolist() for h in hists]
