@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import Optional
 
 from ._table import TYPE_CHECKS, field_types, format_table, read_table
+from .noise import GAUSSIAN, LAPLACE, NoiseKind
 
 __all__ = [
     "NOISE_KIND",
@@ -23,7 +24,7 @@ __all__ = [
 ]
 
 # the noise each mechanism adds; the one place a mechanism name decides it
-NOISE_KIND = {"lnmax": "laplace", "nzc-laplace": "laplace", "nzc-gaussian": "gaussian"}
+NOISE_KIND = {"lnmax": LAPLACE, "nzc-laplace": LAPLACE, "nzc-gaussian": GAUSSIAN}
 DEFAULT_ORDERS: tuple[int, ...] = tuple(range(1, 33))
 
 
@@ -82,23 +83,23 @@ class LedgerEntry:
         if kind is None:
             raise ValueError(f"unknown mechanism {self.mechanism!r}; "
                              f"expected one of {', '.join(NOISE_KIND)}")
-        param, other = ("gamma", "sigma") if kind == "laplace" else ("sigma", "gamma")
-        if getattr(self, param) is None or getattr(self, other) is not None:
-            raise ValueError(f"a {self.mechanism} entry carries {param} and no {other}")
+        if getattr(self, kind.param) is None or getattr(self, kind.other) is not None:
+            raise ValueError(f"a {self.mechanism} entry carries {kind.param} and no {kind.other}")
         if self.gamma is not None and not self.gamma >= 0.0:
             raise ValueError(f"gamma must be non-negative, got {self.gamma!r}")
         if self.sigma is not None and not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma!r}")
         if not self.sensitivity > 0.0:
             raise ValueError(f"sensitivity must be positive, got {self.sensitivity!r}")
-        for name in (param, "sensitivity"):  # ledger.csv holds only finite floats
+        for name in (kind.param, "sensitivity"):  # ledger.csv holds only finite floats
             if getattr(self, name) == math.inf:
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
 
     @property
     def epsilon(self) -> Optional[float]:
         """Per-query pure-DP cost 2*gamma; None for Gaussian entries."""
-        return 2.0 * self.gamma if self.gamma is not None else None
+        kind = NOISE_KIND[self.mechanism]
+        return None if kind.epsilon is None else kind.epsilon(getattr(self, kind.param))
 
 
 @dataclass(frozen=True)
@@ -162,20 +163,20 @@ class PrivacyLedger:
                 raise TypeError(f"expected a LedgerEntry, got {type(entry).__name__}")
         self.entries.extend(entries)
 
-    def _counts(self, param: str) -> Counter:
-        """How many entries carry each value of ``param`` (gamma or sigma), other kinds left out."""
-        counts = Counter(map(attrgetter(param), self.entries))
+    def _counts(self, kind: NoiseKind) -> Counter:
+        """How many entries carry each value of ``kind``'s parameter, other kinds left out."""
+        counts = Counter(map(attrgetter(kind.param), self.entries))
         del counts[None]
         return counts
 
     def moment_curve(self) -> tuple[float, ...]:
         """Exact sum of the entries' moment bounds at each of ``orders``; Gaussian entries add none."""
-        counts = self._counts("gamma")
+        counts = self._counts(LAPLACE)
         return tuple(_fsum_counted(counts, lambda g: per_query_moment(g, o)) for o in self.orders)
 
     def simple_epsilon(self) -> float:
         """Exact sum of the per-entry pure-DP costs (Gaussian entries contribute none)."""
-        return _fsum_counted(self._counts("gamma"), lambda g: 2.0 * g)
+        return _fsum_counted(self._counts(LAPLACE), LAPLACE.epsilon)
 
     def delta_for_eps(self, eps: float) -> float:
         """Tail-bound conversion: min over the orders of exp(alpha - order * eps), clamped to [0, 1]."""
@@ -197,7 +198,7 @@ class PrivacyLedger:
 
     def figures(self, delta: float) -> tuple[PrivacyFigure, ...]:
         """Every privacy figure of this ledger at ``delta``, in a fixed order; none when empty."""
-        gammas, sigmas = self._counts("gamma"), self._counts("sigma")
+        gammas, sigmas = self._counts(LAPLACE), self._counts(GAUSSIAN)
         figures = []
         if gammas:
             figures += [

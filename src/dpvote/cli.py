@@ -195,7 +195,7 @@ def _cmd_account(args) -> int:
     ledger = PrivacyLedger.load(args.ledger)
     print(f"queries recorded: {ledger.query_count}")
     _print_privacy(ledger.figures(args.delta))
-    if args.eps is not None and any(e.gamma is not None for e in ledger.entries):
+    if args.eps is not None and any(e.epsilon is not None for e in ledger.entries):
         print(f"delta_at_eps({args.eps:g}): {ledger.delta_for_eps(args.eps):.6g}")
     return 0
 

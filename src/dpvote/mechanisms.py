@@ -31,9 +31,6 @@ __all__ = [
     "dp_ratio_check",
 ]
 
-# noise kind -> its calibrated parameter; every mechanism pins the raw scale with ``scale``
-_PARAMETERS = {"laplace": "gamma", "gaussian": "sigma"}
-
 
 @dataclass(frozen=True, eq=False)
 class MechanismBatch:
@@ -71,20 +68,19 @@ def noise_parameters(mechanism: str, sens: np.ndarray, param: Optional[float],
     and it must be positive; so must every effective parameter, which must also be finite.
     """
     kind = NOISE_KIND[mechanism]
-    param_name = _PARAMETERS[kind]
     if (param is None) == (scale is None):
-        raise ValueError(f"{mechanism}: pass exactly one of {param_name} or scale")
-    name, given = (param_name, param) if param is not None else ("scale", scale)
+        raise ValueError(f"{mechanism}: pass exactly one of {kind.param} or scale")
+    name, given = (kind.param, param) if param is not None else ("scale", scale)
     if not given > 0.0:
         raise ValueError(f"{mechanism}: {name} must be positive, got {given!r}")
     if param is not None:
         return np.full_like(sens, param)
     with np.errstate(over="ignore"):
-        params = scale / sens if kind == "gaussian" else sens / scale
+        params = kind.implied(sens, scale)
     bad = np.flatnonzero(~((params > 0.0) & (params < np.inf)))
     if bad.size:
         raise ValueError(f"{mechanism}: scale {scale!r} at sensitivity {float(sens[bad[0]])!r} "
-                         f"gives {param_name} {float(params[bad[0]])!r}; "
+                         f"gives {kind.param} {float(params[bad[0]])!r}; "
                          f"it must be finite and positive")
     return params
 
@@ -95,13 +91,12 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
     row's ``sens``: Laplace of scale sens / gamma or Gaussian of std sens * sigma."""
     params = noise_parameters(mechanism, sens, param, scale)
     kind = NOISE_KIND[mechanism]
-    param_name = _PARAMETERS[kind]
     # with ``scale`` pinned, a unit parameter and sensitivity = scale draw at exactly scale
-    spec = NoiseSpec(kind, sensitivity=sens[:, None] if scale is None else scale,
-                     **{param_name: param if scale is None else 1.0})
+    spec = NoiseSpec(kind.name, sensitivity=sens[:, None] if scale is None else scale,
+                     **{kind.param: param if scale is None else 1.0})
     noise = spec.sample(rng, size=values.shape)
     distinct, first, rows = np.unique(sens, return_index=True, return_inverse=True)
-    shared = [LedgerEntry(mechanism, sensitivity=s, **{param_name: p})  # p is a function of s
+    shared = [LedgerEntry(mechanism, sensitivity=s, **{kind.param: p})  # p is a function of s
               for s, p in zip(distinct.tolist(), params[first].tolist())]
     return MechanismBatch(noisy_argmax(values, noise), sens, params,
                           tuple(map(shared.__getitem__, rows.tolist())))

@@ -1,4 +1,4 @@
-"""Seeded noise streams, the Laplace/Gaussian noise spec, and tail-probability formulas.
+"""Seeded noise streams, the table of noise kinds, the noise spec, and tail-probability formulas.
 
 All logarithms are natural.  Randomness is not cryptographic: streams exist
 for reproducible simulation, not for deployment against adversaries with
@@ -8,13 +8,18 @@ access to the generator state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 __all__ = [
     "RngStream",
+    "NoiseKind",
+    "LAPLACE",
+    "GAUSSIAN",
+    "NOISE_KINDS",
     "NoiseSpec",
     "MonteCarloEstimate",
     "ensure_generator",
@@ -61,6 +66,50 @@ def ensure_generator(rng: RngLike) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
+class NoiseKind:
+    """How one kind of noise is calibrated, drawn and charged; the one place each rule is written.
+
+    A spec or ledger entry of the kind carries ``param`` and leaves ``other`` None.
+    """
+
+    name: str
+    param: str
+    other: str
+    scale: Callable  # (sensitivity, param) -> the scale the draw uses
+    op: str  # how ``scale`` combines its operands, as its error message writes it
+    implied: Callable  # (sensitivity, scale) -> the param that a pinned scale implies
+    draw: Callable  # (generator, scale, size) -> noise of shape size (a float when None)
+    tail: Callable  # (threshold, scale) -> Pr(|noise| >= threshold), or an upper bound on it
+    constant: Callable  # (classes / tau, param) -> the threshold whose union bound is tau
+    epsilon: Optional[Callable]  # param -> the per-query pure-DP cost; None when there is none
+
+
+def _draw_gaussian(gen: np.random.Generator, scale, size):
+    draw = gen.standard_normal(size)
+    draw *= scale  # in place: the same values as scale * draw, without a temporary
+    return draw
+
+
+LAPLACE = NoiseKind(
+    "laplace", param="gamma", other="sigma",
+    scale=operator.truediv, op="/", implied=operator.truediv,  # sens / gamma; sens / scale
+    draw=lambda gen, scale, size: gen.laplace(0.0, scale, size),
+    tail=lambda c, s: math.exp(-c / s),
+    constant=lambda ratio, gamma: math.log(ratio) / gamma,
+    epsilon=lambda gamma: 2.0 * gamma,
+)
+GAUSSIAN = NoiseKind(
+    "gaussian", param="sigma", other="gamma",
+    scale=operator.mul, op="*", implied=lambda sens, scale: scale / sens,
+    draw=_draw_gaussian,
+    tail=lambda c, s: min(1.0, 2.0 * math.exp(-(c * c) / (2.0 * s * s))),
+    constant=lambda ratio, sigma: sigma * math.sqrt(2.0 * math.log(2.0 * ratio)),
+    epsilon=None,
+)
+NOISE_KINDS = {kind.name: kind for kind in (LAPLACE, GAUSSIAN)}
+
+
+@dataclass(frozen=True)
 class NoiseSpec:
     """Which noise to add and how it is calibrated; the one noise sampler and tail.
 
@@ -73,52 +122,40 @@ class NoiseSpec:
     and put the magnitude in ``sensitivity``: the draw then uses it exactly.
     """
 
-    kind: str  # "laplace" | "gaussian"
+    kind: str  # a key of NOISE_KINDS
     gamma: Optional[float] = None
     sigma: Optional[float] = None
     sensitivity: Union[float, np.ndarray] = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("laplace", "gaussian"):
-            raise ValueError(f"noise kind must be 'laplace' or 'gaussian', got {self.kind!r}")
+        kind = NOISE_KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if kind is None:
+            raise ValueError(f"noise kind must be {' or '.join(map(repr, NOISE_KINDS))}, "
+                             f"got {self.kind!r}")
         sens = np.asarray(self.sensitivity, dtype=np.float64)
         bad = sens[~(sens > 0.0)]
         if bad.size:
             raise ValueError(f"sensitivity must be positive, got {float(bad[0])!r}")
-        if self.kind == "laplace":
-            if self.gamma is None or not self.gamma > 0.0:
-                raise ValueError("laplace noise needs a positive gamma")
-            if self.sigma is not None:
-                raise ValueError("laplace noise takes gamma, not sigma")
-        else:
-            if self.sigma is None or not self.sigma > 0.0:
-                raise ValueError("gaussian noise needs a positive sigma")
-            if self.gamma is not None:
-                raise ValueError("gaussian noise takes sigma, not gamma")
+        param = getattr(self, kind.param)
+        if param is None or not param > 0.0:
+            raise ValueError(f"{self.kind} noise needs a positive {kind.param}")
+        if getattr(self, kind.other) is not None:
+            raise ValueError(f"{self.kind} noise takes {kind.param}, not {kind.other}")
         with np.errstate(over="ignore"):
             bad = sens[~np.isfinite(self.scale)]
         if bad.size:
-            name, op = ("gamma", "/") if self.kind == "laplace" else ("sigma", "*")
             raise ValueError(f"{self.kind} noise scale must be finite, got sensitivity "
-                             f"{float(bad[0])!r} {op} {name} {getattr(self, name)!r}")
+                             f"{float(bad[0])!r} {kind.op} {kind.param} {param!r}")
 
     @property
     def scale(self):
         """Effective noise scale: Laplace b = sensitivity/gamma, Gaussian std = sensitivity*sigma."""
-        if self.kind == "laplace":
-            return self.sensitivity / self.gamma
-        return self.sensitivity * self.sigma
+        kind = NOISE_KINDS[self.kind]
+        return kind.scale(self.sensitivity, getattr(self, kind.param))
 
     def sample(self, rng: RngLike, size=None):
         """Draw noise of shape ``size`` (a float when None) at this spec's scale."""
-        gen = ensure_generator(rng)
-        if self.kind == "laplace":
-            return gen.laplace(0.0, self.scale, size)
-        draw = gen.standard_normal(size)
-        if size is None:
-            return self.scale * draw
-        draw *= self.scale  # in place: the same values as scale * draw, without a temporary
-        return draw
+        return NOISE_KINDS[self.kind].draw(ensure_generator(rng), self.scale, size)
 
     def tail(self, threshold: float) -> float:
         """Pr(|noise| >= threshold) for one coordinate of a scalar spec.
@@ -129,10 +166,7 @@ class NoiseSpec:
         c = float(threshold)
         if not c >= 0.0:
             raise ValueError(f"threshold must be non-negative, got {threshold!r}")
-        s = float(self.scale)
-        if self.kind == "laplace":
-            return math.exp(-c / s)
-        return min(1.0, 2.0 * math.exp(-(c * c) / (2.0 * s * s)))
+        return NOISE_KINDS[self.kind].tail(c, float(self.scale))
 
 
 def union_flip_bound(num_classes: int, spec: NoiseSpec, threshold: float) -> float:
@@ -142,28 +176,25 @@ def union_flip_bound(num_classes: int, spec: NoiseSpec, threshold: float) -> flo
     return min(1.0, num_classes * spec.tail(threshold))
 
 
-def required_constant_laplace(num_classes: int, tau: float, gamma: float) -> float:
-    """Smallest threshold making the Laplace union bound equal tau: (1/gamma) ln(L/tau)."""
+def _required_constant(kind: NoiseKind, num_classes: int, tau: float, param: float) -> float:
     if num_classes < 1:
         raise ValueError(f"need at least one class, got {num_classes}")
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
-    g = float(gamma)
-    if not g > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    return math.log(num_classes / tau) / g
+    p = float(param)
+    if not p > 0.0:
+        raise ValueError(f"{kind.param} must be positive, got {param!r}")
+    return kind.constant(num_classes / tau, p)
+
+
+def required_constant_laplace(num_classes: int, tau: float, gamma: float) -> float:
+    """Smallest threshold making the Laplace union bound equal tau: (1/gamma) ln(L/tau)."""
+    return _required_constant(LAPLACE, num_classes, tau, gamma)
 
 
 def required_constant_gaussian(num_classes: int, tau: float, sigma: float) -> float:
     """Smallest threshold making the Gaussian union bound equal tau: sqrt(2 sigma^2 ln(2L/tau))."""
-    if num_classes < 1:
-        raise ValueError(f"need at least one class, got {num_classes}")
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must lie in (0, 1), got {tau!r}")
-    s = float(sigma)
-    if not s > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    return s * math.sqrt(2.0 * math.log(2.0 * num_classes / tau))
+    return _required_constant(GAUSSIAN, num_classes, tau, sigma)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .ensemble import (
 )
 from .mechanisms import lnmax, noise_parameters, nzc_gaussian, nzc_laplace
 from .noise import RngStream
+from .sensitivity import smooth_levels
 from .votes import argmax, check_boost_constant, gap
 
 __all__ = [
@@ -118,12 +119,11 @@ class ExperimentConfig:
             raise ValueError(f"beta must be positive, got {self.beta!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        laplace = NOISE_KIND[self.mechanism] == "laplace"
-        param, other = ("gamma", "sigma") if laplace else ("sigma", "gamma")
-        noise_parameters(self.mechanism, np.empty(0), getattr(self, param), self.scale)
-        if getattr(self, other) is not None:
-            raise ValueError(f"{self.mechanism} takes no {other}; "
-                             f"its noise is set by {param} or scale")
+        kind = NOISE_KIND[self.mechanism]
+        if getattr(self, kind.other) is not None:
+            raise ValueError(f"{self.mechanism} takes no {kind.other}; "
+                             f"its noise is set by {kind.param} or scale")
+        noise_parameters(self.mechanism, np.empty(0), getattr(self, kind.param), self.scale)
         if any(n < 0 for n in self.distance_grid):
             raise ValueError("distance grid entries must be non-negative")
 
@@ -233,10 +233,10 @@ def _build_counts(config: ExperimentConfig, root: RngStream):
 
 
 def _run_mechanism(config: ExperimentConfig, counts: np.ndarray, rng: RngStream):
+    param = getattr(config, NOISE_KIND[config.mechanism].param)
     if config.mechanism == "lnmax":
-        return lnmax(counts, config.gamma, rng, scale=config.scale)
-    boosted, param = ((nzc_laplace, config.gamma) if config.mechanism == "nzc-laplace"
-                      else (nzc_gaussian, config.sigma))
+        return lnmax(counts, param, rng, scale=config.scale)
+    boosted = nzc_laplace if config.mechanism == "nzc-laplace" else nzc_gaussian
     return boosted(counts, config.boost_constant, param, config.beta, rng, scale=config.scale)
 
 
@@ -277,8 +277,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         parameters[rows] = batch.parameters
         ledger.record(*batch.ledger_entries)
     clean, gaps = argmax(counts), gap(counts)
+    charge = NOISE_KIND[config.mechanism].epsilon
     with np.errstate(over="ignore"):  # 2 * gamma is inf above about 9e307, as in LedgerEntry
-        epsilons = (2.0 * parameters).tolist() if NOISE_KIND[config.mechanism] == "laplace" else None
+        epsilons = charge(parameters).tolist() if charge else None
     columns = [list(range(queries)), labels.tolist(), clean.tolist(), truths or [None] * queries,
                gaps.tolist(), sensitivities.tolist(), epsilons or [None] * queries]
 
@@ -367,7 +368,13 @@ def read_report(out_dir) -> ExperimentReport:
     config = config_from_dict(values, str(out / SUMMARY_FILE))
 
     ledger = PrivacyLedger.load(out / LEDGER_FILE)
-    param = "gamma" if NOISE_KIND[config.mechanism] == "laplace" else "sigma"
+
+    def ledger_fault(index: int, fault: str) -> ValueError:
+        lines = (out / LEDGER_FILE).read_text(encoding="utf-8").splitlines()
+        line = [row.split(",")[0] for row in lines].index(str(index)) + 1  # row i starts with i
+        return ValueError(f"{out / LEDGER_FILE}:{line}: {fault}")
+
+    param = NOISE_KIND[config.mechanism].param
     sens = np.array([entry.sensitivity for entry in ledger.entries])
     try:
         charged = noise_parameters(config.mechanism, sens, getattr(config, param), config.scale)
@@ -375,15 +382,11 @@ def read_report(out_dir) -> ExperimentReport:
         raise ValueError(f"{out / LEDGER_FILE}: {exc}") from None
     for index, (entry, given) in enumerate(zip(ledger.entries, charged.tolist())):
         if entry.mechanism != config.mechanism:
-            fault = f"mechanism {entry.mechanism!r} differs from the config's {config.mechanism!r}"
-        elif getattr(entry, param) != given:
-            fault = (f"{param} {getattr(entry, param)!r} differs from the config's {given!r} "
-                     f"at sensitivity {entry.sensitivity!r}")
-        else:
-            continue
-        lines = (out / LEDGER_FILE).read_text(encoding="utf-8").splitlines()
-        line = [row.split(",")[0] for row in lines].index(str(index)) + 1  # row i starts with i
-        raise ValueError(f"{out / LEDGER_FILE}:{line}: {fault}")
+            raise ledger_fault(index, f"mechanism {entry.mechanism!r} differs from the "
+                                      f"config's {config.mechanism!r}")
+        if getattr(entry, param) != given:
+            raise ledger_fault(index, f"{param} {getattr(entry, param)!r} differs from the "
+                                      f"config's {given!r} at sensitivity {entry.sensitivity!r}")
 
     def query_row(*cells) -> tuple:  # every label is a class of the run; costs are its ledger row's
         row = QueryResult(*cells)
@@ -405,13 +408,14 @@ def read_report(out_dir) -> ExperimentReport:
             raise ValueError(f"{out / name}: {count} rows, but query_count is {config.queries}")
     columns = [[row[i] for row in rows] for i in range(len(_QUERY_TYPES))]
     _, labels, clean, truths, gaps = columns[:5]
+    gaps = np.asarray(gaps)  # object dtype for an int beyond int64, which the gap column allows
     with_truth = sum(truth is not None for truth in truths)
     if 0 < with_truth < len(truths):
         raise ValueError(f"{out / QUERIES_FILE}: truth_label is set on {with_truth} of "
                          f"{len(truths)} rows; set it on every row or none")
     report = ExperimentReport(config=config, columns=columns, ledger=ledger, **_figures(
         config, ledger, np.asarray(labels), np.asarray(clean), truths if with_truth else None,
-        np.asarray(gaps)))
+        gaps))
 
     derived = _summary(report)
     for key, value in derived.items():
@@ -429,4 +433,18 @@ def read_report(out_dir) -> ExperimentReport:
     unknown = [key for key in summary if key not in derived]
     if unknown:
         raise ValueError(f"{where} unknown key {unknown[0]!r}")
+    # a run's sensitivity is 1 (lnmax), else (1 + c) e^-beta where k* <= 2 and e^-beta
+    # elsewhere.  At gap g, k* is ceil(g/2) or floor(g/2) + 1, so k* <= 2 when g <= 3,
+    # k* > 2 when g >= 5, and either at g = 4, by which of the two leading bins comes first.
+    try:
+        far, near = ((1.0, 1.0) if config.mechanism == "lnmax"
+                     else smooth_levels(config.boost_constant, config.beta))
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
+    bad = np.flatnonzero(((sens != near) | (gaps > 4)) & ((sens != far) | (gaps < 4)))
+    if bad.size:
+        index, g = int(bad[0]), int(gaps[bad[0]])
+        allowed = " or ".join(map(repr, dict.fromkeys([near] * (g <= 4) + [far] * (g >= 4))))
+        raise ledger_fault(index, f"sensitivity {ledger.entries[index].sensitivity!r} "
+                                  f"differs from the config's {allowed} at gap {g}")
     return report

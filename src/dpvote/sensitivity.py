@@ -23,6 +23,7 @@ from .votes import VoteHistogram, Votes, boost, check_boost_constant, count_matr
 __all__ = [
     "SensitivityEstimate",
     "flip_moves",
+    "smooth_levels",
     "smooth_values",
     "smooth_sensitivity",
     "enumerate_neighbors",
@@ -86,10 +87,17 @@ def _discount(beta: float) -> float:
     return discount
 
 
+def smooth_levels(boost_constant: float, beta: float) -> tuple[float, float]:
+    """The only two smooth sensitivities: (e^-beta, (1 + c) * e^-beta), far from and near a flip."""
+    c = check_boost_constant(boost_constant)
+    discount = _discount(beta)
+    return discount, (1.0 + c) * discount
+
+
 def smooth_values(votes: Votes, boost_constant: float, beta: float) -> np.ndarray:
     """``smooth_sensitivity`` of each row of ``count_matrix(votes)``, as a float64 array."""
-    c = check_boost_constant(boost_constant)
-    return np.where(flip_moves(votes) <= 2, 1.0 + c, 1.0) * _discount(beta)
+    far, near = smooth_levels(boost_constant, beta)
+    return np.where(flip_moves(votes) <= 2, near, far)
 
 
 def smooth_sensitivity(votes: VoteHistogram, boost_constant: float, beta: float) -> SensitivityEstimate:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from itertools import chain, repeat
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from dpvote import (
     DEFAULT_ORDERS,
+    NOISE_KIND,
     LedgerEntry,
     PrivacyLedger,
     advanced_composition,
@@ -184,6 +186,18 @@ class TestLedgerEntry:
             LedgerEntry("lnmax", sensitivity=1.0)
         with pytest.raises(ValueError):
             LedgerEntry("lnmax", sensitivity=1.0, gamma=0.1, sigma=0.1)
+
+    @pytest.mark.parametrize("mechanism", list(NOISE_KIND))
+    def test_wrong_parameters_are_refused_naming_the_right_one(self, mechanism):
+        param, other = {"lnmax": ("gamma", "sigma"), "nzc-laplace": ("gamma", "sigma"),
+                        "nzc-gaussian": ("sigma", "gamma")}[mechanism]
+        message = f"a {mechanism} entry carries {param} and no {other}"
+        for values in ({}, {other: 1.0}, {param: 1.0, other: 1.0}):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                LedgerEntry(mechanism, sensitivity=1.0, **values)
+        with pytest.raises(ValueError, match="^unknown mechanism 'cauchy'; expected one of "
+                                             "lnmax, nzc-laplace, nzc-gaussian$"):
+            LedgerEntry("cauchy", sensitivity=1.0, **{param: 1.0})
 
     # an infinite value is refused as ledger.csv would refuse it on load; NaN and
     # negative values keep the range messages they had

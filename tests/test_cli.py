@@ -101,6 +101,16 @@ class TestRunCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert field in err
 
+    @pytest.mark.parametrize("mechanism, flag, message", [
+        ("lnmax", "--sigma", "lnmax takes no sigma; its noise is set by gamma or scale"),
+        ("nzc-gaussian", "--gamma", "nzc-gaussian takes no gamma; its noise is set by sigma or scale"),
+    ])
+    def test_parameter_of_the_other_noise_kind_is_named(self, capsys, mechanism, flag, message):
+        code = run_cli(["run", "--mechanism", mechanism, "--teachers", "5", "--queries", "3",
+                        flag, "1", "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: command line: {message}\n"
+
     @pytest.mark.parametrize("mechanism, flags, message", [
         ("nzc-laplace", ["--c", "1e100", "--scale", "1e-300"],
          "scale 1e-300 at sensitivity 3.6787944117144233e+99 gives gamma inf"),

@@ -1,12 +1,17 @@
+import ast
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dpvote
 from dpvote import (
+    NOISE_KIND,
     NoiseSpec,
     RngStream,
     VoteHistogram,
@@ -20,6 +25,10 @@ from dpvote import (
 )
 
 N = 100_000
+
+# each mechanism's noise kind, the parameter it carries and the one it never carries
+KINDS = {"lnmax": ("laplace", "gamma", "sigma"), "nzc-laplace": ("laplace", "gamma", "sigma"),
+         "nzc-gaussian": ("gaussian", "sigma", "gamma")}
 
 
 def laplace(scale):
@@ -157,6 +166,24 @@ class TestRequiredConstants:
         with pytest.raises(ValueError):
             required_constant_laplace(10, tau, 1.0)
 
+    @pytest.mark.parametrize("num_classes", [1, 2, 10, 1000])
+    @pytest.mark.parametrize("tau", [5e-324, 1e-300, 1e-9, 0.01, 0.5, 0.999])
+    def test_closed_forms_bit_for_bit(self, num_classes, tau):
+        for p in (1e-3, 0.3, 1.0, 7.5, 1e300):
+            assert required_constant_laplace(num_classes, tau, p) == math.log(num_classes / tau) / p
+            assert required_constant_gaussian(num_classes, tau, p) == (
+                p * math.sqrt(2.0 * math.log(2.0 * num_classes / tau)))
+
+    @pytest.mark.parametrize("constant, param", [(required_constant_laplace, "gamma"),
+                                                 (required_constant_gaussian, "sigma")])
+    def test_messages_name_the_parameter(self, constant, param):
+        for args, message in (((0, 0.5, 1.0), "need at least one class, got 0"),
+                              ((10, 1.0, 1.0), "tau must lie in (0, 1), got 1.0"),
+                              ((10, 0.5, 0.0), f"{param} must be positive, got 0.0"),
+                              ((10, 0.5, math.nan), f"{param} must be positive, got nan")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                constant(*args)
+
 
 class TestNoiseSpec:
     def test_laplace_scale(self):
@@ -175,6 +202,22 @@ class TestNoiseSpec:
     def test_rejects_bad_specs(self, kwargs):
         with pytest.raises(ValueError):
             NoiseSpec(**kwargs)
+
+    @pytest.mark.parametrize("mechanism", list(NOISE_KIND))
+    def test_messages_name_the_kind_and_its_parameter(self, mechanism):
+        kind, param, other = KINDS[mechanism]
+        for kwargs, message in (
+                (dict(kind="cauchy", **{param: 1.0}),
+                 "noise kind must be 'laplace' or 'gaussian', got 'cauchy'"),
+                (dict(kind=kind), f"{kind} noise needs a positive {param}"),
+                (dict(kind=kind, **{param: -1.0}), f"{kind} noise needs a positive {param}"),
+                (dict(kind=kind, **{other: 1.0}), f"{kind} noise needs a positive {param}"),
+                (dict(kind=kind, **{param: 1.0, other: 1.0}),
+                 f"{kind} noise takes {param}, not {other}"),
+                (dict(kind=kind, **{param: 1.0}, sensitivity=0.0),
+                 "sensitivity must be positive, got 0.0")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                NoiseSpec(**kwargs)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(kind="laplace", gamma=0.1, sensitivity=3.6787944117144235e307),
@@ -276,3 +319,19 @@ class TestMonteCarloBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def test_only_the_noise_module_compares_noise_kind_names():
+    # which noise a kind adds and charges is decided by its NoiseKind record in dpvote.noise;
+    # a comparison with a kind name anywhere else is a second copy of that decision
+    names = {"laplace", "gaussian"}
+    found = []
+    for path in sorted(Path(dpvote.__path__[0]).glob("*.py")):
+        if path.name == "noise.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(leaf, ast.Constant) and leaf.value in names
+                    for operand in (node.left, *node.comparators) for leaf in ast.walk(operand)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"noise kind names compared outside noise.py at {', '.join(found)}"

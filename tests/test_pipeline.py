@@ -415,6 +415,75 @@ class TestEmitAndRead:
         assert str(info.value) == (f"{paths['ledger']}:2: gamma 0.5 differs from the config's "
                                    f"{sensitivity / 2.0!r} at sensitivity {sensitivity!r}")
 
+    @staticmethod
+    def forge_row(paths, row, sensitivity, gamma=None, epsilon=None):
+        """Give query ``row`` another sensitivity in both tables (and another gamma and epsilon)."""
+        for name, cells in (("ledger", {4: sensitivity, 2: gamma}),
+                            ("queries", {5: sensitivity, 6: epsilon})):
+            lines = paths[name].read_text().splitlines()
+            row_cells = lines[row + 1].split(",")
+            for cell, value in cells.items():
+                if value is not None:
+                    row_cells[cell] = value
+            lines[row + 1] = ",".join(row_cells)
+            paths[name].write_text("\n".join(lines) + "\n")
+
+    def test_ledger_sensitivity_that_the_gap_rules_out_is_one_line_error(self, tmp_path):
+        # every file agrees with every other, but a gap of 25 votes gives e^-beta, not 4
+        report = run_experiment(small_config(seed=3, teachers=25, queries=3, boost_constant=10.0,
+                                             gamma=None, scale=2.0))
+        assert report.columns[4][0] == 25
+        paths = emit_report(report, tmp_path / "r")
+        self.forge_row(paths, 0, "4", gamma="2", epsilon="4")
+        summary = json.loads(paths["summary"].read_text())
+        summary["privacy"] = [{**vars(f), "eps": float(f"{f.eps:.12g}")}
+                              for f in PrivacyLedger.load(paths["ledger"]).figures(1e-5)]
+        paths["summary"].write_text(json.dumps(summary, indent=2) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == (f"{paths['ledger']}:2: sensitivity 4.0 differs from the "
+                                   f"config's {math.exp(-1.0)!r} at gap 25")
+
+    def test_lnmax_ledger_sensitivity_other_than_one_is_one_line_error(self, tmp_path):
+        report = run_experiment(small_config(mechanism="lnmax", gamma=0.5, queries=3))
+        paths = emit_report(report, tmp_path / "r")
+        self.forge_row(paths, 1, "0.5")
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == (f"{paths['ledger']}:3: sensitivity 0.5 differs from the "
+                                   f"config's 1.0 at gap {report.columns[4][1]}")
+
+    @pytest.mark.parametrize("beta, message", [
+        (2.0, f"ledger.csv:2: sensitivity {math.exp(-1.0)!r} differs from the config's "
+              f"{math.exp(-2.0)!r} at gap 25"),
+        (1000.0, "summary.json: beta 1000.0 is too large: e^-beta underflows to 0, "
+                 "which leaves no sensitivity to scale the noise to"),
+    ])
+    def test_beta_that_the_ledger_contradicts_is_one_line_error(self, tmp_path, beta, message):
+        # beta sets no gamma and no figure of a gamma run; only the sensitivities show it
+        report = run_experiment(small_config(seed=3, teachers=25, queries=3, boost_constant=10.0))
+        paths = emit_report(report, tmp_path / "r")
+        summary = json.loads(paths["summary"].read_text())
+        paths["summary"].write_text(json.dumps({**summary, "beta": beta}, indent=2) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == f"{tmp_path / 'r'}/{message}"
+
+    @pytest.mark.parametrize("row", [0, 11])
+    def test_gap_of_four_loads_at_either_sensitivity(self, tmp_path, row):
+        # at a gap of 4 the flip distance is 2 or 3, by which of the two leading bins comes first
+        report = run_experiment(small_config(seed=2, teachers=10, teacher_accuracy=0.5,
+                                             queries=12, boost_constant=10.0, gamma=0.5))
+        low, high = math.exp(-1.0), 11.0 * math.exp(-1.0)
+        assert report.columns[4][row] == 4 and report.columns[5][0] == low
+        assert report.columns[5][11] == high
+        paths = emit_report(report, tmp_path / "r")
+        other = high if report.columns[5][row] == low else low
+        self.forge_row(paths, row, repr(other))
+        loaded = read_report(tmp_path / "r")
+        assert loaded.columns[5][row] == other
+        assert loaded.ledger.entries[row].sensitivity == other
+
     @pytest.mark.parametrize("mechanism, parameter", [
         ("nzc-laplace", {"gamma": 0.1234567890123456}),
         ("nzc-gaussian", {"gamma": None, "sigma": 2.718281828459045}),
