@@ -16,6 +16,8 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 
 def field_types(cls) -> dict[str, tuple[type, bool]]:
     """Field name -> (base type, whether None is allowed), read from the annotations."""
@@ -72,28 +74,34 @@ def _format_float(value) -> str:
 
 
 def _column_cells(values, base: type):
-    """The cells of one column; each distinct float is formatted once."""
-    if base is not float:
-        return ["" if value is None else str(value) for value in values]
-    text = {value: "" if value is None else _format_float(value) for value in set(values)}
-    if 0.0 in text:  # 0.0 and -0.0 are one key, but -0.0 is written "-0"
+    """The cells of one column other than the positions; each distinct value is formatted once."""
+    write = _format_float if base is float else str
+    text = {value: "" if value is None else write(value) for value in set(values)}
+    if base is float and 0.0 in text:  # 0.0 and -0.0 are one key, but -0.0 is written "-0"
         return ["" if value is None else _format_float(value) for value in values]
     return map(text.__getitem__, values)
 
 
-def format_table(types: dict[str, tuple[type, bool]], columns) -> str:
+def format_table(types: dict[str, tuple[type, bool]], columns, rows=None) -> str:
     """The text of a table of the columns that ``types`` names and declares.
 
-    ``columns`` holds each column's values, the row positions first.
+    ``columns`` holds each column's values, the row positions first.  With ``rows``,
+    the other columns hold distinct records and row i is record ``rows[i]``.
     """
-    cells = [_column_cells(values, base) for values, (base, _) in zip(columns, types.values())]
-    return "\n".join([",".join(types), *map(",".join, zip(*cells))]) + "\n"
+    positions, *values = columns
+    cells = list(map(_column_cells, values, [base for base, _ in list(types.values())[1:]]))
+    if rows is not None:  # each distinct record is joined once
+        cells = [np.array(list(map(",".join, zip(*cells))), dtype=object)[rows].tolist()]
+    lines = map(",".join, zip([str(p) for p in positions], *cells))
+    return "\n".join([",".join(types), *lines]) + "\n"
 
 
-def read_table(path, types: dict[str, tuple[type, bool]], checks: dict, make) -> list:
+def read_table(path, types: dict[str, tuple[type, bool]], checks: dict, make, distinct=False):
     """The rows of a ``format_table`` file, each ``make(position, *values of the other cells)``.
 
-    Every error is one ValueError line naming ``path:line``: a header other than
+    With ``distinct``, ``make`` is called once per distinct text of a row's other cells,
+    and the result is (the records in order of first appearance, each row's index into
+    them).  Every error is one ValueError line naming ``path:line``: a header other than
     the names of ``types``, a row without one cell per column or whose first cell
     is not its position, a cell that does not fit its declared type in ``checks``
     or that ``format_table`` would write otherwise, or a ValueError from ``make``.
@@ -104,7 +112,11 @@ def read_table(path, types: dict[str, tuple[type, bool]], checks: dict, make) ->
         raise ValueError(f"{path}:1: expected the header {header!r}")
     position, *names = types
     parsers = [_cell_parser(name, types[name], checks) for name in names]
-    rows = []
+    rows, records, known = [], [], {}
+
+    def parse_row(cells: list[str]):
+        return make(len(rows), *[parse(c) for parse, c in zip(parsers, cells[1:])])
+
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -114,10 +126,17 @@ def read_table(path, types: dict[str, tuple[type, bool]], checks: dict, make) ->
                 raise ValueError(f"expected {len(types)} fields, got {len(cells)}")
             if cells[0] != str(len(rows)):
                 raise ValueError(f"{position} must be {len(rows)}, got {cells[0]!r}")
-            rows.append(make(len(rows), *[parse(c) for parse, c in zip(parsers, cells[1:])]))
+            if not distinct:
+                rows.append(parse_row(cells))
+                continue
+            text = line[len(cells[0]) + 1:]  # the cells after the position
+            if text not in known:
+                records.append(parse_row(cells))
+                known[text] = len(records) - 1
+            rows.append(known[text])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return rows
+    return (records, rows) if distinct else rows
 
 
 def _cell_parser(name: str, declared: tuple[type, bool], checks: dict):

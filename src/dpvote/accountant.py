@@ -9,6 +9,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from ._table import TYPE_CHECKS, field_types, format_table, read_table
 from .noise import GAUSSIAN, LAPLACE, NoiseKind
 
@@ -49,7 +51,7 @@ def advanced_composition(num_queries: int, gamma: float, delta: float) -> float:
     if not 0.0 < d <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
     t = float(num_queries)
-    return 4.0 * t * g * g + 2.0 * g * math.sqrt(2.0 * t * math.log(1.0 / d))
+    return 4.0 * t * g * g + 2.0 * g * math.sqrt(2.0 * t * -math.log(d))
 
 
 def classical_gaussian_epsilon(sigma: float, delta: float) -> Optional[float]:
@@ -143,31 +145,65 @@ _ROW_TYPES = {"index": (int, False), **_ENTRY_TYPES}
 class PrivacyLedger:
     """Ordered per-query privacy records with exact moment composition.
 
-    Single writer; ``record`` appends and the accumulated curve is the exact
-    sum of the per-entry curves (order of recording does not matter).
+    Each distinct charge (a ``LedgerEntry`` object) is held once, with the number of
+    queries it was charged to; each query is a row that indexes its charge.  Single
+    writer; ``record`` appends and the accumulated curve is the exact sum of the
+    per-query curves (order of recording does not matter).
     """
 
     orders = DEFAULT_ORDERS
 
     def __init__(self) -> None:
-        self.entries: list[LedgerEntry] = []
+        self._charges: list[LedgerEntry] = []  # distinct by identity: -0.0 == 0.0
+        self._tallies: list[int] = []  # queries charged to each
+        self._slots: dict[int, int] = {}  # id of a charge -> its index in _charges
+        self._rows: list[np.ndarray] = []  # per record call, each query's index in _charges
+
+    def _row_slots(self) -> np.ndarray:
+        """Each query's index in ``_charges``, in order."""
+        return np.concatenate([np.empty(0, dtype=np.intp), *self._rows])
+
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        """A fresh list of each query's entry, in order."""
+        return list(map(self._charges.__getitem__, self._row_slots().tolist()))
 
     @property
     def query_count(self) -> int:
-        return len(self.entries)
+        return sum(self._tallies)
 
-    def record(self, *entries: LedgerEntry) -> None:
-        """Append ``entries`` in order."""
+    def record(self, *entries: LedgerEntry, rows=None) -> None:
+        """Append one query per entry in order, or, with ``rows``, one per row: query i
+        is charged ``entries[rows[i]]``."""
         for entry in entries:
             if not isinstance(entry, LedgerEntry):
                 raise TypeError(f"expected a LedgerEntry, got {type(entry).__name__}")
-        self.entries.extend(entries)
+        rows = np.arange(len(entries)) if rows is None else np.asarray(rows)
+        if rows.ndim != 1 or rows.size and rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must be a 1-D integer array, got {rows.dtype} "
+                             f"of shape {rows.shape}")
+        if rows.size and not 0 <= rows.min() <= rows.max() < len(entries):
+            raise ValueError(f"rows must index the {len(entries)} entries, "
+                             f"got values from {rows.min()} to {rows.max()}")
+        rows = rows.astype(np.intp, copy=False)
+        slots = []
+        for entry, tally in zip(entries, np.bincount(rows, minlength=len(entries)).tolist()):
+            slot = self._slots.get(id(entry))
+            if slot is None:
+                slot = self._slots[id(entry)] = len(self._charges)
+                self._charges.append(entry)
+                self._tallies.append(0)
+            self._tallies[slot] += tally
+            slots.append(slot)
+        self._rows.append(np.array(slots, dtype=np.intp)[rows])
 
     def _counts(self, kind: NoiseKind) -> Counter:
-        """How many entries carry each value of ``kind``'s parameter, other kinds left out."""
-        counts = Counter(map(attrgetter(kind.param), self.entries))
+        """How many queries are charged each value of ``kind``'s parameter, other kinds left out."""
+        counts = Counter()
+        for charge, tally in zip(self._charges, self._tallies):
+            counts[getattr(charge, kind.param)] += tally
         del counts[None]
-        return counts
+        return +counts  # a charge no row uses adds nothing
 
     def moment_curve(self) -> tuple[float, ...]:
         """Exact sum of the entries' moment bounds at each of ``orders``; Gaussian entries add none."""
@@ -193,7 +229,7 @@ class PrivacyLedger:
         d = float(delta)
         if not 0.0 < d <= 1.0:
             raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
-        log_inv = math.log(1.0 / d)
+        log_inv = -math.log(d)  # 1 / d overflows for a subnormal delta
         return min((a + log_inv) / o for o, a in zip(self.orders, self.moment_curve()))
 
     def figures(self, delta: float) -> tuple[PrivacyFigure, ...]:
@@ -223,16 +259,19 @@ class PrivacyLedger:
 
     def export_text(self) -> str:
         """ledger.csv text: one row per query of what it spent; every cost is derived on load."""
-        columns = [list(map(attrgetter(name), self.entries)) for name in _ENTRY_TYPES]
-        return format_table(_ROW_TYPES, [range(self.query_count), *columns])
+        columns = [list(map(attrgetter(name), self._charges)) for name in _ENTRY_TYPES]
+        return format_table(_ROW_TYPES, [range(self.query_count), *columns], rows=self._row_slots())
 
     def export(self, path) -> None:
         Path(path).write_text(self.export_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "PrivacyLedger":
-        """Read an exported ledger; every error is one line naming ``path:line``."""
+        """Read an exported ledger, one entry per distinct row; every error is one line
+        naming ``path:line``."""
+        charges, rows = read_table(path, _ROW_TYPES, TYPE_CHECKS,
+                                   lambda index, *row: LedgerEntry(*row[:-1], sensitivity=row[-1]),
+                                   distinct=True)
         ledger = cls()
-        ledger.entries = read_table(path, _ROW_TYPES, TYPE_CHECKS,
-                                    lambda index, *row: LedgerEntry(*row[:-1], sensitivity=row[-1]))
+        ledger.record(*charges, rows=rows)
         return ledger

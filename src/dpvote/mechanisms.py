@@ -36,13 +36,19 @@ __all__ = [
 class MechanismBatch:
     """What a mechanism returned for each query, and what each answer cost; a histogram is one row.
 
-    Rows with the same sensitivity share one (immutable) ledger entry.
+    Rows with the same sensitivity share one (immutable) ledger entry, their charge.
     """
 
     returned_labels: np.ndarray  # (queries,) int64
     sensitivities: np.ndarray  # (queries,) float64
     parameters: np.ndarray  # (queries,) float64: each row's gamma or sigma, as in its ledger entry
-    ledger_entries: tuple[LedgerEntry, ...]
+    charges: tuple[LedgerEntry, ...]  # one per distinct sensitivity
+    charge_rows: np.ndarray  # (queries,) each row's index into charges
+
+    @property
+    def ledger_entries(self) -> tuple[LedgerEntry, ...]:
+        """Each row's charge, in order."""
+        return tuple(map(self.charges.__getitem__, self.charge_rows.tolist()))
 
 
 def noisy_argmax(values, noise):
@@ -96,10 +102,9 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
                      **{kind.param: param if scale is None else 1.0})
     noise = spec.sample(rng, size=values.shape)
     distinct, first, rows = np.unique(sens, return_index=True, return_inverse=True)
-    shared = [LedgerEntry(mechanism, sensitivity=s, **{kind.param: p})  # p is a function of s
-              for s, p in zip(distinct.tolist(), params[first].tolist())]
-    return MechanismBatch(noisy_argmax(values, noise), sens, params,
-                          tuple(map(shared.__getitem__, rows.tolist())))
+    shared = tuple(LedgerEntry(mechanism, sensitivity=s, **{kind.param: p})  # p is a function of s
+                   for s, p in zip(distinct.tolist(), params[first].tolist()))
+    return MechanismBatch(noisy_argmax(values, noise), sens, params, shared, rows)
 
 
 def lnmax(votes: Votes, gamma: Optional[float], rng: RngLike, *,

@@ -275,7 +275,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         labels[rows] = batch.returned_labels
         sensitivities[rows] = batch.sensitivities
         parameters[rows] = batch.parameters
-        ledger.record(*batch.ledger_entries)
+        ledger.record(*batch.charges, rows=batch.charge_rows)
     clean, gaps = argmax(counts), gap(counts)
     charge = NOISE_KIND[config.mechanism].epsilon
     with np.errstate(over="ignore"):  # 2 * gamma is inf above about 9e307, as in LedgerEntry
@@ -374,13 +374,14 @@ def read_report(out_dir) -> ExperimentReport:
         line = [row.split(",")[0] for row in lines].index(str(index)) + 1  # row i starts with i
         return ValueError(f"{out / LEDGER_FILE}:{line}: {fault}")
 
+    entries = ledger.entries  # a fresh list on each access
     param = NOISE_KIND[config.mechanism].param
-    sens = np.array([entry.sensitivity for entry in ledger.entries])
+    sens = np.array([entry.sensitivity for entry in entries])
     try:
         charged = noise_parameters(config.mechanism, sens, getattr(config, param), config.scale)
     except ValueError as exc:
         raise ValueError(f"{out / LEDGER_FILE}: {exc}") from None
-    for index, (entry, given) in enumerate(zip(ledger.entries, charged.tolist())):
+    for index, (entry, given) in enumerate(zip(entries, charged.tolist())):
         if entry.mechanism != config.mechanism:
             raise ledger_fault(index, f"mechanism {entry.mechanism!r} differs from the "
                                       f"config's {config.mechanism!r}")
@@ -394,8 +395,8 @@ def read_report(out_dir) -> ExperimentReport:
             label = getattr(row, name)
             if label is not None and not 0 <= label < config.num_classes:
                 raise ValueError(f"{name} must lie in [0, {config.num_classes}), got {label}")
-        if row.query_id < ledger.query_count:  # a row count that differs is refused below
-            entry = ledger.entries[row.query_id]
+        if row.query_id < len(entries):  # a row count that differs is refused below
+            entry = entries[row.query_id]
             for name in ("sensitivity", "epsilon"):
                 if getattr(row, name) != getattr(entry, name):
                     raise ValueError(f"{name} {getattr(row, name)!r} differs from the "
@@ -445,6 +446,6 @@ def read_report(out_dir) -> ExperimentReport:
     if bad.size:
         index, g = int(bad[0]), int(gaps[bad[0]])
         allowed = " or ".join(map(repr, dict.fromkeys([near] * (g <= 4) + [far] * (g >= 4))))
-        raise ledger_fault(index, f"sensitivity {ledger.entries[index].sensitivity!r} "
+        raise ledger_fault(index, f"sensitivity {entries[index].sensitivity!r} "
                                   f"differs from the config's {allowed} at gap {g}")
     return report

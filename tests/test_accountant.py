@@ -4,18 +4,22 @@ import re
 from collections import Counter
 from itertools import chain, repeat
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dpvote import (
+    BLOCK,
     DEFAULT_ORDERS,
     NOISE_KIND,
+    ExperimentConfig,
     LedgerEntry,
     PrivacyLedger,
     advanced_composition,
     classical_gaussian_epsilon,
     per_query_moment,
+    run_experiment,
 )
 from dpvote.accountant import _fsum_counted
 
@@ -139,6 +143,15 @@ class TestEpsForDelta:
         values = [ledger.eps_for_delta(d) for d in (1e-8, 1e-5, 1e-2)]
         assert values == sorted(values, reverse=True)
 
+    def test_subnormal_delta_gives_a_finite_eps(self):
+        # 1 / 1e-320 overflows to inf; ln(1 / delta) itself is 736.8
+        num, den = (1e-320).as_integer_ratio()
+        log_inv = math.log(den) - math.log(num)
+        eps = ledger_of(0.1).eps_for_delta(1e-320)
+        curve = ledger_of(0.1).moment_curve()
+        assert eps == pytest.approx(min((a + log_inv) / o for o, a in zip(DEFAULT_ORDERS, curve)),
+                                    rel=1e-12)
+
 
 class TestCompositionFormulas:
     def test_advanced_composition_value(self):
@@ -152,6 +165,11 @@ class TestCompositionFormulas:
 
     def test_advanced_composition_delta_one(self):
         assert advanced_composition(1, 0.3, 1.0) == pytest.approx(4 * 0.3 * 0.3, rel=1e-12)
+
+    def test_advanced_composition_at_a_subnormal_delta_is_finite(self):
+        num, den = (1e-320).as_integer_ratio()  # ln(1 / delta) is 736.8; 1 / delta is inf
+        expected = 4 * 20 * 0.01 + 2 * 0.1 * math.sqrt(2 * 20 * (math.log(den) - math.log(num)))
+        assert advanced_composition(20, 0.1, 1e-320) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("T,gamma,expected", [
         (1, 0.3, 0.6),
@@ -394,3 +412,132 @@ def test_delta_for_eps_stays_in_unit_interval(delta, gamma):
     eps = ledger.eps_for_delta(delta)
     assert eps >= 0.0
     assert 0.0 <= ledger.delta_for_eps(eps) <= 1.0
+
+
+class TestDistinctCharges:
+    """The ledger holds each distinct charge once; every result matches the per-row definition."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        # three blocks, so each block's row indices are offset into the ledger; with scale
+        # pinned and c low, both sensitivity levels occur and each is its own gamma
+        config = ExperimentConfig(mechanism="nzc-laplace", seed=5, queries=2500, num_classes=4,
+                                  teachers=5, boost_constant=2.0, scale=3.0)
+        return run_experiment(config)
+
+    def test_run_ledger_holds_at_most_two_charges_per_block(self, report):
+        ledger = report.ledger
+        entries = ledger.entries
+        assert ledger.query_count == len(entries) == 2500
+        assert [e.sensitivity for e in entries] == report.columns[5]  # each row its own
+        per_block = [{id(e) for e in entries[start:start + BLOCK]}
+                     for start in range(0, 2500, BLOCK)]
+        assert [len(ids) for ids in per_block] == [2, 2, 2]
+        assert len(set().union(*per_block)) == 6  # blocks share no entry object
+        assert len({e.gamma for e in entries}) == 2
+
+    def test_run_ledger_matches_the_per_row_definitions(self, report):
+        ledger = report.ledger
+        gammas = Counter(e.gamma for e in ledger.entries)
+        assert ledger.export_text() == _per_entry_export(ledger)
+        curve = tuple(_fsum_repeated(gammas, lambda g, o=o: per_query_moment(g, o))
+                      for o in ledger.orders)
+        assert ledger.moment_curve() == curve
+        simple = _fsum_repeated(gammas, lambda g: 2.0 * g)
+        assert ledger.simple_epsilon().hex() == simple.hex()
+        delta = 1e-5
+        moments = min((a + math.log(1.0 / delta)) / o for o, a in zip(ledger.orders, curve))
+        assert [(f.accounting, f.eps, f.delta) for f in ledger.figures(delta)] == [
+            ("paper-moments", moments, delta),
+            ("paper-simple", simple, 0.0),
+            ("paper-advanced", advanced_composition(2500, max(gammas), delta), delta)]
+
+    def _pair(self, rng):
+        # a few distinct charges of both noise kinds, and each row's index into them
+        distinct = [LedgerEntry("nzc-laplace", sensitivity=rng.choice([0.5, 1.0, 3.0]),
+                                gamma=rng.choice([1e-3, 0.25, 1 / 3, 7.0]))
+                    if rng.random() < 0.7 else
+                    LedgerEntry("nzc-gaussian", sensitivity=0.5, sigma=rng.choice([2.0, 1e3]))
+                    for _ in range(rng.randint(1, 5))]
+        rows = [rng.randrange(len(distinct)) for _ in range(rng.randint(1, 400))]
+        return distinct, rows
+
+    def test_distinct_form_equals_the_per_row_form(self, tmp_path):
+        rng = random.Random(28)
+        for _ in range(50):
+            per_row, by_charge = PrivacyLedger(), PrivacyLedger()
+            for _ in range(rng.randint(1, 3)):  # several record calls, as a run's blocks
+                distinct, rows = self._pair(rng)
+                per_row.record(*map(distinct.__getitem__, rows))
+                by_charge.record(*distinct, rows=np.array(rows))
+            assert by_charge.entries == per_row.entries
+            assert by_charge.query_count == per_row.query_count
+            assert by_charge.figures(1e-6) == per_row.figures(1e-6)
+            assert by_charge.export_text() == per_row.export_text() == _per_entry_export(per_row)
+
+    def test_charge_no_row_uses_adds_nothing(self):
+        ledger = PrivacyLedger()
+        ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=0.5),
+                      LedgerEntry("lnmax", sensitivity=1.0, gamma=100.0), rows=[0, 0])
+        assert ledger.figures(1e-5) == ledger_of(0.5, 0.5).figures(1e-5)
+        ledger.record(LedgerEntry("nzc-gaussian", sensitivity=1.0, sigma=1.0), rows=[])
+        assert ledger.figures(1e-5) == ledger_of(0.5, 0.5).figures(1e-5)
+
+    def test_distinct_form_keeps_the_sign_of_a_zero(self):
+        ledger = PrivacyLedger()
+        ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=-0.0),
+                      LedgerEntry("lnmax", sensitivity=1.0, gamma=0.0), rows=[1, 0, 1, 0])
+        assert ledger.export_text().splitlines()[1:] == [
+            "0,lnmax,0,,1", "1,lnmax,-0,,1", "2,lnmax,0,,1", "3,lnmax,-0,,1"]
+        assert ledger.export_text() == _per_entry_export(ledger)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([0, 2], "rows must index the 2 entries, got values from 0 to 2"),
+        ([-1, 0], "rows must index the 2 entries, got values from -1 to 0"),
+        ([[0, 1]], "rows must be a 1-D integer array, got int64 of shape (1, 2)"),
+        (0, "rows must be a 1-D integer array, got int64 of shape ()"),
+        ([0.0, 1.0], "rows must be a 1-D integer array, got float64 of shape (2,)"),
+        ([True, False], "rows must be a 1-D integer array, got bool of shape (2,)"),
+        (["0"], "rows must be a 1-D integer array, got <U1 of shape (1,)"),
+    ])
+    def test_malformed_rows_are_one_line_errors(self, rows, message):
+        ledger = ledger_of(0.5)
+        with pytest.raises(ValueError) as err:
+            ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=0.25),
+                          LedgerEntry("lnmax", sensitivity=1.0, gamma=0.125), rows=rows)
+        assert str(err.value) == message
+        assert ledger.entries == ledger_of(0.5).entries  # nothing was recorded
+
+    def test_load_shares_one_entry_per_distinct_row(self, tmp_path):
+        path = tmp_path / "ledger.csv"
+        path.write_text("index,mechanism,gamma,sigma,sensitivity\n0,lnmax,0.5,,1\n"
+                        "1,lnmax,-0,,1\n2,lnmax,0.5,,1\n3,lnmax,0,,1\n4,lnmax,-0,,1\n")
+        entries = PrivacyLedger.load(path).entries
+        assert len({id(e) for e in entries}) == 3  # -0 and 0 are two rows' texts
+        assert entries[0] is entries[2] and entries[1] is entries[4]
+        assert PrivacyLedger.load(path).export_text() == path.read_text()
+
+
+class TestCostPerDistinctCharge:
+    """No ledger computation walks the rows again: each works once per distinct charge."""
+
+    def test_large_ledger_is_never_read_row_by_row(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(28)
+        ledger, queries = PrivacyLedger(), 10 ** 5
+        for start in range(0, queries, BLOCK):  # two charges per block, as an nzc run makes
+            sens = (math.exp(-1), 3.0 * math.exp(-1))
+            charges = [LedgerEntry("nzc-laplace", sensitivity=s, gamma=s / 1e10) for s in sens]
+            rows = rng.integers(2, size=min(BLOCK, queries - start)).tolist()
+            ledger.record(*map(charges.__getitem__, rows))
+        expected = ledger.figures(1e-5)
+
+        def walked(self):
+            raise AssertionError("the rows were walked")
+
+        monkeypatch.setattr(PrivacyLedger, "entries", property(walked), raising=False)
+        assert ledger.query_count == queries
+        assert ledger.figures(1e-5) == expected
+        assert len(ledger.moment_curve()) == len(ledger.orders)
+        assert ledger.simple_epsilon() > 0.0
+        assert ledger.export_text().count("\n") == 1 + queries
+        ledger.export(tmp_path / "ledger.csv")

@@ -33,6 +33,21 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert "accuracy:" in captured.out
 
+    def test_subnormal_delta_gives_finite_figures(self, tmp_path, capsys):
+        out_dir = tmp_path / "X"
+        assert run_cli(["run", "--mechanism", "nzc-laplace", "--teachers", "5", "--queries",
+                        "20", "--c", "10", "--gamma", "0.1", "--seed", "1", "--delta", "1e-320",
+                        "--out", str(out_dir)]) == 0
+        privacy = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("privacy:")]
+        assert len(privacy) == 3 and not any("eps=inf" in line for line in privacy)
+
+        def refuse(constant):
+            raise ValueError(f"summary.json holds {constant}, which is not JSON")
+
+        summary = json.loads((out_dir / "summary.json").read_text(), parse_constant=refuse)
+        assert all(0.0 <= f["eps"] < 1e3 for f in summary["privacy"])
+
     def test_validation_failure_is_nonzero(self, tmp_path, capsys):
         code = run_cli([
             "run", "--mechanism", "nzc-laplace", "--teachers", "50",
