@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._table import field_types
 from .accountant import PrivacyLedger
 from .mechanisms import dp_ratio_check, flip_probability_mc
 from .noise import (
@@ -20,7 +21,7 @@ from .noise import (
     required_constant_laplace,
     union_flip_bound,
 )
-from .pipeline import MECHANISMS, ExperimentConfig, config_from_dict, emit_report, run_experiment
+from .pipeline import ExperimentConfig, config_from_dict, emit_report, run_experiment
 from .sensitivity import brute_force_local, brute_force_smooth, flip_moves, smooth_sensitivity
 from .votes import VoteHistogram
 
@@ -35,21 +36,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="answer a batch of queries and write a report")
     run.add_argument("--config", help="JSON file with config fields; flags override it")
-    run.add_argument("--mechanism", choices=MECHANISMS)
-    run.add_argument("--teachers", type=int, help="synthetic ensemble size")
-    run.add_argument("--teacher-accuracy", type=float, dest="teacher_accuracy")
-    run.add_argument("--classes", type=int, dest="num_classes")
-    run.add_argument("--queries", type=int)
-    run.add_argument("--c", type=float, dest="boost_constant", help="boost constant added to the top bin")
-    run.add_argument("--gamma", type=float, help="Laplace inverse-scale privacy parameter")
-    run.add_argument("--sigma", type=float, help="Gaussian std multiplier")
-    run.add_argument("--scale", type=float, help="raw noise scale (alternative to gamma/sigma)")
-    run.add_argument("--beta", type=float)
-    run.add_argument("--delta", type=float)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--predictions", help="CSV of query_id,teacher_id,label")
-    run.add_argument("--truth", help="CSV of query_id,label")
-    run.add_argument("--out", dest="out_dir", help="report directory")
+    types = field_types(ExperimentConfig)
+    for f in fields(ExperimentConfig):  # each flag as its field's metadata declares it
+        base, _ = types[f.name]
+        if base is not tuple:  # the distance grid is set in a config file only
+            run.add_argument("--" + f.metadata.get("alias", f.name).replace("_", "-"), dest=f.name,
+                             type=base, choices=f.metadata.get("choices"), help=f.metadata.get("help"))
     run.set_defaults(func=_cmd_run)
 
     verify = sub.add_parser("verify", help="run the built-in statistical oracle suites")

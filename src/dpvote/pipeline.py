@@ -32,7 +32,7 @@ from .ensemble import (
 )
 from .mechanisms import lnmax, noise_parameters, nzc_gaussian, nzc_laplace
 from .noise import RngStream
-from .sensitivity import smooth_levels
+from .sensitivity import gap_flip_moves, smooth_from_moves
 from .votes import argmax, check_boost_constant, gap
 
 __all__ = [
@@ -56,9 +56,6 @@ DEFAULT_DISTANCE_GRID = (1, 2, 3, 5, 10, 25, 50, 100)
 _TRUTH, _VOTES, _MECH = 0, 1, 2
 BLOCK = 1024  # queries per stream block; part of the report bytes, not a knob
 
-# config-file shorthands, mirroring the CLI flags --c, --classes and --out
-_CONFIG_ALIASES = {"c": "boost_constant", "classes": "num_classes", "out": "out_dir"}
-
 
 @dataclass
 class ExperimentConfig:
@@ -67,26 +64,32 @@ class ExperimentConfig:
     A report carries the config as the run resolved it: ``queries`` is the
     number of queries answered and ``teacher_accuracy`` the per-teacher
     accuracy of the synthetic ensemble (None for a prediction file).  Field
-    metadata ``summary`` names the field's key in summary.json; None keeps
-    the field out of it.
+    metadata ``summary`` names the field's key in summary.json (None keeps
+    it out); a field's ``dpvote run`` flag is ``--`` plus its ``alias``, also
+    a config-file key, or its name, with its ``help`` and ``choices``.
     """
 
-    mechanism: str
+    mechanism: str = field(metadata={"choices": MECHANISMS})
     seed: int
-    num_classes: int = 10
+    num_classes: int = field(default=10, metadata={"alias": "classes"})
     # None with a prediction file means "all queries in the file"
     queries: Optional[int] = field(default=None, metadata={"summary": "query_count"})
-    teachers: Optional[int] = None
+    teachers: Optional[int] = field(default=None, metadata={"help": "synthetic ensemble size"})
     teacher_accuracy: Optional[float] = None
-    predictions: Optional[str] = None
-    truth: Optional[str] = None
-    boost_constant: float = 0.0
-    gamma: Optional[float] = None
-    sigma: Optional[float] = None
-    scale: Optional[float] = None  # raw noise scale; alternative to gamma/sigma calibration
+    predictions: Optional[str] = field(default=None, metadata={
+        "help": "CSV of query_id,teacher_id,label"})
+    truth: Optional[str] = field(default=None, metadata={"help": "CSV of query_id,label"})
+    boost_constant: float = field(default=0.0, metadata={
+        "alias": "c", "help": "boost constant added to the top bin"})
+    gamma: Optional[float] = field(default=None, metadata={
+        "help": "Laplace inverse-scale privacy parameter"})
+    sigma: Optional[float] = field(default=None, metadata={"help": "Gaussian std multiplier"})
+    scale: Optional[float] = field(default=None, metadata={
+        "help": "raw noise scale (alternative to gamma/sigma)"})
     beta: float = 1.0
     delta: float = 1e-5
-    out_dir: Optional[str] = field(default=None, metadata={"summary": None})
+    out_dir: Optional[str] = field(default=None, metadata={
+        "alias": "out", "summary": None, "help": "report directory"})
     # summary.json keeps the grid as the n column of qualified_fractions
     distance_grid: tuple[int, ...] = field(default=DEFAULT_DISTANCE_GRID,
                                            metadata={"summary": None})
@@ -108,6 +111,9 @@ class ExperimentConfig:
                 raise ValueError("synthetic runs need a non-negative query budget")
             if self.truth is not None:
                 raise ValueError("synthetic runs draw their own truth labels; they take no truth file")
+        elif self.teacher_accuracy is not None:
+            raise ValueError("prediction-file runs have no synthetic teachers; they take no "
+                             "teacher_accuracy")
         if self.teacher_accuracy is not None and not 0.0 <= self.teacher_accuracy <= 1.0:
             raise ValueError(f"teacher_accuracy must lie in [0, 1], got {self.teacher_accuracy!r}")
         if self.queries is not None and self.queries < 0:
@@ -142,14 +148,17 @@ class QueryResult:
 
 
 _CONFIG_TYPES = field_types(ExperimentConfig)
+# config-file shorthand -> field name, from each field's alias, which is also its run flag
+_CONFIG_ALIASES = {f.metadata["alias"]: f.name for f in fields(ExperimentConfig)
+                   if "alias" in f.metadata}
 _QUERY_TYPES = field_types(QueryResult)
 
 
 def config_from_dict(raw: dict, source: str = "config") -> ExperimentConfig:
     """Build and validate a config from JSON-style keys.
 
-    Keys are the ExperimentConfig field names plus the shorthands ``c``,
-    ``classes`` and ``out``; when two keys name one field, the later wins.
+    Keys are the ExperimentConfig field names plus the aliases its fields
+    declare; when two keys name one field, the later wins.
     Every error is a one-line ValueError; ``source`` names the input in it.
     """
     values = {}
@@ -434,18 +443,18 @@ def read_report(out_dir) -> ExperimentReport:
     unknown = [key for key in summary if key not in derived]
     if unknown:
         raise ValueError(f"{where} unknown key {unknown[0]!r}")
-    # a run's sensitivity is 1 (lnmax), else (1 + c) e^-beta where k* <= 2 and e^-beta
-    # elsewhere.  At gap g, k* is ceil(g/2) or floor(g/2) + 1, so k* <= 2 when g <= 3,
-    # k* > 2 when g >= 5, and either at g = 4, by which of the two leading bins comes first.
+    # a run's sensitivity is 1 (lnmax), else the smooth sensitivity at k*, which is one of
+    # two values at its row's gap, by which of the two leading bins comes first
     try:
-        far, near = ((1.0, 1.0) if config.mechanism == "lnmax"
-                     else smooth_levels(config.boost_constant, config.beta))
+        allowed = ([np.ones(len(sens))] * 2 if config.mechanism == "lnmax" else
+                   [smooth_from_moves(k, config.boost_constant, config.beta)
+                    for k in gap_flip_moves(gaps)])
     except ValueError as exc:
         raise ValueError(f"{where} {exc}") from None
-    bad = np.flatnonzero(((sens != near) | (gaps > 4)) & ((sens != far) | (gaps < 4)))
+    bad = np.flatnonzero((sens != allowed[0]) & (sens != allowed[1]))
     if bad.size:
-        index, g = int(bad[0]), int(gaps[bad[0]])
-        allowed = " or ".join(map(repr, dict.fromkeys([near] * (g <= 4) + [far] * (g >= 4))))
-        raise ledger_fault(index, f"sensitivity {entries[index].sensitivity!r} "
-                                  f"differs from the config's {allowed} at gap {g}")
+        index = int(bad[0])
+        values = " or ".join(map(repr, dict.fromkeys(float(a[index]) for a in allowed)))
+        raise ledger_fault(index, f"sensitivity {entries[index].sensitivity!r} differs from "
+                                  f"the config's {values} at gap {int(gaps[index])}")
     return report

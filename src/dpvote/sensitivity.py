@@ -23,7 +23,9 @@ from .votes import VoteHistogram, Votes, boost, check_boost_constant, count_matr
 __all__ = [
     "SensitivityEstimate",
     "flip_moves",
+    "gap_flip_moves",
     "smooth_levels",
+    "smooth_from_moves",
     "smooth_values",
     "smooth_sensitivity",
     "enumerate_neighbors",
@@ -75,6 +77,17 @@ def flip_moves(votes: Votes) -> np.ndarray:
     return moves.min(axis=1)
 
 
+def gap_flip_moves(gaps) -> tuple[np.ndarray, np.ndarray]:
+    """The two values ``flip_moves`` can take at each top-two gap g: (ceil(g/2), floor(g/2) + 1).
+
+    A runner-up has the smallest margin, g, so it needs the fewest moves: ceil(g/2)
+    when it comes before the winner, floor(g/2) + 1 when it comes after.  ``gaps``
+    may be of any integer dtype, object included.
+    """
+    gaps = np.asarray(gaps)
+    return (gaps + 1) // 2, gaps // 2 + 1
+
+
 def _discount(beta: float) -> float:
     """The discount e^-beta; a one-line error unless beta is positive and e^-beta is not 0."""
     b = float(beta)
@@ -94,10 +107,15 @@ def smooth_levels(boost_constant: float, beta: float) -> tuple[float, float]:
     return discount, (1.0 + c) * discount
 
 
+def smooth_from_moves(moves, boost_constant: float, beta: float) -> np.ndarray:
+    """The smooth sensitivity at each k* in ``moves``: near a flip when k* <= 2, else far."""
+    far, near = smooth_levels(boost_constant, beta)
+    return np.where(np.asarray(moves) <= 2, near, far)
+
+
 def smooth_values(votes: Votes, boost_constant: float, beta: float) -> np.ndarray:
     """``smooth_sensitivity`` of each row of ``count_matrix(votes)``, as a float64 array."""
-    far, near = smooth_levels(boost_constant, beta)
-    return np.where(flip_moves(votes) <= 2, near, far)
+    return smooth_from_moves(flip_moves(votes), boost_constant, beta)
 
 
 def smooth_sensitivity(votes: VoteHistogram, boost_constant: float, beta: float) -> SensitivityEstimate:

@@ -116,6 +116,20 @@ class TestRunCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert field in err
 
+    def test_teacher_accuracy_on_a_prediction_file_is_one_line_error(self, tmp_path, capsys):
+        # a prediction file's teachers have no set accuracy; the run would drop the value
+        preds = tmp_path / "p.csv"
+        preds.write_text("query_id,teacher_id,label\n0,0,1\n0,1,0\n1,0,1\n1,1,1\n")
+        out_dir = tmp_path / "X"
+        code = run_cli(["run", "--mechanism", "lnmax", "--predictions", str(preds), "--classes", "2",
+                        "--teacher-accuracy", "0.3", "--gamma", "0.5", "--seed", "1",
+                        "--out", str(out_dir)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: command line: prediction-file runs have no synthetic teachers; "
+            "they take no teacher_accuracy\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("mechanism, flag, message", [
         ("lnmax", "--sigma", "lnmax takes no sigma; its noise is set by gamma or scale"),
         ("nzc-gaussian", "--gamma", "nzc-gaussian takes no gamma; its noise is set by sigma or scale"),
@@ -197,12 +211,83 @@ class TestRunCommand:
         assert [row["n"] for row in summary["qualified_fractions"]] == [0, 4]
 
     def test_every_config_field_but_the_grid_has_a_run_flag(self):
-        # the parser is written by hand; a new config field needs its flag too
+        # the parser is built from ExperimentConfig's fields; this keeps a skipped field in view
         subparsers = next(a for a in _build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         dests = {action.dest for action in subparsers.choices["run"]._actions}
         missing = {f.name for f in fields(ExperimentConfig)} - {"distance_grid"} - dests
         assert not missing
+
+    # option -> (dest, type, choices, help) of every run option, so a dropped or retyped flag
+    # fails; argparse leaves a value as the string given when type is None, so that pins as str
+    RUN_OPTIONS = {
+        "--config": ("config", str, None, "JSON file with config fields; flags override it"),
+        "--mechanism": ("mechanism", str, ("lnmax", "nzc-laplace", "nzc-gaussian"), None),
+        "--teachers": ("teachers", int, None, "synthetic ensemble size"),
+        "--teacher-accuracy": ("teacher_accuracy", float, None, None),
+        "--classes": ("num_classes", int, None, None),
+        "--queries": ("queries", int, None, None),
+        "--c": ("boost_constant", float, None, "boost constant added to the top bin"),
+        "--gamma": ("gamma", float, None, "Laplace inverse-scale privacy parameter"),
+        "--sigma": ("sigma", float, None, "Gaussian std multiplier"),
+        "--scale": ("scale", float, None, "raw noise scale (alternative to gamma/sigma)"),
+        "--beta": ("beta", float, None, None),
+        "--delta": ("delta", float, None, None),
+        "--seed": ("seed", int, None, None),
+        "--predictions": ("predictions", str, None, "CSV of query_id,teacher_id,label"),
+        "--truth": ("truth", str, None, "CSV of query_id,label"),
+        "--out": ("out_dir", str, None, "report directory"),
+    }
+
+    def test_run_options_are_pinned(self):
+        subparsers = next(a for a in _build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        options = {option: (action.dest, action.type or str, action.choices, action.help)
+                   for action in subparsers.choices["run"]._actions if action.dest != "help"
+                   for option in action.option_strings}
+        assert options == self.RUN_OPTIONS
+
+    # each value differs from the base's and the default, so a flag that is not applied shows
+    SYNTHETIC = {"mechanism": "nzc-laplace", "teachers": 5, "queries": 6, "seed": 1}
+
+    @pytest.mark.parametrize("base, key, flag, value", [
+        ({**SYNTHETIC, "gamma": 0.5}, "mechanism", "--mechanism", "lnmax"),
+        ({**SYNTHETIC, "gamma": 0.5}, "seed", "--seed", 4),
+        ({**SYNTHETIC, "gamma": 0.5}, "num_classes", "--classes", 3),
+        ({**SYNTHETIC, "gamma": 0.5}, "classes", "--classes", 3),
+        ({**SYNTHETIC, "gamma": 0.5}, "queries", "--queries", 9),
+        ({**SYNTHETIC, "gamma": 0.5}, "teachers", "--teachers", 250),
+        ({**SYNTHETIC, "gamma": 0.5}, "teacher_accuracy", "--teacher-accuracy", 0.75),
+        ({"mechanism": "lnmax", "num_classes": 3, "gamma": 0.5, "seed": 1},
+         "predictions", "--predictions", "../preds.csv"),
+        ({"mechanism": "lnmax", "num_classes": 3, "gamma": 0.5, "seed": 1,
+          "predictions": "../preds.csv"}, "truth", "--truth", "../truth.csv"),
+        ({**SYNTHETIC, "gamma": 0.5}, "boost_constant", "--c", 10.0),
+        ({**SYNTHETIC, "gamma": 0.5}, "c", "--c", 10.0),
+        ({**SYNTHETIC, "gamma": 0.5}, "gamma", "--gamma", 0.25),
+        ({**SYNTHETIC, "mechanism": "nzc-gaussian"}, "sigma", "--sigma", 2.0),
+        (SYNTHETIC, "scale", "--scale", 3.0),
+        ({**SYNTHETIC, "gamma": 0.5}, "beta", "--beta", 0.5),
+        ({**SYNTHETIC, "gamma": 0.5}, "delta", "--delta", 0.001),
+        ({**SYNTHETIC, "gamma": 0.5}, "out_dir", "--out", "report"),
+        ({**SYNTHETIC, "gamma": 0.5}, "out", "--out", "report"),
+    ])
+    def test_flag_and_config_key_give_the_same_summary(self, tmp_path, monkeypatch,
+                                                       base, key, flag, value):
+        (tmp_path / "preds.csv").write_text("query_id,teacher_id,label\n" + "\n".join(
+            f"{q},{t},{(q + t) % 3}" for q in range(4) for t in range(3)) + "\n")
+        (tmp_path / "truth.csv").write_text("query_id,label\n0,0\n1,1\n2,2\n3,0\n")
+        out = [] if key in ("out", "out_dir") else ["--out", "report"]
+
+        def summary(cwd, config, flags):  # each run in its own directory, paths relative to it
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            (cwd / "run.json").write_text(json.dumps(config))
+            assert run_cli(["run", "--config", "run.json", *flags, *out]) == 0
+            return (cwd / "report" / "summary.json").read_bytes()
+
+        assert (summary(tmp_path / "key", {**base, key: value}, [])
+                == summary(tmp_path / "flag", base, [flag, str(value)]))
 
 
 class TestVerifyCommand:

@@ -484,6 +484,36 @@ class TestEmitAndRead:
         assert loaded.columns[5][row] == other
         assert loaded.ledger.entries[row].sensitivity == other
 
+    def test_sensitivity_at_a_gap_of_four_that_neither_value_gives_names_both(self, tmp_path):
+        report = run_experiment(small_config(seed=2, teachers=10, teacher_accuracy=0.5,
+                                             queries=12, boost_constant=10.0, gamma=0.5))
+        assert report.columns[4][0] == 4
+        paths = emit_report(report, tmp_path / "r")
+        self.forge_row(paths, 0, "4")
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == (f"{paths['ledger']}:2: sensitivity 4.0 differs from the "
+                                   f"config's {11.0 * math.exp(-1.0)!r} or {math.exp(-1.0)!r} "
+                                   "at gap 4")
+
+    def test_gap_beyond_int64_is_checked_as_any_other(self, tmp_path):
+        # such a gap column is object dtype; with no distance grid no figure reads it
+        report = run_experiment(small_config(seed=3, teachers=25, queries=3, boost_constant=10.0,
+                                             gamma=0.5, distance_grid=()))
+        assert report.columns[4][0] == 25
+        paths = emit_report(report, tmp_path / "r")
+        lines = paths["queries"].read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[4] = str(2**70)
+        lines[1] = ",".join(cells)
+        paths["queries"].write_text("\n".join(lines) + "\n")
+        assert read_report(tmp_path / "r").columns[4][0] == 2**70
+        self.forge_row(paths, 0, repr(11.0 * math.exp(-1.0)))
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == (f"{paths['ledger']}:2: sensitivity {11.0 * math.exp(-1.0)!r} "
+                                   f"differs from the config's {math.exp(-1.0)!r} at gap {2**70}")
+
     @pytest.mark.parametrize("mechanism, parameter", [
         ("nzc-laplace", {"gamma": 0.1234567890123456}),
         ("nzc-gaussian", {"gamma": None, "sigma": 2.718281828459045}),
@@ -606,6 +636,23 @@ class TestEmitAndRead:
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
         assert str(info.value) == f"{paths['summary']}: {message}"
+
+    def test_teacher_accuracy_in_a_prediction_file_summary_is_one_line_error(self, tmp_path):
+        # a replay's summary says null; an accuracy there was never any teacher's
+        preds = tmp_path / "preds.csv"
+        preds.write_text("query_id,teacher_id,label\n" + "\n".join(
+            f"{q},{t},{(q + (t == 0)) % 3}" for q in range(4) for t in range(5)) + "\n")
+        paths = emit_report(run_experiment(ExperimentConfig(
+            mechanism="lnmax", seed=1, num_classes=3, predictions=str(preds), gamma=0.5)),
+            tmp_path / "r")
+        summary = json.loads(paths["summary"].read_text())
+        assert summary["teacher_accuracy"] is None
+        read_report(tmp_path / "r")
+        paths["summary"].write_text(json.dumps({**summary, "teacher_accuracy": 0.5}, indent=2))
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == (f"{paths['summary']}: prediction-file runs have no synthetic "
+                                   "teachers; they take no teacher_accuracy")
 
     @pytest.mark.parametrize("key, value", [
         ("agreement_pct", 12),

@@ -14,6 +14,8 @@ from dpvote import (
     enumerate_neighbors,
     flip_moves,
     gap,
+    gap_flip_moves,
+    smooth_from_moves,
     smooth_sensitivity,
     smooth_values,
 )
@@ -221,6 +223,29 @@ class TestFlipMoves:
                     v = VoteHistogram(row)
                     assert s == brute_force_smooth(v, c, beta), (row, c, beta)
                     assert loc == brute_force_local(v, c), (row, c)
+
+    def test_flip_moves_and_smooth_values_are_one_of_the_two_at_the_rows_gap(self):
+        # few votes per bin, so ties at the top and either order of the leading bins are common
+        gen = np.random.default_rng(20261020)
+        for num_classes in range(2, 7):
+            counts = gen.integers(0, 6, size=(2000, num_classes))
+            counts = counts[counts.sum(axis=1) > 0]  # a histogram holds a vote
+            before, after = gap_flip_moves(gap(counts))
+            moves = flip_moves(counts)
+            assert np.all((moves == before) | (moves == after))
+            assert np.any(moves != before) and np.any(moves != after)
+            for c, beta in [(0.0, 1.0), (9.0, 0.5), (1e100, 2.0)]:
+                smooth = smooth_values(counts, c, beta)
+                assert np.all((smooth == smooth_from_moves(before, c, beta))
+                              | (smooth == smooth_from_moves(after, c, beta)))
+
+    def test_gap_flip_moves_takes_an_object_column(self):
+        # queries.csv allows a gap beyond int64, which numpy holds as Python ints
+        gaps = np.array([0, 3, 4, 2**70], dtype=object)
+        before, after = gap_flip_moves(gaps)
+        assert before.tolist() == [0, 2, 2, 2**69] and after.tolist() == [1, 2, 3, 2**69 + 1]
+        assert smooth_from_moves(after, 9.0, 1.0).tolist() == [10 * math.exp(-1)] * 2 + [
+            math.exp(-1)] * 2
 
     def test_scalar_functions_are_a_batch_of_one(self):
         counts = np.array([[5, 3], [3, 5], [9, 1]])
