@@ -182,12 +182,19 @@ class PrivacyLedger:
         if rows.ndim != 1 or rows.size and rows.dtype.kind not in "iu":
             raise ValueError(f"rows must be a 1-D integer array, got {rows.dtype} "
                              f"of shape {rows.shape}")
-        if rows.size and not 0 <= rows.min() <= rows.max() < len(entries):
+        index = rows.astype(np.intp, copy=False)
+        tallies = None
+        # bincount refuses a negative row; the max goes first, as near 2**63 its length overflows
+        if not rows.size or rows.max() < len(entries):
+            try:
+                tallies = np.bincount(index, minlength=len(entries))
+            except ValueError:
+                pass
+        if tallies is None:
             raise ValueError(f"rows must index the {len(entries)} entries, "
                              f"got values from {rows.min()} to {rows.max()}")
-        rows = rows.astype(np.intp, copy=False)
         slots = []
-        for entry, tally in zip(entries, np.bincount(rows, minlength=len(entries)).tolist()):
+        for entry, tally in zip(entries, tallies.tolist()):
             slot = self._slots.get(id(entry))
             if slot is None:
                 slot = self._slots[id(entry)] = len(self._charges)
@@ -195,7 +202,7 @@ class PrivacyLedger:
                 self._tallies.append(0)
             self._tallies[slot] += tally
             slots.append(slot)
-        self._rows.append(np.array(slots, dtype=np.intp)[rows])
+        self._rows.append(np.array(slots, dtype=np.intp)[index])
 
     def _counts(self, kind: NoiseKind) -> Counter:
         """How many queries are charged each value of ``kind``'s parameter, other kinds left out."""

@@ -123,8 +123,9 @@ class PredictionTable:
         return [self.truth[q] for q in self.query_ids]
 
 
-def _loadtxt(rows: list[str], **kwargs) -> np.ndarray:
-    """``rows`` as int64 columns; a cell that parses only as a float raises ValueError.
+def _loadtxt(rows, **kwargs) -> np.ndarray:
+    """``rows`` (a list of lines or a file path) as int64 columns; a cell that parses
+    only as a float raises ValueError.
 
     numpy 1.23 deprecated reading such a cell (``1.5``, ``1e3``, or an integer
     beyond int64) through a float; releases that still do so only warn, and
@@ -134,7 +135,7 @@ def _loadtxt(rows: list[str], **kwargs) -> np.ndarray:
         warnings.simplefilter("error", DeprecationWarning)
         try:
             return np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2,
-                              **kwargs)
+                              encoding="utf-8", **kwargs)
         except DeprecationWarning as exc:
             raise ValueError(str(exc)) from None
 
@@ -147,24 +148,49 @@ def _loads(rows: list[str], width: int, **kwargs) -> bool:
         return False
 
 
+# the bytes of a plain file: printable ASCII, tab and the line ends that numpy and
+# str.splitlines both break at; any other byte is a line break or a cell to only one of them
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+
+
 def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Callable[[int], int]]:
     """The cells of a CSV of integers under ``header``, and a map from row to file line.
 
     Whitespace-only lines are skipped.  A cell is a base-10 integer in int64
     with an optional sign and surrounding spaces; ``#`` starts no comment.  The
-    whole file is one ``np.loadtxt`` pass; only when it fails is the first bad
-    row looked for, and its one-line error names the file line.
+    whole file is one ``np.loadtxt`` pass, by one of two routes:
+
+    - a plain file (its first line is exactly ``header`` and a newline, a data
+      row follows, and every byte is in ``_PLAIN``) is handed to numpy by path,
+      which it parses in C chunks.  The file is read twice: once here for that
+      check and once by numpy.  On these bytes numpy breaks lines where
+      ``str.splitlines`` does and skips what it skips, or refuses the file;
+    - any other file, and a plain one that numpy refuses or reads at another
+      width, is decoded and split into lines, and its non-blank lines are loaded.
+
+    Only when that pass fails is the first bad row looked for, and its one-line
+    error names the file line.
     """
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0].strip() != header:
-        raise ValueError(f"{path}:1: expected header {header!r}")
-    rows = list(filter(str.strip, lines[1:]))
+    raw = path.read_bytes()
 
     def lineno(row: int) -> int:
-        """File line of ``rows[row]``; only an error message needs one."""
+        """File line of data row ``row``; only an error message needs one."""
+        lines = raw.decode("utf-8").splitlines()
         return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
     names = header.split(",")
+    first, _, rest = raw.partition(b"\n")
+    if first == header.encode() and rest.strip() and not raw.translate(None, _PLAIN):
+        try:
+            cells = _loadtxt(path, skiprows=1)
+            if cells.shape[1] == len(names):
+                return cells, lineno
+        except ValueError:
+            pass
+    lines = raw.decode("utf-8").splitlines()
+    if not lines or lines[0].strip() != header:
+        raise ValueError(f"{path}:1: expected header {header!r}")
+    rows = list(filter(str.strip, lines[1:]))
     if not rows:
         return np.empty((0, len(names)), dtype=np.int64), lineno
     try:
@@ -229,12 +255,15 @@ def load_predictions(path, num_classes: Optional[int] = None,
     query_ids, qrow = np.unique(query, return_inverse=True)
     teacher_ids, tcol = np.unique(teacher, return_inverse=True)
     cell = qrow * len(teacher_ids) + tcol  # flat index into the (queries, teachers) matrix
-    repeat = _first_repeat(cell)
-    if repeat:
-        row, first = repeat
-        raise ValueError(f"{path}:{lineno(row)}: duplicate prediction for query {query[row]}, "
-                         f"teacher {teacher[row]} (first seen on line {lineno(first)})")
-    if len(cell) < len(query_ids) * len(teacher_ids):
+    # as many rows as cells and none seen twice is a complete table; a bincount of an
+    # incomplete one could be as long as the product of its distinct ids, so it is not taken
+    size = len(query_ids) * len(teacher_ids)
+    if len(cell) != size or np.bincount(cell, minlength=size).max() > 1:
+        repeat = _first_repeat(cell)
+        if repeat:
+            row, first = repeat
+            raise ValueError(f"{path}:{lineno(row)}: duplicate prediction for query {query[row]}, "
+                             f"teacher {teacher[row]} (first seen on line {lineno(first)})")
         absent = np.flatnonzero(np.sort(cell) != np.arange(len(cell)))
         q, t = divmod(int(absent[0]) if absent.size else len(cell), len(teacher_ids))
         raise ValueError(f"{path}: missing prediction for query {query_ids[q]}, "

@@ -94,14 +94,19 @@ def noise_parameters(mechanism: str, sens: np.ndarray, param: Optional[float],
 def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Optional[float],
              scale: Optional[float], rng: RngLike) -> MechanismBatch:
     """Noisy argmax of each row of ``values`` with the mechanism's NOISE_KIND calibrated to that
-    row's ``sens``: Laplace of scale sens / gamma or Gaussian of std sens * sigma."""
+    row's ``sens``: Laplace of scale sens / gamma or Gaussian of std sens * sigma.
+
+    A block whose rows share one sensitivity draws at that scalar scale, which gives the
+    same values as the column of it without the (rows, classes) scale temporary.
+    """
     params = noise_parameters(mechanism, sens, param, scale)
     kind = NOISE_KIND[mechanism]
+    distinct, first, rows = np.unique(sens, return_index=True, return_inverse=True)
+    at = float(distinct[0]) if len(distinct) == 1 else sens[:, None]
     # with ``scale`` pinned, a unit parameter and sensitivity = scale draw at exactly scale
-    spec = NoiseSpec(kind.name, sensitivity=sens[:, None] if scale is None else scale,
+    spec = NoiseSpec(kind.name, sensitivity=at if scale is None else scale,
                      **{kind.param: param if scale is None else 1.0})
     noise = spec.sample(rng, size=values.shape)
-    distinct, first, rows = np.unique(sens, return_index=True, return_inverse=True)
     shared = tuple(LedgerEntry(mechanism, sensitivity=s, **{kind.param: p})  # p is a function of s
                    for s, p in zip(distinct.tolist(), params[first].tolist()))
     return MechanismBatch(noisy_argmax(values, noise), sens, params, shared, rows)

@@ -499,6 +499,11 @@ class TestDistinctCharges:
         ([0.0, 1.0], "rows must be a 1-D integer array, got float64 of shape (2,)"),
         ([True, False], "rows must be a 1-D integer array, got bool of shape (2,)"),
         (["0"], "rows must be a 1-D integer array, got <U1 of shape (1,)"),
+        ([0, 10**12], "rows must index the 2 entries, got values from 0 to 1000000000000"),
+        ([2**63 - 1], "rows must index the 2 entries, "
+                      "got values from 9223372036854775807 to 9223372036854775807"),
+        (np.array([1, 2**64 - 1], dtype=np.uint64),
+         "rows must index the 2 entries, got values from 1 to 18446744073709551615"),
     ])
     def test_malformed_rows_are_one_line_errors(self, rows, message):
         ledger = ledger_of(0.5)
@@ -507,6 +512,23 @@ class TestDistinctCharges:
                           LedgerEntry("lnmax", sensitivity=1.0, gamma=0.125), rows=rows)
         assert str(err.value) == message
         assert ledger.entries == ledger_of(0.5).entries  # nothing was recorded
+
+    @pytest.mark.parametrize("rows", [[], np.array([], dtype=np.float64),
+                                      np.array([], dtype=np.uint8)])
+    def test_empty_rows_record_no_query(self, rows):
+        ledger = ledger_of(0.5)
+        ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=0.25), rows=rows)
+        assert ledger.query_count == 1
+        assert ledger.export_text() == ledger_of(0.5).export_text()
+        assert ledger.figures(1e-5) == ledger_of(0.5).figures(1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.uint64])
+    def test_rows_of_any_integer_dtype_index_the_entries(self, dtype):
+        ledger = PrivacyLedger()
+        ledger.record(LedgerEntry("lnmax", sensitivity=1.0, gamma=0.25),
+                      LedgerEntry("lnmax", sensitivity=1.0, gamma=0.125),
+                      rows=np.array([1, 0, 1], dtype=dtype))
+        assert [e.gamma for e in ledger.entries] == [0.125, 0.25, 0.125]
 
     def test_load_shares_one_entry_per_distinct_row(self, tmp_path):
         path = tmp_path / "ledger.csv"

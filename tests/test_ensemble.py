@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpvote import ensemble
 from dpvote import (
     AccuracySummary,
     RngStream,
@@ -452,6 +453,91 @@ def test_cells_take_a_sign_and_surrounding_spaces(tmp_path):
     t = tmp_path / "truth.csv"
     _write(t, "query_id,label\n -9223372036854775808 , +1\n\n9223372036854775807,0\n")
     assert load_ground_truth(t) == {-2**63: 1, 2**63 - 1: 0}
+
+
+# bytes outside printable ASCII, tab, LF and CR, which str.splitlines and numpy's
+# reader of a path treat differently; each outcome is the one of the line-by-line reader
+BYTE_GRAMMAR = {
+    "file_separator": (PRED + "0\x1c,0,1\n", ":2: expected 3 comma-separated fields, got 1"),
+    "form_feed_breaks_a_line": (PRED + "0,0,1\x0c0,1,1\n", ((0,), (0, 1), [[1, 1]])),
+    "cr_line_ends": (PRED + "0,0,1\r0,1,1\r", ((0,), (0, 1), [[1, 1]])),
+    "nul_in_cell": (PRED + "0,0,1\x00\n", ":2: label must be an integer, got '1\\x00'"),
+    "unit_separator_is_whitespace": (PRED + "0\x1f,0,1\n", ((0,), (0,), [[1]])),
+    "only_empty_lines": (PRED + "\n\n\n", ": no predictions found"),
+    "header_in_spaces_with_crlf": (" " + PRED.replace("\n", " \r\n") + "0,0,1\r\n0,1,1\r\n",
+                                   ((0,), (0, 1), [[1, 1]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_GRAMMAR))
+def test_bytes_outside_a_plain_file_keep_the_line_grammar(tmp_path, case):
+    text, expected = BYTE_GRAMMAR[case]
+    path = tmp_path / "preds.csv"
+    if isinstance(expected, str):
+        assert _error(load_predictions, path, text, None) == f"{path}{expected}"
+        return
+    _write(path, text)
+    table = load_predictions(path)
+    assert (table.query_ids, table.teacher_ids, table.labels.tolist()) == expected
+
+
+def _reader_calls(monkeypatch, lines=True):
+    """Record what each ``_loadtxt`` call reads: the file's path (numpy's one pass over it)
+    or a list of its lines; with ``lines`` False the line-by-line reader raises."""
+    calls = []
+    loadtxt = ensemble._loadtxt
+
+    def spy(rows, **kwargs):
+        calls.append(rows)
+        if isinstance(rows, list) and not lines:
+            raise AssertionError("the line-by-line reader ran")
+        return loadtxt(rows, **kwargs)
+
+    monkeypatch.setattr(ensemble, "_loadtxt", spy)
+    return calls
+
+
+def _bench_shaped(queries, teachers, query_id=str, teacher_id=str):
+    """A plain predictions file written as the benchmark writes one, and its labels."""
+    labels = np.random.default_rng(31).integers(100, size=(queries, teachers))
+    rows = [f"{query_id(q)},{teacher_id(t)},{labels[q, t]}"
+            for q in range(queries) for t in range(teachers)]
+    return PRED + "\n".join(rows) + "\n", labels
+
+
+@pytest.mark.parametrize("query_id,teacher_id", [
+    (str, str),
+    (lambda q: str(-1000003 * q - 7), lambda t: str(-t if t % 2 else 98765 + t)),
+])
+def test_plain_file_is_one_numpy_pass_over_its_path(tmp_path, monkeypatch, query_id,
+                                                    teacher_id):
+    text, labels = _bench_shaped(40, 25, query_id, teacher_id)
+    preds, truth = tmp_path / "preds.csv", tmp_path / "truth.csv"
+    _write(preds, text)
+    _write(truth, TRUTH + "".join(f"{query_id(q)},{q % 100}\n" for q in range(40)))
+    calls = _reader_calls(monkeypatch, lines=False)
+    table = load_predictions(preds, num_classes=100, truth_path=truth)
+    assert calls == [preds, truth]
+    order = np.argsort([int(query_id(q)) for q in range(40)])
+    columns = np.argsort([int(teacher_id(t)) for t in range(25)])
+    assert table.labels.tolist() == labels[order][:, columns].tolist()
+    assert table.teacher_ids == tuple(sorted(int(teacher_id(t)) for t in range(25)))
+    assert table.truth_labels() == [int(q) % 100 for q in order]
+
+
+@pytest.mark.parametrize("edit,read_as_lines", [
+    (lambda text: text.replace(PRED, PRED + "\n"), [False]),  # numpy skips an empty line
+    (lambda text: text.replace("\n", "\n \n", 2), [False, True]),  # but not a blank one
+    (lambda text: text.replace("\n", "\r\n"), [True]),  # the header line ends in CR LF
+    (lambda text: text + "\x0c", [True]),  # a byte outside the plain set
+])
+def test_either_reader_loads_the_same_table(tmp_path, monkeypatch, edit, read_as_lines):
+    text, labels = _bench_shaped(40, 25)
+    path = tmp_path / "preds.csv"
+    _write(path, edit(text))
+    calls = _reader_calls(monkeypatch)
+    assert load_predictions(path).labels.tolist() == labels.tolist()
+    assert [isinstance(rows, list) for rows in calls] == read_as_lines
 
 
 @st.composite

@@ -67,6 +67,33 @@ def test_report_bytes_match_golden(tmp_path, name):
     assert_round_trip(paths, tmp_path / "again")
 
 
+# nzc-laplace at gamma over two blocks of 1100 queries: at 250 teachers every block has one
+# sensitivity, so its noise is drawn at a scalar scale; at 5 teachers each block mixes both
+BLOCK_RUNS = {
+    "nzc-laplace-gamma-250": (
+        250, ("85402812cc192fec684b9c540168214195c11046a245c235ebf9d00b21952bba",
+              "f4287276139e3b8beab326e93585ff8900bac3f40d794819d4ebb20f9f90ed53",
+              "90acdfada4d3edf5c58b9590d23ae86c44d19e903bd2cdd3d090e514df81ea88")),
+    "nzc-laplace-gamma-5": (
+        5, ("49c77c941f9b2d63dcbf484a354fb8197659c0471584bf68edeada2f7ce3b15e",
+            "8e1d1ad627ade7487f57335abde410df7c3f3643a95c56a70a02f0273b9ae021",
+            "820954490900b319fabd9167e3570c1c1bb2d589acb498834d711f3b725e8ab5")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_RUNS))
+def test_blocks_of_one_or_two_sensitivities_match_golden(tmp_path, name):
+    teachers, golden = BLOCK_RUNS[name]
+    config = ExperimentConfig(mechanism="nzc-laplace", seed=11, queries=1100, teachers=teachers,
+                              boost_constant=10.0, gamma=0.2)
+    report = run_experiment(config)
+    sens = np.array(report.columns[5])
+    distinct = [len(np.unique(sens[start:start + 1024])) for start in (0, 1024)]
+    assert distinct == ([1, 1] if teachers == 250 else [2, 2])
+    paths = emit_report(report, tmp_path)
+    assert tuple(hashlib.sha256(paths[key].read_bytes()).hexdigest()
+                 for key in ("summary", "queries", "ledger")) == golden
+
 def write_replay_files(seed, queries=200, teachers=25, classes=100, accuracy=0.5):
     """preds.csv and truth.csv in the working directory: shuffled rows, one blank line each."""
     gen = np.random.default_rng(seed)

@@ -235,6 +235,17 @@ class TestNoiseSpec:
         assert str(info.value).endswith(message)
 
 
+    @pytest.mark.parametrize("kind, param", [("laplace", "gamma"), ("gaussian", "sigma")])
+    @pytest.mark.parametrize("sensitivity", [1.0, 0.36787944117144233, 4.0463738528858656, 7e-5])
+    def test_a_scalar_sensitivity_draws_the_bits_of_its_column(self, kind, param, sensitivity):
+        # a block whose rows share one sensitivity draws at the scalar; it must not move a draw
+        rows, classes = 1000, 100
+        column = NoiseSpec(kind, sensitivity=np.full((rows, 1), sensitivity), **{param: 0.3})
+        scalar = NoiseSpec(kind, sensitivity=sensitivity, **{param: 0.3})
+        drawn = [spec.sample(RngStream(41, (7,)), size=(rows, classes))
+                 for spec in (column, scalar)]
+        assert drawn[0].tobytes() == drawn[1].tobytes()
+
 class TestExceedanceAgainstUnionBound:
     def test_laplace_grid(self):
         stream = RngStream(90)
