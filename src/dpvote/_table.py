@@ -1,4 +1,5 @@
-"""Declared field types, their checks, and the one grammar of queries.csv and ledger.csv.
+"""Declared field types, their checks, the one grammar of queries.csv and ledger.csv, and
+the one writer of every report file (``write_fresh``).
 
 A table is a header of column names, then one row per record starting with its
 position (0, 1, ...): ints in full, floats in their shortest round-trip form
@@ -10,10 +11,13 @@ it is written.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
+import os
 import typing
 from dataclasses import fields
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -74,12 +78,19 @@ def _format_float(value) -> str:
 
 
 def _column_cells(values, base: type):
-    """The cells of one column other than the positions; each distinct value is formatted once."""
+    """The cells of one column other than the positions.
+
+    Each distinct value is formatted once.  A column of two or more distinct values
+    looks its cells up in one ``itemgetter`` call; with no row or one distinct value
+    there is nothing to look up (and ``itemgetter`` takes two keys or more).
+    """
     write = _format_float if base is float else str
     text = {value: "" if value is None else write(value) for value in set(values)}
     if base is float and 0.0 in text:  # 0.0 and -0.0 are one key, but -0.0 is written "-0"
         return ["" if value is None else _format_float(value) for value in values]
-    return map(text.__getitem__, values)
+    if len(text) < 2:
+        return [*text.values()] * len(values)
+    return itemgetter(*values)(text)
 
 
 def format_table(types: dict[str, tuple[type, bool]], columns, rows=None) -> str:
@@ -94,6 +105,24 @@ def format_table(types: dict[str, tuple[type, bool]], columns, rows=None) -> str
         cells = [np.array(list(map(",".join, zip(*cells))), dtype=object)[rows].tolist()]
     lines = map(",".join, zip([str(p) for p in positions], *cells))
     return "\n".join([",".join(types), *lines]) + "\n"
+
+
+def write_fresh(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to a new file at ``path``, replacing the file that was there.
+
+    The old file is unlinked rather than truncated, which spares the writeback a
+    filesystem may start when a file is truncated and rewritten.  So a symlink or a
+    hard link at ``path`` is replaced, and its target or other name keeps the old
+    bytes; so does a reader that has the old file open.  The new file's mode comes
+    from the umask, and the directory must be writable.  The text is written as it
+    is, so a line ends in ``\n`` on every platform.
+    """
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    data = memoryview(text.encode("utf-8"))
+    with open(path, "wb", buffering=0) as file:  # unbuffered: no tty probe, no copy
+        while data:
+            data = data[file.write(data):]
 
 
 def read_table(path, types: dict[str, tuple[type, bool]], checks: dict, make, distinct=False):

@@ -6,12 +6,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ._table import TYPE_CHECKS, field_types, format_table, read_table
+from ._table import TYPE_CHECKS, field_types, format_table, read_table, write_fresh
 from .noise import GAUSSIAN, LAPLACE, NoiseKind
 
 __all__ = [
@@ -270,7 +269,9 @@ class PrivacyLedger:
         return format_table(_ROW_TYPES, [range(self.query_count), *columns], rows=self._row_slots())
 
     def export(self, path) -> None:
-        Path(path).write_text(self.export_text(), encoding="utf-8")
+        """Write ``export_text()`` to a new file at ``path``; the file that was there is replaced,
+        not truncated (``_table.write_fresh``)."""
+        write_fresh(path, self.export_text())
 
     @classmethod
     def load(cls, path) -> "PrivacyLedger":

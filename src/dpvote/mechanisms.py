@@ -16,8 +16,9 @@ import numpy as np
 
 from .accountant import NOISE_KIND, LedgerEntry
 from .noise import MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks
-from .sensitivity import enumerate_neighbors, smooth_sensitivity, smooth_values
-from .votes import VoteHistogram, Votes, argmax, boost, count_matrix
+from .sensitivity import (enumerate_neighbors, smooth_from_moves, smooth_sensitivity,
+                          top_two_flip_moves)
+from .votes import VoteHistogram, Votes, argmax, boost, count_matrix, top_two
 
 __all__ = [
     "MechanismBatch",
@@ -123,20 +124,25 @@ def lnmax(votes: Votes, gamma: Optional[float], rng: RngLike, *,
     return _release("lnmax", counts.astype(np.float64), sens, gamma, scale, rng)
 
 
+def _boosted(votes: Votes, boost_constant: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The boosted counts and the smooth sensitivity of each row, from one check of the count
+    matrix and one ``top_two`` pass: its winners are boosted and its k* gives the sensitivity."""
+    counts = count_matrix(votes)
+    winners, runners, gaps = top_two(counts)
+    sens = smooth_from_moves(top_two_flip_moves(winners, runners, gaps), boost_constant, beta)
+    return boost(counts, boost_constant, winners=winners), sens
+
+
 def nzc_laplace(votes: Votes, boost_constant: float, gamma: Optional[float], beta: float,
                 rng: RngLike, *, scale: Optional[float] = None) -> MechanismBatch:
     """Boosted noisy argmax with Laplace noise scaled to the smooth sensitivity."""
-    counts = count_matrix(votes)
-    sens = smooth_values(counts, boost_constant, beta)
-    return _release("nzc-laplace", boost(counts, boost_constant), sens, gamma, scale, rng)
+    return _release("nzc-laplace", *_boosted(votes, boost_constant, beta), gamma, scale, rng)
 
 
 def nzc_gaussian(votes: Votes, boost_constant: float, sigma: Optional[float], beta: float,
                  rng: RngLike, *, scale: Optional[float] = None) -> MechanismBatch:
     """Boosted noisy argmax with Gaussian noise of std = smooth sensitivity * sigma."""
-    counts = count_matrix(votes)
-    sens = smooth_values(counts, boost_constant, beta)
-    return _release("nzc-gaussian", boost(counts, boost_constant), sens, sigma, scale, rng)
+    return _release("nzc-gaussian", *_boosted(votes, boost_constant, beta), sigma, scale, rng)
 
 
 def _label_counts(boosted: np.ndarray, spec: NoiseSpec, trials: int, rng: RngLike) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._table import PRIVACY_CHECKS, check_type, field_types, format_table, read_table
+from ._table import PRIVACY_CHECKS, check_type, field_types, format_table, read_table, write_fresh
 from .accountant import NOISE_KIND, PrivacyFigure, PrivacyLedger
 from .ensemble import (
     SyntheticTeacherSpec,
@@ -337,15 +337,21 @@ def _summary(report: ExperimentReport) -> dict:
 
 
 def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
-    """Write summary.json, queries.csv and ledger.csv; byte-stable for a given report."""
+    """Write summary.json, queries.csv and ledger.csv; byte-stable for a given report.
+
+    Each file is written as a new file that replaces the one there, not truncated in
+    place (``_table.write_fresh``): a report file that was a symlink or a hard link
+    becomes a regular file, and its target or other name keeps the old bytes.
+    """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not out.is_dir():  # a stat, where mkdir of an existing directory raises and catches
+        out.mkdir(parents=True, exist_ok=True)
 
     summary_path = out / SUMMARY_FILE
-    summary_path.write_text(json.dumps(_summary(report), indent=2) + "\n", encoding="utf-8")
+    write_fresh(summary_path, json.dumps(_summary(report), indent=2) + "\n")
 
     queries_path = out / QUERIES_FILE
-    queries_path.write_text(format_table(_QUERY_TYPES, report.columns), encoding="utf-8")
+    write_fresh(queries_path, format_table(_QUERY_TYPES, report.columns))
 
     ledger_path = out / LEDGER_FILE
     report.ledger.export(ledger_path)

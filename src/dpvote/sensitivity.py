@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .votes import VoteHistogram, Votes, boost, check_boost_constant, count_matrix
+from .votes import VoteHistogram, Votes, boost, check_boost_constant, count_matrix, top_two
 
 __all__ = [
     "SensitivityEstimate",
     "flip_moves",
+    "top_two_flip_moves",
     "gap_flip_moves",
     "smooth_levels",
     "smooth_from_moves",
@@ -65,16 +66,10 @@ def flip_moves(votes: Votes) -> np.ndarray:
     With winner w holding a votes and a rival j holding b_j, each move from w
     to j narrows the margin m_j = a - b_j by two.  A rival before w wins a tie
     and needs ceil(m_j / 2) moves; a rival after w must pass the winner and
-    needs floor(m_j / 2) + 1.  The result is the minimum over the rivals.
+    needs floor(m_j / 2) + 1.  The minimum over the rivals is the runner-up's,
+    so k* comes from one ``votes.top_two`` pass (``top_two_flip_moves``).
     """
-    counts = count_matrix(votes)
-    rows = np.arange(len(counts))
-    winners = np.argmax(counts, axis=1)
-    margins = counts[rows, winners][:, None] - counts
-    before = np.arange(counts.shape[1]) < winners[:, None]
-    moves = np.where(before, (margins + 1) // 2, margins // 2 + 1)
-    moves[rows, winners] = np.iinfo(np.int64).max  # the winner is not its own rival
-    return moves.min(axis=1)
+    return top_two_flip_moves(*top_two(count_matrix(votes)))
 
 
 def gap_flip_moves(gaps) -> tuple[np.ndarray, np.ndarray]:
@@ -86,6 +81,17 @@ def gap_flip_moves(gaps) -> tuple[np.ndarray, np.ndarray]:
     """
     gaps = np.asarray(gaps)
     return (gaps + 1) // 2, gaps // 2 + 1
+
+
+def top_two_flip_moves(winners, runners, gaps) -> np.ndarray:
+    """k* of each row from its ``votes.top_two`` columns: the ``gap_flip_moves`` value that the
+    runner-up's place before or after the winner picks.
+
+    The runner-up's moves are the minimum over the rivals.  A rival tied with it comes
+    after it, so it comes before the winner only when the runner-up does too; a rival
+    at margin g + 1 or more needs at least ceil((g + 1)/2) = floor(g/2) + 1 moves.
+    """
+    return np.where(runners < winners, *gap_flip_moves(gaps))
 
 
 def _discount(beta: float) -> float:

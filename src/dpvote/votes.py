@@ -17,6 +17,7 @@ __all__ = [
     "VoteHistogram",
     "count_matrix",
     "argmax",
+    "top_two",
     "gap",
     "boost",
 ]
@@ -88,10 +89,28 @@ def argmax(votes: Votes):
     return _per_query(votes, np.argmax(count_matrix(votes), axis=1))
 
 
+def top_two(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(winner, runner-up, gap) of each row of a count matrix from ``count_matrix``.
+
+    The winner w is the lowest-index argmax, the runner-up r the lowest-index
+    argmax once w is masked, and the gap count(w) - count(r).  The one pass that
+    serves ``gap``, ``sensitivity.flip_moves`` and the boost of the nzc mechanisms;
+    ``counts`` is not checked again.
+    """
+    rows = np.arange(len(counts))
+    winners = np.argmax(counts, axis=1)
+    masked = counts.copy()
+    masked[rows, winners] = -1  # below every count, so the winner is never its own runner-up
+    runners = np.argmax(masked, axis=1)
+    return winners, runners, counts[rows, winners] - counts[rows, runners]
+
+
 def gap(votes: Votes):
-    """Difference between the largest and second-largest counts (0 for tied maxima)."""
-    part = np.partition(count_matrix(votes), -2, axis=1)
-    return _per_query(votes, part[:, -1] - part[:, -2])
+    """Difference between the largest and second-largest counts (0 for tied maxima).
+
+    One ``top_two`` pass over the checked count matrix gives it.
+    """
+    return _per_query(votes, top_two(count_matrix(votes))[2])
 
 
 def check_boost_constant(boost_constant: float) -> float:
@@ -102,7 +121,7 @@ def check_boost_constant(boost_constant: float) -> float:
     return c
 
 
-def boost(votes: Votes, boost_constant: float) -> np.ndarray:
+def boost(votes: Votes, boost_constant: float, *, winners=None) -> np.ndarray:
     """The counts as float64, with ``boost_constant`` added to the winning bin of each row.
 
     The argmax of the result equals the argmax of the input for any
@@ -110,10 +129,13 @@ def boost(votes: Votes, boost_constant: float) -> np.ndarray:
     representable; for constants around 1e16 and beyond, adding a small
     number to the boosted bin is absorbed by rounding.  That only makes the
     argmax harder to move, and tests of flip behaviour use moderate constants
-    where arithmetic is exact.
+    where arithmetic is exact.  ``winners``, each row's winner from ``top_two``,
+    spares finding them again; ``votes`` is then the count matrix they came from,
+    and it is not checked again.
     """
     c = check_boost_constant(boost_constant)
-    counts = count_matrix(votes)
+    counts = count_matrix(votes) if winners is None else votes
+    winners = np.argmax(counts, axis=1) if winners is None else winners
     values = counts.astype(np.float64)
-    values[np.arange(len(counts)), np.argmax(counts, axis=1)] += c
+    values[np.arange(len(counts)), winners] += c
     return values[0] if isinstance(votes, VoteHistogram) else values

@@ -19,7 +19,9 @@ from dpvote import (
     nzc_laplace,
     required_constant_gaussian,
     smooth_sensitivity,
+    smooth_values,
 )
+from dpvote import mechanisms
 
 STRONG = VoteHistogram([170, 40, 40])       # wide margin, small smooth branch
 SYMMETRIC = VoteHistogram([5, 5])
@@ -184,6 +186,24 @@ class TestBatch:
     def test_rows_with_one_sensitivity_share_a_ledger_entry(self):
         batch = nzc_laplace(self.COUNTS, 3.0, None, 1.0, RngStream(131), scale=2.0)
         assert len({id(e) for e in batch.ledger_entries}) == len(set(batch.sensitivities.tolist()))
+
+    @pytest.mark.parametrize("mechanism", ["nzc-laplace", "nzc-gaussian"])
+    def test_boosted_values_and_sensitivities_are_those_of_the_public_functions(
+            self, monkeypatch, mechanism):
+        # the mechanisms boost the top-two winner of their one check; the values they
+        # add noise to are boost's own, and each sensitivity is smooth_values'
+        gen = np.random.default_rng(135)
+        counts = np.concatenate([self.COUNTS, gen.integers(0, 4, size=(500, 3))])
+        counts = counts[counts.sum(axis=1) > 0]
+        seen = []
+        core = mechanisms.noisy_argmax
+        monkeypatch.setattr(mechanisms, "noisy_argmax",
+                            lambda values, noise: (seen.append(values), core(values, noise))[1])
+        call = nzc_laplace if mechanism == "nzc-laplace" else nzc_gaussian
+        for c in (0.0, 3.0, 1e100):
+            batch = call(counts, c, None, 1.0, RngStream(136), scale=2.0)
+            assert np.array_equal(seen[-1], boost(counts, c))
+            assert np.array_equal(batch.sensitivities, smooth_values(counts, c, 1.0))
 
     def test_rejects_a_malformed_count_matrix(self):
         for bad in (np.array([[1, -1], [2, 0]]), np.array([[0, 0]]), np.array([1, 2]),

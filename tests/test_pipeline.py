@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from dpvote import (
     BLOCK,
     MECHANISMS,
     ExperimentConfig,
+    NoiseSpec,
     PrivacyLedger,
     QueryResult,
     classical_gaussian_epsilon,
@@ -22,6 +25,8 @@ from dpvote import (
     required_constant_laplace,
     run_experiment,
 )
+from dpvote import mechanisms, pipeline
+from dpvote.cli import main
 
 
 def small_config(**overrides):
@@ -738,6 +743,91 @@ class TestEmitAndRead:
         report = run_experiment(small_config(queries=10))
         paths = emit_report(report, tmp_path / "r")
         assert "runtime" not in paths["summary"].read_text()
+
+
+REPORT_FILES = ("summary.json", "queries.csv", "ledger.csv")
+
+
+def _report_bytes(out):
+    return {name: (out / name).read_bytes() for name in REPORT_FILES}
+
+
+class TestFreshReportFiles:
+    """emit_report writes each file anew in place of the one there, rather than truncating it."""
+
+    def test_a_short_report_over_a_long_one_leaves_no_stale_tail(self, tmp_path):
+        emit_report(run_experiment(small_config(queries=1000)), tmp_path / "r")
+        short = run_experiment(small_config(queries=3))
+        emit_report(short, tmp_path / "r")
+        emit_report(short, tmp_path / "empty")
+        assert _report_bytes(tmp_path / "r") == _report_bytes(tmp_path / "empty")
+
+    @pytest.mark.parametrize("name", REPORT_FILES)
+    def test_a_symlinked_report_file_becomes_a_regular_file(self, tmp_path, name):
+        target = tmp_path / "target"
+        target.write_text("kept\n", encoding="utf-8")
+        (tmp_path / "r").mkdir()
+        (tmp_path / "r" / name).symlink_to(target)
+        report = run_experiment(small_config(queries=3))
+        emit_report(report, tmp_path / "r")
+        emit_report(report, tmp_path / "empty")
+        assert not (tmp_path / "r" / name).is_symlink()
+        assert target.read_text(encoding="utf-8") == "kept\n"
+        assert _report_bytes(tmp_path / "r") == _report_bytes(tmp_path / "empty")
+
+    @pytest.mark.parametrize("name", REPORT_FILES)
+    def test_a_hard_linked_report_file_leaves_its_other_name_the_old_bytes(self, tmp_path, name):
+        emit_report(run_experiment(small_config(queries=5)), tmp_path / "r")
+        old = (tmp_path / "r" / name).read_bytes()
+        os.link(tmp_path / "r" / name, tmp_path / "other")
+        emit_report(run_experiment(small_config(queries=3, seed=7)), tmp_path / "r")
+        assert (tmp_path / "other").read_bytes() == old
+        assert (tmp_path / "r" / name).read_bytes() != old
+
+    def test_a_directory_in_place_of_a_report_file_is_one_line_error(self, tmp_path, capsys):
+        (tmp_path / "d" / "queries.csv").mkdir(parents=True)
+        code = main(["run", "--mechanism", "lnmax", "--teachers", "5", "--queries", "3",
+                     "--gamma", "0.1", "--seed", "1", "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "queries.csv" in err
+        assert "Traceback" not in err
+
+
+class TestTracedNames:
+    """Each name the benchmark's span tracer patches on the labeling path is still called
+    through that name; a name that is defined but no longer called would time as 0."""
+
+    NAMES = [(pipeline, "argmax"), (pipeline, "gap"), (mechanisms, "noisy_argmax"),
+             (NoiseSpec, "sample"), (PrivacyLedger, "export")]
+
+    def _uncalled(self, monkeypatch, config, out, names):
+        """The names of ``names`` that one run_experiment + emit_report does not call."""
+        calls = Counter()
+        for owner, name in names:
+            def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        emit_report(run_experiment(config), out)
+        return [name for _, name in names if not calls[name]]
+
+    def test_boosted_synthetic_run(self, monkeypatch, tmp_path):
+        config = small_config(queries=1000, teachers=250, boost_constant=1e100, gamma=None,
+                              scale=1e10)
+        assert self._uncalled(monkeypatch, config, tmp_path / "r",
+                              self.NAMES + [(mechanisms, "boost")]) == []
+
+    def test_baseline_replay_run(self, monkeypatch, tmp_path):
+        preds, truth = tmp_path / "preds.csv", tmp_path / "truth.csv"
+        preds.write_text("query_id,teacher_id,label\n" + "".join(
+            f"{q},{t},{(q + t) % 4}\n" for q in range(20) for t in range(5)), encoding="utf-8")
+        truth.write_text("query_id,label\n" + "".join(f"{q},{q % 4}\n" for q in range(20)),
+                         encoding="utf-8")
+        config = ExperimentConfig(mechanism="lnmax", seed=3, num_classes=4, gamma=0.1,
+                                  predictions=str(preds), truth=str(truth))
+        assert self._uncalled(monkeypatch, config, tmp_path / "r", self.NAMES) == []
 
 
 @st.composite

@@ -18,7 +18,11 @@ from dpvote import (
     smooth_from_moves,
     smooth_sensitivity,
     smooth_values,
+    top_two,
+    top_two_flip_moves,
 )
+from dpvote.ensemble import SyntheticTeacherSpec, default_accuracy, synth_votes
+from dpvote.noise import RngStream
 
 histograms = st.lists(st.integers(0, 30), min_size=2, max_size=8).filter(lambda c: sum(c) >= 1)
 boost_values = st.sampled_from([0.0, 1.0, 9.0, 100.0])
@@ -253,3 +257,67 @@ class TestFlipMoves:
         for row, value in zip(counts, smooth):
             estimate = smooth_sensitivity(VoteHistogram(row), 9.0, 1.0)
             assert estimate == SensitivityEstimate(value, 1.0)
+
+
+def margins_flip_moves(counts):
+    """The all-rivals formula k* had before the top-two kernel, kept as its oracle."""
+    rows = np.arange(len(counts))
+    winners = np.argmax(counts, axis=1)
+    margins = counts[rows, winners][:, None] - counts
+    before = np.arange(counts.shape[1]) < winners[:, None]
+    moves = np.where(before, (margins + 1) // 2, margins // 2 + 1)
+    moves[rows, winners] = np.iinfo(np.int64).max  # the winner is not its own rival
+    return moves.min(axis=1)
+
+
+def partition_gap(counts):
+    """The np.partition gap the top-two kernel replaced, kept as its oracle."""
+    part = np.partition(counts, -2, axis=1)
+    return part[:, -1] - part[:, -2]
+
+
+def few_teacher_rows(gen, size, num_classes):
+    """``size`` histograms of 1-6 votes each over ``num_classes`` bins: ties are everywhere."""
+    teachers = gen.integers(1, 7, size=size)
+    votes = gen.integers(0, num_classes, size=(size, 6))
+    counts = np.zeros((size, num_classes), dtype=np.int64)
+    np.add.at(counts, (np.repeat(np.arange(size), 6), votes.ravel()),
+              (np.arange(6) < teachers[:, None]).ravel())
+    return counts
+
+
+def synthetic_block(teachers, num_classes):
+    spec = SyntheticTeacherSpec(teachers, num_classes, default_accuracy(teachers))
+    truths = np.random.default_rng(teachers).integers(num_classes, size=1000)
+    return synth_votes(spec, truths, RngStream(7).substream(1, 0))
+
+
+class TestTopTwoKernel:
+    def assert_matches_the_oracles(self, counts):
+        winners, runners, gaps = top_two(counts)
+        assert np.array_equal(winners, np.argmax(counts, axis=1))
+        assert np.array_equal(gaps, partition_gap(counts))
+        masked = np.where(np.arange(counts.shape[1]) == winners[:, None], -1, counts)
+        assert np.array_equal(runners, np.argmax(masked, axis=1))
+        assert np.array_equal(flip_moves(counts), margins_flip_moves(counts))
+        assert np.array_equal(top_two_flip_moves(winners, runners, gaps),
+                              margins_flip_moves(counts))
+        assert np.array_equal(gap(counts), gaps)
+
+    def test_matches_the_oracles_on_rows_full_of_ties(self):
+        gen = np.random.default_rng(20261020)
+        for num_classes in range(2, 13):  # 11 x 10 000 rows
+            counts = few_teacher_rows(gen, 10_000, num_classes)
+            self.assert_matches_the_oracles(counts)
+            winners, runners, gaps = top_two(counts)
+            assert np.any(gaps == 0) and np.any(runners < winners) and np.any(runners > winners)
+
+    @pytest.mark.parametrize("teachers,num_classes", [(250, 10), (25, 100)])
+    def test_matches_the_oracles_on_a_synthetic_block(self, teachers, num_classes):
+        self.assert_matches_the_oracles(synthetic_block(teachers, num_classes))
+
+    @pytest.mark.parametrize("counts", [[[0, 3, 3]], np.empty((0, 4), dtype=np.int64)])
+    def test_one_row_and_no_row(self, counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        self.assert_matches_the_oracles(counts)
+        assert [column.shape for column in top_two(counts)] == [(len(counts),)] * 3

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from dpvote import _table
+from dpvote import LedgerEntry, PrivacyLedger, _table
 from dpvote._table import format_table
+from dpvote.accountant import _ROW_TYPES
+from dpvote.pipeline import _QUERY_TYPES
 
 
 def _cell(value, base):
@@ -76,3 +78,50 @@ def test_each_distinct_value_is_formatted_once(monkeypatch, base):
     assert text.count("\n") == 1001
     distinct = sum(len({v for v in column if v is not None}) for column in columns[1:])
     assert len(calls) <= 1000 + distinct  # the positions, then each distinct value at most once
+
+
+# queries.csv and ledger.csv at 0, 1 and 2 rows, with a float column holding both 0.0 and -0.0;
+# each expected text is the one the per-cell writer gave before cells were looked up in one call
+QUERY_ROWS = [[0, 3, 3, None, 0, 1.0, 2.0], [1, 0, 1, 1, 7, -0.0, 0.0]]
+QUERY_HEADER = "query_id,returned_label,clean_label,truth_label,gap,sensitivity,epsilon\n"
+QUERY_TEXTS = [QUERY_HEADER, QUERY_HEADER + "0,3,3,,0,1,2\n",
+               QUERY_HEADER + "0,3,3,,0,1,2\n1,0,1,1,7,-0,0\n"]
+LEDGER_HEADER = "index,mechanism,gamma,sigma,sensitivity\n"
+LEDGER_RECORDS = [["nzc-laplace", "nzc-gaussian", "lnmax"], [0.0, None, -0.0], [None, 2.5, None],
+                  [0.5, 1.0, 1.0]]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2])
+def test_queries_table_at_its_smallest_sizes(size):
+    columns = [list(column) for column in zip(*QUERY_ROWS[:size])] or [[] for _ in _QUERY_TYPES]
+    assert format_table(_QUERY_TYPES, columns) == QUERY_TEXTS[size]
+
+
+@pytest.mark.parametrize("rows,text", [
+    ([], LEDGER_HEADER),
+    ([2], LEDGER_HEADER + "0,lnmax,-0,,1\n"),
+    ([2, 0], LEDGER_HEADER + "0,lnmax,-0,,1\n1,nzc-laplace,0,,0.5\n"),
+    ([1, 1], LEDGER_HEADER + "0,nzc-gaussian,,2.5,1\n1,nzc-gaussian,,2.5,1\n"),
+])
+def test_ledger_table_of_distinct_records_at_its_smallest_sizes(rows, text):
+    assert format_table(_ROW_TYPES, [range(len(rows)), *LEDGER_RECORDS], rows=rows) == text
+
+
+@pytest.mark.parametrize("size,text", [
+    (0, LEDGER_HEADER),
+    (1, LEDGER_HEADER + "0,nzc-laplace,0.1,,1\n"),
+    (2, LEDGER_HEADER + "0,nzc-laplace,0.1,,1\n1,nzc-laplace,0.1,,0.36787944117144233\n"),
+])
+def test_exported_ledger_at_its_smallest_sizes(size, text):
+    ledger = PrivacyLedger()
+    if size:
+        ledger.record(LedgerEntry("nzc-laplace", gamma=0.1, sensitivity=0.36787944117144233),
+                      LedgerEntry("nzc-laplace", gamma=0.1, sensitivity=1.0), rows=[1, 0][:size])
+    assert ledger.export_text() == text
+
+
+@pytest.mark.parametrize("values", [[0.0, -0.0], [-0.0, 0.0, None, 2.0], [-0.0], [0.0] * 3])
+def test_a_float_column_keeps_the_sign_of_each_zero(values):
+    types = {"index": (int, False), "x": (float, True)}
+    columns = [list(range(len(values))), values]
+    assert format_table(types, columns) == _per_cell_table(types, columns)
