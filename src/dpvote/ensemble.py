@@ -7,6 +7,7 @@ all its queries in one bincount.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,9 +149,11 @@ def _loads(rows: list[str], width: int, **kwargs) -> bool:
         return False
 
 
-# the bytes of a plain file: printable ASCII, tab and the line ends that numpy and
-# str.splitlines both break at; any other byte is a line break or a cell to only one of them
-_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+# a plain file holds only printable ASCII, tab and the line ends that numpy and
+# str.splitlines both break at; any other byte is a line break or a cell to only one
+# of them.  These are the ASCII bytes it may not hold, each found by one memchr.
+_NOT_PLAIN = [bytes([b]) for b in (*range(0x20), 0x7F) if b not in b"\t\n\r"]
+_DATA = re.compile(rb"[^ \t\n\r]")  # a byte that is not blank in a plain file
 
 
 def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Callable[[int], int]]:
@@ -161,9 +164,10 @@ def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Callable[[int], 
     whole file is one ``np.loadtxt`` pass, by one of two routes:
 
     - a plain file (its first line is exactly ``header`` and a newline, a data
-      row follows, and every byte is in ``_PLAIN``) is handed to numpy by path,
-      which it parses in C chunks.  The file is read twice: once here for that
-      check and once by numpy.  On these bytes numpy breaks lines where
+      row follows, and every byte is printable ASCII, tab, LF or CR) is handed to
+      numpy by path, which it parses in C chunks.  The file is read twice: once
+      here for that check, which copies none of it, and once by numpy, after the
+      bytes read here are let go.  On these bytes numpy breaks lines where
       ``str.splitlines`` does and skips what it skips, or refuses the file;
     - any other file, and a plain one that numpy refuses or reads at another
       width, is decoded and split into lines, and its non-blank lines are loaded.
@@ -171,22 +175,23 @@ def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Callable[[int], 
     Only when that pass fails is the first bad row looked for, and its one-line
     error names the file line.
     """
-    raw = path.read_bytes()
-
     def lineno(row: int) -> int:
-        """File line of data row ``row``; only an error message needs one."""
-        lines = raw.decode("utf-8").splitlines()
+        """File line of data row ``row``, from the file read again; only an error needs one."""
+        lines = path.read_bytes().decode("utf-8").splitlines()
         return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
     names = header.split(",")
-    first, _, rest = raw.partition(b"\n")
-    if first == header.encode() and rest.strip() and not raw.translate(None, _PLAIN):
+    raw, first = path.read_bytes(), header.encode() + b"\n"
+    if (raw.startswith(first) and _DATA.search(raw, len(first)) and raw.isascii()
+            and not any(byte in raw for byte in _NOT_PLAIN)):
+        del raw
         try:
             cells = _loadtxt(path, skiprows=1)
             if cells.shape[1] == len(names):
                 return cells, lineno
         except ValueError:
             pass
+        raw = path.read_bytes()
     lines = raw.decode("utf-8").splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}:1: expected header {header!r}")
@@ -222,6 +227,25 @@ def _out_of_range(label: np.ndarray, num_classes: Optional[int]) -> np.ndarray:
     return np.flatnonzero(bad)
 
 
+def _ids(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct values of ``column``, ascending; each entry's index into them).
+
+    What ``np.unique(column, return_inverse=True)`` gives, from one argsort and
+    the sorted copy, which becomes the ranks in place.
+    """
+    order = np.argsort(column)
+    ranks = column[order]
+    new = np.empty(len(ranks), dtype=bool)  # where the sorted values step up
+    new[:1] = True
+    np.not_equal(ranks[1:], ranks[:-1], out=new[1:])
+    ids = ranks[new]
+    ranks[:1] = 0
+    np.cumsum(new[1:], out=ranks[1:])  # the count of steps up to each sorted entry
+    inverse = np.empty_like(order)
+    inverse[order] = ranks
+    return ids, inverse
+
+
 def _first_repeat(keys: np.ndarray) -> Optional[tuple[int, int]]:
     """(row, row of the first occurrence) of the first key seen before, or None."""
     unique, first = np.unique(keys, return_index=True)
@@ -252,13 +276,20 @@ def load_predictions(path, num_classes: Optional[int] = None,
         if value < 0:
             raise ValueError(f"{where}: label must be non-negative, got {value}")
         raise ValueError(f"{where}: label {value} out of range [0, {num_classes})")
-    query_ids, qrow = np.unique(query, return_inverse=True)
-    teacher_ids, tcol = np.unique(teacher, return_inverse=True)
-    cell = qrow * len(teacher_ids) + tcol  # flat index into the (queries, teachers) matrix
-    # as many rows as cells and none seen twice is a complete table; a bincount of an
-    # incomplete one could be as long as the product of its distinct ids, so it is not taken
+    query_ids, cell = _ids(query)
+    teacher_ids, tcol = _ids(teacher)
+    cell *= len(teacher_ids)
+    cell += tcol  # flat index into the (queries, teachers) matrix
+    # as many rows as cells and every cell set is a complete table, since a cell set twice
+    # leaves another unset (the labels are non-negative); an incomplete table's matrix could
+    # be as long as the product of its distinct ids, so it is not made
     size = len(query_ids) * len(teacher_ids)
-    if len(cell) != size or np.bincount(cell, minlength=size).max() > 1:
+    complete = len(cell) == size
+    if complete:
+        labels = np.full(size, -1, dtype=np.int64)
+        labels[cell] = label
+        complete = labels.min() >= 0
+    if not complete:
         repeat = _first_repeat(cell)
         if repeat:
             row, first = repeat
@@ -268,8 +299,7 @@ def load_predictions(path, num_classes: Optional[int] = None,
         q, t = divmod(int(absent[0]) if absent.size else len(cell), len(teacher_ids))
         raise ValueError(f"{path}: missing prediction for query {query_ids[q]}, "
                          f"teacher {teacher_ids[t]}")
-    labels = np.empty((len(query_ids), len(teacher_ids)), dtype=np.int64)
-    labels[qrow, tcol] = label
+    labels = labels.reshape(len(query_ids), len(teacher_ids))
     inferred = max(num_classes if num_classes is not None else int(label.max()) + 1, 2)
     truth = None
     if truth_path is not None:

@@ -2,9 +2,10 @@
 
 Every mechanism is a pure function of (inputs, noise stream) and answers one
 histogram or a whole (queries, classes) count matrix through one batched
-kernel: a histogram is a batch of one.  A batch draws its noise as one
-(queries, classes) array from its stream, so the answer to a query depends
-only on the stream and its row position, not on the rows after it.
+kernel: a histogram is a batch of one.  A batch draws its noise from its
+stream in consecutive cache-sized chunks of rows, which give the values of one
+(queries, classes) draw, so the answer to a query depends only on the stream
+and its row position, not on the rows after it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .accountant import NOISE_KIND, LedgerEntry
-from .noise import MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks
+from .noise import (MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks,
+                    row_chunks)
 from .sensitivity import (enumerate_neighbors, smooth_from_moves, smooth_sensitivity,
                           top_two_flip_moves)
 from .votes import VoteHistogram, Votes, argmax, boost, count_matrix, top_two
@@ -92,13 +94,18 @@ def noise_parameters(mechanism: str, sens: np.ndarray, param: Optional[float],
     return params
 
 
-def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Optional[float],
-             scale: Optional[float], rng: RngLike) -> MechanismBatch:
-    """Noisy argmax of each row of ``values`` with the mechanism's NOISE_KIND calibrated to that
+def _release(mechanism: str, counts: np.ndarray, sens: np.ndarray, param: Optional[float],
+             scale: Optional[float], rng: RngLike, boosted=None) -> MechanismBatch:
+    """Noisy argmax of each row of ``counts`` with the mechanism's NOISE_KIND calibrated to that
     row's ``sens``: Laplace of scale sens / gamma or Gaussian of std sens * sigma.
 
-    A block whose rows share one sensitivity draws at that scalar scale, which gives the
-    same values as the column of it without the (rows, classes) scale temporary.
+    ``boosted`` is (boost constant, each row's winner) for the nzc mechanisms, None for lnmax.
+    One ``row_chunks`` chunk at a time, the counts are boosted and the noise is drawn, added
+    and reduced: ``noise_blocks`` draws each chunk, at that chunk's slice of a per-row
+    sensitivity column, and one ``noisy_argmax`` call reduces it.  So no temporary is as large
+    as the block, and the draws are those of one (rows, classes) array.  A block whose rows
+    share one sensitivity draws at that scalar scale, which gives the same values as the column
+    of it.
     """
     params = noise_parameters(mechanism, sens, param, scale)
     kind = NOISE_KIND[mechanism]
@@ -107,10 +114,16 @@ def _release(mechanism: str, values: np.ndarray, sens: np.ndarray, param: Option
     # with ``scale`` pinned, a unit parameter and sensitivity = scale draw at exactly scale
     spec = NoiseSpec(kind.name, sensitivity=at if scale is None else scale,
                      **{kind.param: param if scale is None else 1.0})
-    noise = spec.sample(rng, size=values.shape)
+    labels = np.empty(len(counts), dtype=np.int64)
+    chunks = row_chunks(*counts.shape)
+    for chunk, noise in zip(chunks, noise_blocks(spec, counts.shape[1], len(counts), rng)):
+        values = counts[chunk]
+        if boosted is not None:
+            values = boost(values, boosted[0], winners=boosted[1][chunk])
+        labels[chunk] = noisy_argmax(values, noise)
     shared = tuple(LedgerEntry(mechanism, sensitivity=s, **{kind.param: p})  # p is a function of s
                    for s, p in zip(distinct.tolist(), params[first].tolist()))
-    return MechanismBatch(noisy_argmax(values, noise), sens, params, shared, rows)
+    return MechanismBatch(labels, sens, params, shared, rows)
 
 
 def lnmax(votes: Votes, gamma: Optional[float], rng: RngLike, *,
@@ -118,31 +131,32 @@ def lnmax(votes: Votes, gamma: Optional[float], rng: RngLike, *,
     """Baseline noisy argmax: Laplace(1 / gamma) added to the raw counts.
 
     The sensitivity is 1: one teacher changing its vote moves each count by at most 1.
+    The int counts go to the kernel as they are: only a chunk at a time is cast to float64.
     """
     counts = count_matrix(votes)
-    sens = np.ones(len(counts))
-    return _release("lnmax", counts.astype(np.float64), sens, gamma, scale, rng)
+    return _release("lnmax", counts, np.ones(len(counts)), gamma, scale, rng)
 
 
-def _boosted(votes: Votes, boost_constant: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The boosted counts and the smooth sensitivity of each row, from one check of the count
-    matrix and one ``top_two`` pass: its winners are boosted and its k* gives the sensitivity."""
+def _boosted(mechanism: str, votes: Votes, boost_constant: float, param: Optional[float],
+             beta: float, rng: RngLike, scale: Optional[float]) -> MechanismBatch:
+    """An nzc mechanism, from one check of the count matrix and one ``top_two`` pass: its
+    winners are boosted and its k* gives each row's smooth sensitivity."""
     counts = count_matrix(votes)
     winners, runners, gaps = top_two(counts)
     sens = smooth_from_moves(top_two_flip_moves(winners, runners, gaps), boost_constant, beta)
-    return boost(counts, boost_constant, winners=winners), sens
+    return _release(mechanism, counts, sens, param, scale, rng, (boost_constant, winners))
 
 
 def nzc_laplace(votes: Votes, boost_constant: float, gamma: Optional[float], beta: float,
                 rng: RngLike, *, scale: Optional[float] = None) -> MechanismBatch:
     """Boosted noisy argmax with Laplace noise scaled to the smooth sensitivity."""
-    return _release("nzc-laplace", *_boosted(votes, boost_constant, beta), gamma, scale, rng)
+    return _boosted("nzc-laplace", votes, boost_constant, gamma, beta, rng, scale)
 
 
 def nzc_gaussian(votes: Votes, boost_constant: float, sigma: Optional[float], beta: float,
                  rng: RngLike, *, scale: Optional[float] = None) -> MechanismBatch:
     """Boosted noisy argmax with Gaussian noise of std = smooth sensitivity * sigma."""
-    return _release("nzc-gaussian", *_boosted(votes, boost_constant, beta), sigma, scale, rng)
+    return _boosted("nzc-gaussian", votes, boost_constant, sigma, beta, rng, scale)
 
 
 def _label_counts(boosted: np.ndarray, spec: NoiseSpec, trials: int, rng: RngLike) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -213,26 +213,37 @@ class MonteCarloEstimate:
                    hits=hits, trials=trials)
 
 
-# noise values per Monte-Carlo block (128 KiB of float64), so a block and the
-# temporaries of the passes over it stay in the L2 cache.  On a 2 MiB-L2 Xeon,
-# 2^15-2^16 values ran no faster and 2^13 slower (Python overhead per block).
+# noise values per block (128 KiB of float64): a Monte-Carlo run and every pass over
+# a labeling block work on chunks of this many values, so a chunk and the temporaries
+# of the passes over it stay in the L2 cache.  On a 2 MiB-L2 Xeon, 2^15-2^16 values
+# ran no faster and 2^13 slower (Python overhead per block).
 _MC_BLOCK = 16_384
+
+
+def row_chunks(rows: int, num_classes: int):
+    """Consecutive slices of ``range(rows)``, each ``max(1, _MC_BLOCK // num_classes)`` rows
+    long but the last: the chunks in which every pass over (rows, num_classes) values works."""
+    step = max(1, _MC_BLOCK // num_classes)
+    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
 def noise_blocks(spec: NoiseSpec, num_classes: int, trials: int, rng: RngLike):
     """Yield ``trials`` rows of noise in consecutive (rows, num_classes) blocks from one generator.
 
-    Every Monte-Carlo oracle draws through here.  A block holds
-    ``max(1, _MC_BLOCK // num_classes)`` rows, so it fits in the cache
-    whatever the class count.  The block size does not change the draws:
-    numpy's Laplace and normal samplers give the same values drawn in blocks
-    as in one (trials, num_classes) array.  Each block is a fresh array that
-    the caller owns and may overwrite, so an oracle reduces it in place.
+    The one sampler of the mechanisms and the Monte-Carlo oracles.  The blocks
+    are the ``row_chunks``, so each fits in the cache whatever the class count.
+    A spec whose sensitivity is a (trials, 1) column of per-row sensitivities
+    draws each block at its rows' slice of it; a scalar one at its scalar scale.
+    The block size does not change the draws: numpy's Laplace and normal
+    samplers give the same values drawn in blocks as in one (trials,
+    num_classes) array.  Each block is a fresh array that the caller owns and
+    may overwrite, so an oracle reduces it in place.
     """
     gen = ensure_generator(rng)
-    rows = max(1, _MC_BLOCK // num_classes)
-    for start in range(0, trials, rows):
-        yield spec.sample(gen, size=(min(rows, trials - start), num_classes))
+    column = np.ndim(spec.sensitivity) > 0
+    for rows in row_chunks(trials, num_classes):
+        block = replace(spec, sensitivity=spec.sensitivity[rows]) if column else spec
+        yield block.sample(gen, size=(rows.stop - rows.start, num_classes))
 
 
 def exceedance_probability_mc(

@@ -13,6 +13,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .noise import row_chunks
+
 __all__ = [
     "VoteHistogram",
     "count_matrix",
@@ -40,6 +42,8 @@ class VoteHistogram:
                 raise ValueError(f"vote counts must be integers, got {c!r}")
             if ic < 0:
                 raise ValueError(f"vote counts must be non-negative, got {ic}")
+            if ic > _INT64_MAX:
+                raise _beyond_int64(ic)
             normalized.append(ic)
         if len(normalized) < 2:
             raise ValueError("a vote histogram needs at least two classes")
@@ -55,6 +59,13 @@ class VoteHistogram:
         return np.asarray(self.counts, dtype=np.int64)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _beyond_int64(count) -> ValueError:
+    return ValueError(f"vote counts must lie in the int64 range, got {count}")
+
+
 Votes = Union[VoteHistogram, Sequence[VoteHistogram], np.ndarray]
 
 
@@ -63,8 +74,8 @@ def count_matrix(votes: Votes) -> np.ndarray:
 
     A histogram gives one row, and a sequence of histograms (or of count
     rows) one row each.  A 2-D integer array is taken as it is.  Every row is
-    checked to be a histogram: two or more classes, non-negative counts and
-    at least one vote.
+    checked to be a histogram: two or more classes, counts in [0, 2**63) and
+    at least one vote (a nonzero count: no row sum is taken, which could wrap).
     """
     if isinstance(votes, VoteHistogram):
         return votes.as_array()[None]
@@ -74,8 +85,11 @@ def count_matrix(votes: Votes) -> np.ndarray:
     if counts.ndim != 2 or counts.shape[1] < 2 or counts.dtype.kind not in "iu":
         raise ValueError(f"expected a (queries, classes) integer count matrix with at least "
                          f"two classes, got shape {counts.shape} of {counts.dtype}")
-    if counts.size and (counts.min() < 0 or counts.sum(axis=1).min() < 1):
-        raise ValueError("every count row needs non-negative counts and one vote or more")
+    if counts.size:
+        if counts.dtype.kind == "u" and counts.max() > _INT64_MAX:
+            raise _beyond_int64(counts.max())
+        if counts.min() < 0 or not counts.any(axis=1).all():
+            raise ValueError("every count row needs non-negative counts and one vote or more")
     return counts.astype(np.int64, copy=False)
 
 
@@ -95,13 +109,17 @@ def top_two(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The winner w is the lowest-index argmax, the runner-up r the lowest-index
     argmax once w is masked, and the gap count(w) - count(r).  The one pass that
     serves ``gap``, ``sensitivity.flip_moves`` and the boost of the nzc mechanisms;
-    ``counts`` is not checked again.
+    ``counts`` is not checked again.  It works in ``noise.row_chunks``, so the masked
+    copy is one cache-sized chunk, not the whole matrix.
     """
-    rows = np.arange(len(counts))
     winners = np.argmax(counts, axis=1)
-    masked = counts.copy()
-    masked[rows, winners] = -1  # below every count, so the winner is never its own runner-up
-    runners = np.argmax(masked, axis=1)
+    runners = np.empty_like(winners)
+    for rows in row_chunks(*counts.shape):
+        masked = counts[rows].copy()
+        # below every count, so the winner is never its own runner-up
+        masked[np.arange(len(masked)), winners[rows]] = -1
+        np.argmax(masked, axis=1, out=runners[rows])
+    rows = np.arange(len(counts))
     return winners, runners, counts[rows, winners] - counts[rows, runners]
 
 

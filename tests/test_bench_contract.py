@@ -23,7 +23,8 @@ END_TO_END = ("setup_s", "items_per_s", "op_s_p50", "op_s_tail", "peak_rss_mb")
 # its traced name reads 0 here instead of null.  A change of stream layout or
 # sensitivity scan that is meant to move these counts updates them in the same
 # commit.  The batch core draws one block: one generator each for truths,
-# votes and noise, and one noise draw; the closed-form sensitivity calls no
+# votes and noise, and one noise draw (1000 x 10 values fit in one row chunk
+# of 16 384 values); the closed-form sensitivity calls no
 # neighbour scan.  The run reads one cell of its 1000-long gap column per
 # distance-grid entry (8) and query, so a change that stops calling
 # qualified_fraction by its traced name reads 0 here.
@@ -49,13 +50,15 @@ ORACLE_MC_COUNTS = {
     "noise.generators_made": 4,
 }
 # Counts of traced operation 1 on baseline-replay at seed 1 (lnmax over 1000
-# queries read from a prediction CSV).  It makes one generator and one noise
-# draw, converts its 1000-entry ledger once with eps_for_delta (1000 entries x
-# 32 orders) and reads one gap-column cell per distance-grid entry (8) and query.
-# A change that stops calling eps_for_delta or qualified_fraction by its traced
-# name reads 0 here.
+# queries read from a prediction CSV).  It makes one generator and draws its
+# noise in row chunks of 16 384 values, one draw per chunk: at 100 classes a
+# chunk is floor(16384 / 100) = 163 rows, so 1000 queries take
+# ceil(1000 / 163) = 7 draws.  It converts its 1000-entry ledger once with
+# eps_for_delta (1000 entries x 32 orders) and reads one gap-column cell per
+# distance-grid entry (8) and query.  A change that stops calling eps_for_delta
+# or qualified_fraction by its traced name reads 0 here.
 BASELINE_REPLAY_COUNTS = {
-    "noise.sample_calls": 1,
+    "noise.sample_calls": 7,
     "noise.generators_made": 1,
     "accountant.moment_terms": 32000,
     "ensemble.histogram_scans": 8000,

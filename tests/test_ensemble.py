@@ -328,6 +328,9 @@ PREDICTION_ERRORS = {
     "duplicate_after_blanks": (PRED + "5,1,1\n\n5,2,0\n  \n5,1,1\n", None,
                                ":6: duplicate prediction for query 5, teacher 1 "
                                "(first seen on line 2)"),
+    "duplicate_as_many_rows_as_cells": (PRED + "0,0,1\n0,0,1\n1,1,0\n1,0,0\n", None,
+                                        ":3: duplicate prediction for query 0, teacher 0 "
+                                        "(first seen on line 2)"),
     "missing": (PRED + "0,0,1\n0,1,1\n1,0,0\n", None,
                 ": missing prediction for query 1, teacher 1"),
     "missing_first_in_id_order": (PRED + "7,3,1\n2,9,1\n", None,

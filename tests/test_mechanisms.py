@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dpvote import (
     dp_ratio_check,
     enumerate_neighbors,
     flip_probability_mc,
+    gap,
     lnmax,
     noisy_argmax,
     nzc_gaussian,
@@ -20,8 +22,9 @@ from dpvote import (
     required_constant_gaussian,
     smooth_sensitivity,
     smooth_values,
+    top_two,
 )
-from dpvote import mechanisms
+from dpvote import mechanisms, noise
 
 STRONG = VoteHistogram([170, 40, 40])       # wide margin, small smooth branch
 SYMMETRIC = VoteHistogram([5, 5])
@@ -281,3 +284,47 @@ class TestDpRatioCheck:
         res = dp_ratio_check(VoteHistogram([5, 4, 3]), 100.0, gamma, 1.0, 100_000,
                              RngStream(152), sensitivity=1.0)
         assert res.max_log_ratio > 2 * gamma + 0.1
+
+
+class TestRowChunks:
+    """A labeling block is drawn, added and reduced in row chunks of the Monte-Carlo block
+    size; the chunk size changes no label, sensitivity, charge or top-two column."""
+
+    COUNTS = np.random.default_rng(140).multinomial(30, np.full(12, 1 / 12), size=301)
+
+    def outputs(self):
+        counts = self.COUNTS
+        batches = [lnmax(counts, 0.5, RngStream(141)),
+                   nzc_laplace(counts, 3.0, 0.5, 1.0, RngStream(142)),  # per-row sensitivities
+                   nzc_laplace(counts, 3.0, None, 1.0, RngStream(143), scale=2.0),
+                   nzc_gaussian(counts, 3.0, 2.0, 1.0, RngStream(144))]
+        columns = [(b.returned_labels.tobytes(), b.sensitivities.tobytes(),
+                    b.parameters.tobytes(), b.charges, b.charge_rows.tobytes()) for b in batches]
+        tops = [tuple(column.tolist() for column in top_two(rows))
+                for rows in (counts, counts[:0], counts[:1])]
+        return columns, tops
+
+    def test_chunk_size_does_not_change_any_mechanism(self, monkeypatch):
+        # values per chunk: one row, rows that do not divide the 301 rows, the default, one chunk
+        outputs = {}
+        for values in (1, 700, noise._MC_BLOCK, self.COUNTS.size + 1):
+            monkeypatch.setattr(noise, "_MC_BLOCK", values)
+            outputs[values] = self.outputs()
+        (columns, tops), *_ = outputs.values()
+        assert len(columns[1][3]) > 1  # nzc_laplace at gamma draws at a sensitivity column
+        assert tops[1] == ([], [], []) and len(tops[2][0]) == 1
+        assert all(each == outputs[1] for each in outputs.values())
+
+
+def test_lnmax_nzc_and_gap_peak_below_their_count_matrix():
+    # the kernel works in row chunks: no temporary is as large as the block
+    counts = np.random.default_rng(150).multinomial(25, np.full(100, 0.01), size=1024)
+    for call in (lambda: lnmax(counts, 0.1, RngStream(151)), lambda: gap(counts),
+                 lambda: nzc_laplace(counts, 3.0, 0.5, 1.0, RngStream(152))):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < counts.nbytes

@@ -109,3 +109,28 @@ class TestCountMatrix:
         assert argmax(counts).tolist() == [argmax(h) for h in hists]
         assert gap(counts).tolist() == [gap(h) for h in hists]
         assert boost(counts, c).tolist() == [boost(h, c).tolist() for h in hists]
+
+
+class TestInt64Range:
+    """A count beyond int64 is refused in one line; a row whose sum would wrap still has votes."""
+
+    def test_uint64_count_beyond_int64_is_refused(self):
+        with pytest.raises(ValueError, match=r"^vote counts must lie in the int64 range, "
+                                             r"got 9223372036854775808$"):
+            argmax(np.array([[2**63, 1]], dtype=np.uint64))
+
+    def test_histogram_count_beyond_int64_is_refused(self):
+        with pytest.raises(ValueError, match=r"^vote counts must lie in the int64 range, "
+                                             r"got 9223372036854775808$"):
+            VoteHistogram([2**63, 1])
+
+    def test_uint64_counts_in_range_are_taken(self):
+        counts = count_matrix(np.array([[2**63 - 1, 1], [0, 3]], dtype=np.uint64))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [[2**63 - 1, 1], [0, 3]]
+
+    def test_a_row_whose_sum_wraps_has_votes(self):
+        counts = np.array([[2**63 - 1, 2**63 - 1]])
+        assert count_matrix(counts).tolist() == counts.tolist()
+        assert argmax(counts).tolist() == [0] and gap(counts).tolist() == [0]
+        assert gap(VoteHistogram([2**63 - 1, 5])) == 2**63 - 6
