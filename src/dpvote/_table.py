@@ -56,8 +56,6 @@ TYPE_CHECKS = {
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
 }
-# a queries.csv float may be infinite: a query's epsilon 2 * gamma overflows above about 9e307
-PRIVACY_CHECKS = {**TYPE_CHECKS, float: ("a number", _is_number)}
 
 
 def check_type(where: str, name: str, value, declared: tuple[type, bool]) -> None:
@@ -125,27 +123,23 @@ def write_fresh(path, text: str) -> None:
             data = data[file.write(data):]
 
 
-def read_table(path, types: dict[str, tuple[type, bool]], checks: dict, make, distinct=False):
-    """The rows of a ``format_table`` file, each ``make(position, *values of the other cells)``.
+def read_table(path, types: dict[str, tuple[type, bool]], make):
+    """The distinct records of a ``format_table`` file, and each row's index into them.
 
-    With ``distinct``, ``make`` is called once per distinct text of a row's other cells,
-    and the result is (the records in order of first appearance, each row's index into
-    them).  Every error is one ValueError line naming ``path:line``: a header other than
-    the names of ``types``, a row without one cell per column or whose first cell
-    is not its position, a cell that does not fit its declared type in ``checks``
-    or that ``format_table`` would write otherwise, or a ValueError from ``make``.
+    ``make(position, *values of the other cells)`` is called once per distinct text of a
+    row's other cells, and the records are in order of first appearance.  Every error
+    is one ValueError line naming ``path:line``: a header other than the names of
+    ``types``, a row without one cell per column or whose first cell is not its
+    position, a cell that does not fit its declared type or that ``format_table``
+    would write otherwise, or a ValueError from ``make``.
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     header = ",".join(types)
     if not lines or lines[0] != header:
         raise ValueError(f"{path}:1: expected the header {header!r}")
     position, *names = types
-    parsers = [_cell_parser(name, types[name], checks) for name in names]
+    parsers = [_cell_parser(name, types[name]) for name in names]
     rows, records, known = [], [], {}
-
-    def parse_row(cells: list[str]):
-        return make(len(rows), *[parse(c) for parse, c in zip(parsers, cells[1:])])
-
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -155,23 +149,20 @@ def read_table(path, types: dict[str, tuple[type, bool]], checks: dict, make, di
                 raise ValueError(f"expected {len(types)} fields, got {len(cells)}")
             if cells[0] != str(len(rows)):
                 raise ValueError(f"{position} must be {len(rows)}, got {cells[0]!r}")
-            if not distinct:
-                rows.append(parse_row(cells))
-                continue
             text = line[len(cells[0]) + 1:]  # the cells after the position
             if text not in known:
-                records.append(parse_row(cells))
+                records.append(make(len(rows), *[parse(c) for parse, c in zip(parsers, cells[1:])]))
                 known[text] = len(records) - 1
             rows.append(known[text])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return (records, rows) if distinct else rows
+    return records, rows
 
 
-def _cell_parser(name: str, declared: tuple[type, bool], checks: dict):
+def _cell_parser(name: str, declared: tuple[type, bool]):
     """Cell text -> value; each distinct cell is checked once, and only as it is written."""
     base, optional = declared
-    wanted, fits = checks[base]
+    wanted, fits = TYPE_CHECKS[base]
     write = _format_float if base is float else str
     known = {"": None} if optional else {}
 

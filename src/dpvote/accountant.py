@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._table import TYPE_CHECKS, field_types, format_table, read_table, write_fresh
+from ._table import field_types, format_table, read_table, write_fresh
 from .noise import GAUSSIAN, LAPLACE, NoiseKind
 
 __all__ = [
@@ -277,9 +277,8 @@ class PrivacyLedger:
     def load(cls, path) -> "PrivacyLedger":
         """Read an exported ledger, one entry per distinct row; every error is one line
         naming ``path:line``."""
-        charges, rows = read_table(path, _ROW_TYPES, TYPE_CHECKS,
-                                   lambda index, *row: LedgerEntry(*row[:-1], sensitivity=row[-1]),
-                                   distinct=True)
+        charges, rows = read_table(path, _ROW_TYPES,
+                                   lambda index, *row: LedgerEntry(*row[:-1], sensitivity=row[-1]))
         ledger = cls()
         ledger.record(*charges, rows=rows)
         return ledger

@@ -16,11 +16,11 @@ import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import zip_longest
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from ._table import PRIVACY_CHECKS, check_type, field_types, format_table, read_table, write_fresh
+from ._table import check_type, field_types, format_table, write_fresh
 from .accountant import NOISE_KIND, PrivacyFigure, PrivacyLedger
 from .ensemble import (
     SyntheticTeacherSpec,
@@ -32,7 +32,6 @@ from .ensemble import (
 )
 from .mechanisms import lnmax, noise_parameters, nzc_gaussian, nzc_laplace
 from .noise import RngStream
-from .sensitivity import gap_flip_moves, smooth_from_moves
 from .votes import argmax, check_boost_constant, gap
 
 __all__ = [
@@ -107,6 +106,8 @@ class ExperimentConfig:
         if self.teachers is not None:
             if self.teachers < 1:
                 raise ValueError(f"need at least one teacher, got {self.teachers}")
+            if self.teachers >= 2**63:  # numpy draws votes in int64
+                raise ValueError(f"teachers must be below 2**63, got {self.teachers}")
             if self.queries is None or self.queries < 0:
                 raise ValueError("synthetic runs need a non-negative query budget")
             if self.truth is not None:
@@ -249,30 +250,14 @@ def _run_mechanism(config: ExperimentConfig, counts: np.ndarray, rng: RngStream)
     return boosted(counts, config.boost_constant, param, config.beta, rng, scale=config.scale)
 
 
-def _figures(config: ExperimentConfig, ledger: PrivacyLedger, labels, clean, truths, gaps) -> dict:
-    """The figure fields of an ExperimentReport, from its query columns and its ledger.
-
-    ``run_experiment`` and ``read_report`` both derive a report's figures here.  The
-    columns are arrays; ``truths`` is None when no query has a truth label, which leaves
-    only the agreement.  With no query every accuracy is None and there is no fraction.
-    """
-    privacy = ledger.figures(config.delta)
-    if not len(clean):
-        return dict(dict.fromkeys(_ACCURACY_KEYS), qualified_fractions=(), privacy=privacy)
-    if truths is None:
-        pcts = None, None, 100.0 * int(np.count_nonzero(labels == clean)) / len(clean)
-    else:
-        summary = ensemble_accuracy(clean, truths, labels)
-        pcts = summary.clean_pct, summary.mechanism_pct, summary.agreement_pct
-    fractions = tuple((n, qualified_fraction(gaps, n)) for n in config.distance_grid)
-    return dict(zip(_ACCURACY_KEYS, pcts), qualified_fractions=fractions, privacy=privacy)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     start = time.perf_counter()
     root = RngStream(config.seed)
-    counts, truths, accuracy_used = _build_counts(config, root)
+    try:
+        counts, truths, accuracy_used = _build_counts(config, root)
+    except MemoryError as exc:  # numpy's message names the size and the shape
+        raise ValueError(f"the vote counts do not fit in memory: {exc}") from None
     queries = len(counts)
 
     ledger = PrivacyLedger()
@@ -292,9 +277,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     columns = [list(range(queries)), labels.tolist(), clean.tolist(), truths or [None] * queries,
                gaps.tolist(), sensitivities.tolist(), epsilons or [None] * queries]
 
+    pcts, fractions = (None, None, None), ()  # with no query, no accuracy and no fraction
+    if queries:
+        if truths is None:  # only the agreement
+            pcts = None, None, 100.0 * int(np.count_nonzero(labels == clean)) / queries
+        else:
+            accuracy = ensemble_accuracy(clean, truths, labels)
+            pcts = accuracy.clean_pct, accuracy.mechanism_pct, accuracy.agreement_pct
+        fractions = tuple((n, qualified_fraction(gaps, n)) for n in config.distance_grid)
     return ExperimentReport(
         config=replace(config, queries=queries, teacher_accuracy=accuracy_used),
-        **_figures(config, ledger, labels, clean, truths, gaps),
+        **dict(zip(_ACCURACY_KEYS, pcts)),
+        qualified_fractions=fractions,
+        privacy=ledger.figures(config.delta),
         columns=columns,
         ledger=ledger,
         runtime_seconds=time.perf_counter() - start,
@@ -315,9 +310,6 @@ _SUMMARY_FIELDS = tuple(
 )
 # ExperimentReport figures at the top level of summary.json
 _ACCURACY_KEYS = ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct")
-# the table each summary.json figure is derived from; every other key is a config field
-_SOURCES = {"qualified_fractions": QUERIES_FILE, "privacy": LEDGER_FILE,
-            **dict.fromkeys(_ACCURACY_KEYS, QUERIES_FILE)}
 
 
 def _summary(report: ExperimentReport) -> dict:
@@ -336,6 +328,14 @@ def _summary(report: ExperimentReport) -> dict:
     return summary
 
 
+def _texts(report: ExperimentReport) -> dict[str, Callable[[], str]]:
+    """Each report file's name -> a function that builds its text, in the order
+    ``read_report`` compares them; ``PrivacyLedger.export`` writes ledger.csv's."""
+    return {SUMMARY_FILE: lambda: json.dumps(_summary(report), indent=2) + "\n",
+            QUERIES_FILE: lambda: format_table(_QUERY_TYPES, report.columns),
+            LEDGER_FILE: report.ledger.export_text}
+
+
 def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     """Write summary.json, queries.csv and ledger.csv; byte-stable for a given report.
 
@@ -347,28 +347,49 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     if not out.is_dir():  # a stat, where mkdir of an existing directory raises and catches
         out.mkdir(parents=True, exist_ok=True)
 
-    summary_path = out / SUMMARY_FILE
-    write_fresh(summary_path, json.dumps(_summary(report), indent=2) + "\n")
+    texts = _texts(report)
+    for name in (SUMMARY_FILE, QUERIES_FILE):
+        write_fresh(out / name, texts[name]())
+    report.ledger.export(out / LEDGER_FILE)
+    return {"summary": out / SUMMARY_FILE, "queries": out / QUERIES_FILE,
+            "ledger": out / LEDGER_FILE}
 
-    queries_path = out / QUERIES_FILE
-    write_fresh(queries_path, format_table(_QUERY_TYPES, report.columns))
 
-    ledger_path = out / LEDGER_FILE
-    report.ledger.export(ledger_path)
-    return {"summary": summary_path, "queries": queries_path, "ledger": ledger_path}
+SHOWN_WIDTH = 80  # characters of a line that a read_report error shows
+
+
+def _first_difference(path: Path, expected: str, found: str) -> ValueError:
+    """The error for a file whose text is ``found`` where it should be ``expected``: the
+    first line that differs, each side cut to SHOWN_WIDTH characters (a line's end included)."""
+    lines = zip_longest(expected.splitlines(keepends=True), found.splitlines(keepends=True),
+                        fillvalue="")  # "" past a text's end, which no line of it is
+    number, (want, got) = next((n, pair) for n, pair in enumerate(lines, start=1)
+                               if pair[0] != pair[1])
+    want, got = (repr(line if len(line) <= SHOWN_WIDTH else line[:SHOWN_WIDTH] + "...")
+                 for line in (want, got))
+    return ValueError(f"{path}:{number}: expected {want}, found {got}")
 
 
 def read_report(out_dir) -> ExperimentReport:
-    """Parse a report directory back into an ExperimentReport (runtime and out_dir are not stored).
+    """Check a report directory by running its config again, and return the run's report.
 
-    The config comes from summary.json and the figures are derived from the tables as
-    ``run_experiment`` derives them; a summary.json other than the one ``emit_report``
-    writes for the result is refused with one line naming the first key that differs.
+    The config comes from summary.json.  A queries.csv whose count of non-empty rows is
+    not the summary's query_count is refused before the run, so a check answers no more
+    queries than the file holds.  The run reads a prediction CSV as the first run did,
+    a relative path against the working directory.  Then summary.json, queries.csv and
+    ledger.csv, in that order, must each be the text that ``emit_report`` writes for
+    the run.  Every error is one ValueError line that starts with a file's path; a file
+    that differs is refused at its first differing line, as
+    ``<path>:<line>: expected '<text>', found '<text>'``.
     """
     out = Path(out_dir)
-    where = f"{out / SUMMARY_FILE}:"
+    summary_path = out / SUMMARY_FILE
+    where = f"{summary_path}:"
+    # bytes decoded here, so a line end is compared as written and a bad byte as U+FFFD
+    found = {name: (out / name).read_bytes().decode("utf-8", errors="replace")
+             for name in (SUMMARY_FILE, QUERIES_FILE, LEDGER_FILE)}
     try:
-        summary = json.loads((out / SUMMARY_FILE).read_text(encoding="utf-8"))
+        summary = json.loads(found[SUMMARY_FILE])
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where} not valid JSON: {exc}") from None
 
@@ -380,87 +401,17 @@ def read_report(out_dir) -> ExperimentReport:
     except TypeError:  # valid JSON of another shape, e.g. a list or "qualified_fractions": 5
         raise ValueError(f"{where} expected an object with a qualified_fractions "
                          f"list of {{n, fraction}} objects") from None
-    config = config_from_dict(values, str(out / SUMMARY_FILE))
+    config = config_from_dict(values, str(summary_path))
 
-    ledger = PrivacyLedger.load(out / LEDGER_FILE)
-
-    def ledger_fault(index: int, fault: str) -> ValueError:
-        lines = (out / LEDGER_FILE).read_text(encoding="utf-8").splitlines()
-        line = [row.split(",")[0] for row in lines].index(str(index)) + 1  # row i starts with i
-        return ValueError(f"{out / LEDGER_FILE}:{line}: {fault}")
-
-    entries = ledger.entries  # a fresh list on each access
-    param = NOISE_KIND[config.mechanism].param
-    sens = np.array([entry.sensitivity for entry in entries])
+    rows = sum(1 for line in found[QUERIES_FILE].splitlines()[1:] if line)
+    if rows != config.queries:
+        raise ValueError(f"{out / QUERIES_FILE}: {rows} rows, but query_count is {config.queries}")
     try:
-        charged = noise_parameters(config.mechanism, sens, getattr(config, param), config.scale)
-    except ValueError as exc:
-        raise ValueError(f"{out / LEDGER_FILE}: {exc}") from None
-    for index, (entry, given) in enumerate(zip(entries, charged.tolist())):
-        if entry.mechanism != config.mechanism:
-            raise ledger_fault(index, f"mechanism {entry.mechanism!r} differs from the "
-                                      f"config's {config.mechanism!r}")
-        if getattr(entry, param) != given:
-            raise ledger_fault(index, f"{param} {getattr(entry, param)!r} differs from the "
-                                      f"config's {given!r} at sensitivity {entry.sensitivity!r}")
-
-    def query_row(*cells) -> tuple:  # every label is a class of the run; costs are its ledger row's
-        row = QueryResult(*cells)
-        for name in ("returned_label", "clean_label", "truth_label"):
-            label = getattr(row, name)
-            if label is not None and not 0 <= label < config.num_classes:
-                raise ValueError(f"{name} must lie in [0, {config.num_classes}), got {label}")
-        if row.query_id < len(entries):  # a row count that differs is refused below
-            entry = entries[row.query_id]
-            for name in ("sensitivity", "epsilon"):
-                if getattr(row, name) != getattr(entry, name):
-                    raise ValueError(f"{name} {getattr(row, name)!r} differs from the "
-                                     f"{getattr(entry, name)!r} of {LEDGER_FILE} row {row.query_id}")
-        return cells
-
-    rows = read_table(out / QUERIES_FILE, _QUERY_TYPES, PRIVACY_CHECKS, query_row)
-    for name, count in ((QUERIES_FILE, len(rows)), (LEDGER_FILE, ledger.query_count)):
-        if count != config.queries:
-            raise ValueError(f"{out / name}: {count} rows, but query_count is {config.queries}")
-    columns = [[row[i] for row in rows] for i in range(len(_QUERY_TYPES))]
-    _, labels, clean, truths, gaps = columns[:5]
-    gaps = np.asarray(gaps)  # object dtype for an int beyond int64, which the gap column allows
-    with_truth = sum(truth is not None for truth in truths)
-    if 0 < with_truth < len(truths):
-        raise ValueError(f"{out / QUERIES_FILE}: truth_label is set on {with_truth} of "
-                         f"{len(truths)} rows; set it on every row or none")
-    report = ExperimentReport(config=config, columns=columns, ledger=ledger, **_figures(
-        config, ledger, np.asarray(labels), np.asarray(clean), truths if with_truth else None,
-        gaps))
-
-    derived = _summary(report)
-    for key, value in derived.items():
-        if key not in summary:
-            raise ValueError(f"{where} missing key {key!r}")
-        name, stated = key, summary[key]
-        if json.dumps(stated) == json.dumps(value):  # JSON text, so 100 is not 100.0
-            continue
-        if key == "privacy" and isinstance(stated, list):  # name the first record that differs
-            stated, value = next(pair for pair in zip_longest(stated, value)
-                                 if json.dumps(pair[0]) != json.dumps(pair[1]))
-            name = f"privacy {value['accounting']}" if value else key
-        raise ValueError(f"{where} {name} is {json.dumps(stated)}, but "
-                         f"{_SOURCES.get(key, 'the config')} gives {json.dumps(value)}")
-    unknown = [key for key in summary if key not in derived]
-    if unknown:
-        raise ValueError(f"{where} unknown key {unknown[0]!r}")
-    # a run's sensitivity is 1 (lnmax), else the smooth sensitivity at k*, which is one of
-    # two values at its row's gap, by which of the two leading bins comes first
-    try:
-        allowed = ([np.ones(len(sens))] * 2 if config.mechanism == "lnmax" else
-                   [smooth_from_moves(k, config.boost_constant, config.beta)
-                    for k in gap_flip_moves(gaps)])
-    except ValueError as exc:
+        report = run_experiment(config)
+    except (ValueError, OSError) as exc:
         raise ValueError(f"{where} {exc}") from None
-    bad = np.flatnonzero((sens != allowed[0]) & (sens != allowed[1]))
-    if bad.size:
-        index = int(bad[0])
-        values = " or ".join(map(repr, dict.fromkeys(float(a[index]) for a in allowed)))
-        raise ledger_fault(index, f"sensitivity {entries[index].sensitivity!r} differs from "
-                                  f"the config's {values} at gap {int(gaps[index])}")
+    for name, text in _texts(report).items():
+        expected = text()
+        if expected != found[name]:
+            raise _first_difference(out / name, expected, found[name])
     return report

@@ -192,6 +192,15 @@ class TestRunCommand:
             "which leaves no sensitivity to scale the noise to\n")
         assert not out_dir.exists()
 
+    def test_teacher_count_beyond_int64_is_one_line_error(self, capsys):
+        code = run_cli(["run", "--mechanism", "lnmax", "--seed", "1", "--teachers",
+                        "10000000000000000000", "--teacher-accuracy", "0.8", "--queries", "3",
+                        "--gamma", "0.1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("teachers must be below 2**63, got 10000000000000000000\n")
+
     @pytest.mark.parametrize("queries, printed", [("0", False), ("3", True)])
     def test_gaussian_inapplicable_line_needs_an_answered_query(self, capsys, queries, printed):
         code = run_cli(["run", "--mechanism", "nzc-gaussian", "--teachers", "5",

@@ -4,6 +4,7 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,13 @@ class TestConfigValidation:
     def test_teacher_accuracy_outside_unit_interval(self, accuracy):
         with pytest.raises(ValueError, match=r"teacher_accuracy must lie in \[0, 1\]"):
             small_config(teacher_accuracy=accuracy).validate()
+
+    def test_teacher_count_beyond_int64_is_refused(self):
+        # numpy draws each query's votes as int64 counts of the teachers
+        small_config(teachers=2**63 - 1, queries=0).validate()
+        with pytest.raises(ValueError) as info:
+            small_config(teachers=2**63).validate()
+        assert str(info.value) == f"teachers must be below 2**63, got {2**63}"
 
 
 class TestRunExperiment:
@@ -184,6 +192,19 @@ class TestRunExperiment:
             run_experiment(over)
 
 
+    # 3 x 10**17 int64 counts are 2.4e18 bytes, beyond any address space a process can have
+    def test_count_matrix_too_large_to_allocate_is_one_line_error(self, tmp_path):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("query_id,teacher_id,label\n" + "".join(
+            f"{q},{t},{q}\n" for q in range(3) for t in range(2)))
+        for config in (small_config(queries=3, num_classes=10**17),
+                       ExperimentConfig(mechanism="lnmax", seed=1, num_classes=10**17,
+                                        predictions=str(preds), gamma=0.1)):
+            with pytest.raises(ValueError) as info:
+                run_experiment(config)
+            assert str(info.value).startswith("the vote counts do not fit in memory: ")
+            assert "\n" not in str(info.value)
+
     def test_run_partitions_the_count_matrix_at_most_once(self, monkeypatch):
         # one gap column fills queries.csv and gives every qualified fraction
         calls = []
@@ -235,6 +256,108 @@ class TestBlockStreams:
         assert first != second
 
 
+def rewrite(path, change):
+    """Write ``path`` with its lines as ``change(lines)`` returns them."""
+    path.write_text("\n".join(change(path.read_text().splitlines())) + "\n")
+
+
+def set_cells(path, cells):
+    """Write ``path`` with each (line, cell index) of ``cells`` set to its text; line 1 is
+    the header."""
+    def change(lines):
+        for (line, cell), value in cells.items():
+            row = lines[line - 1].split(",")
+            row[cell] = value
+            lines[line - 1] = ",".join(row)
+        return lines
+
+    rewrite(path, change)
+
+
+def edit_summary(path, mutate):
+    """Write summary.json as ``mutate`` returns it, laid out as emit_report writes it."""
+    path.write_text(json.dumps(mutate(json.loads(path.read_text())), indent=2) + "\n")
+
+
+def forge_row(paths, row, sensitivity, gamma=None, epsilon=None):
+    """Give query ``row`` another sensitivity in both tables (and another gamma and epsilon)."""
+    for name, cells in (("ledger", {4: sensitivity, 2: gamma}),
+                        ("queries", {5: sensitivity, 6: epsilon})):
+        set_cells(paths[name], {(row + 2, cell): value for cell, value in cells.items()
+                                if value is not None})
+
+
+def restate_privacy(paths):
+    """Write summary.json's privacy figures as the edited ledger.csv gives them."""
+    figures = PrivacyLedger.load(paths["ledger"]).figures(1e-5)
+    edit_summary(paths["summary"], lambda summary: {**summary, "privacy": [
+        {**vars(f), "eps": float(f"{f.eps:.12g}")} for f in figures]})
+
+
+def forge_gamma_in_a_scale_run(paths):
+    # every gamma, every epsilon and the summary's privacy figures agree with each other,
+    # but a scale run charges each row sensitivity / scale
+    for name, cell, value in (("ledger", 2, "0.5"), ("queries", 6, "1")):
+        set_cells(paths[name], {(line, cell): value for line in (2, 3, 4)})
+    restate_privacy(paths)
+
+
+def forge_a_sensitivity_the_gap_rules_out(paths):
+    # every file agrees with every other, but a gap of 25 votes gives e^-beta, not 4
+    forge_row(paths, 0, "4", gamma="2", epsilon="4")
+    restate_privacy(paths)
+
+
+def forge_the_other_sensitivity_at_a_gap_of_four(row):
+    # at a gap of 4 the flip distance is 2 or 3, by which of the two leading bins comes first
+    def edit(paths):
+        low, high = math.exp(-1.0), 11.0 * math.exp(-1.0)
+        cell = paths["queries"].read_text().splitlines()[row + 1].split(",")[5]
+        forge_row(paths, row, repr(high if float(cell) == low else low))
+
+    return edit
+
+
+def cells(name, edits):
+    return lambda paths: set_cells(paths[name], edits)
+
+
+def summary_edit(mutate):
+    return lambda paths: edit_summary(paths["summary"], mutate)
+
+
+def set_privacy(index, key, value):
+    def mutate(summary):
+        summary["privacy"][index][key] = value
+        return summary
+
+    return summary_edit(mutate)
+
+
+def without(key):
+    return summary_edit(lambda summary: {k: v for k, v in summary.items() if k != key})
+
+
+def first_difference(expected: str, found: str) -> tuple[int, str, str]:
+    """(line number, expected line, found line) of the first line where two texts differ,
+    each line with its end; a text that has ended reads ''."""
+    pairs = zip_longest(expected.splitlines(keepends=True), found.splitlines(keepends=True),
+                        fillvalue="")
+    return next((n, *pair) for n, pair in enumerate(pairs, start=1) if pair[0] != pair[1])
+
+
+def shown(line: str) -> str:
+    width = pipeline.SHOWN_WIDTH
+    return repr(line if len(line) <= width else line[:width] + "...")
+
+
+GAUSSIAN = {"mechanism": "nzc-gaussian", "gamma": None, "sigma": 2.0}
+GAP_25 = {"seed": 3, "teachers": 25, "boost_constant": 10.0}  # query 0 has a gap of 25
+GAP_4 = {"seed": 2, "teachers": 10, "teacher_accuracy": 0.5, "queries": 12,
+         "boost_constant": 10.0, "gamma": 0.5}  # queries 0 and 11 have a gap of 4
+SHAPE = 'expected an object with a qualified_fractions list of {n, fraction} objects'
+
+
 class TestEmitAndRead:
     def test_byte_identical_reruns(self, tmp_path):
         config = small_config(queries=80)
@@ -282,94 +405,167 @@ class TestEmitAndRead:
         assert [r.returned_label for r in parsed.results] == [
             r.returned_label for r in report.results]
 
-    def test_short_query_row_is_rejected_with_its_line(self, tmp_path):
-        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
-        lines = paths["queries"].read_text().splitlines()
-        lines[2] = lines[2].rsplit(",", 1)[0]
-        paths["queries"].write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"queries.csv:3: expected 7 fields, got 6"):
-            read_report(tmp_path / "r")
-
-    def test_bad_query_cell_is_rejected_with_its_line_and_column(self, tmp_path):
-        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
-        lines = paths["queries"].read_text().splitlines()
-        cells = lines[2].split(",")
-        cells[1] = "x"
-        lines[2] = ",".join(cells)
-        paths["queries"].write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        message = str(info.value)
-        assert "\n" not in message
-        assert message.endswith("queries.csv:3: returned_label must be an integer, got 'x'")
-
-    @pytest.mark.parametrize("name", ["queries", "ledger"])
-    def test_empty_table_lines_are_skipped(self, tmp_path, name):
-        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "first")
-        text = paths[name].read_text()
-        lines = text.splitlines()
-        paths[name].write_text("\n".join(lines[:2] + ["", ""] + lines[2:] + [""]) + "\n")
-        again = emit_report(read_report(tmp_path / "first"), tmp_path / "second")
-        assert again[name].read_text() == text
-
-    # (file, line, cell index, new cell text, error after the file's path)
-    @pytest.mark.parametrize("name, line, cell, value, message", [
-        ("queries", 1, 0, "id", ":1: expected the header 'query_id,returned_label,clean_label,"
-                                "truth_label,gap,sensitivity,epsilon'"),
-        ("ledger", 1, 0, "id", ":1: expected the header 'index,mechanism,gamma,sigma,sensitivity'"),
-        ("queries", 3, 0, "x", ":3: query_id must be 1, got 'x'"),
-        ("ledger", 3, 0, "2", ":3: index must be 1, got '2'"),
-        ("queries", 4, 2, "1,1", ":4: expected 7 fields, got 8"),
-        ("ledger", 4, 3, ",", ":4: expected 5 fields, got 6"),
-        ("queries", 2, 5, "nan", ":2: sensitivity must be a number, got 'nan'"),
-        ("ledger", 2, 4, "nan", ":2: sensitivity must be a finite number, got 'nan'"),
-        ("queries", 2, 1, " +1_0", ":2: returned_label must be an integer, got ' +1_0'"),
-        ("queries", 2, 5, " 1_0.5", ":2: sensitivity must be a number, got ' 1_0.5'"),
-        ("queries", 3, 1, "10", ":3: returned_label must lie in [0, 10), got 10"),
-        ("queries", 3, 2, "-1", ":3: clean_label must lie in [0, 10), got -1"),
-        ("queries", 3, 3, "10", ":3: truth_label must lie in [0, 10), got 10"),
+    # (config overrides of a 3-query run, edit of its report files, the file refused)
+    @pytest.mark.parametrize("overrides, edit, name", [
+        pytest.param({}, lambda paths: rewrite(paths["queries"], lambda lines: [
+            *lines[:2], lines[2].rsplit(",", 1)[0], *lines[3:]]), "queries", id="short_row"),
+        pytest.param({}, cells("queries", {(3, 1): "x"}), "queries", id="label_not_an_int"),
+        pytest.param({}, lambda paths: rewrite(paths["queries"], lambda lines: [
+            *lines[:2], "", "", *lines[2:], ""]), "queries", id="queries_blank_lines"),
+        pytest.param({}, lambda paths: rewrite(paths["ledger"], lambda lines: [
+            *lines[:2], "", "", *lines[2:], ""]), "ledger", id="ledger_blank_lines"),
+        # a table cell
+        pytest.param({}, cells("queries", {(1, 0): "id"}), "queries", id="queries_header"),
+        pytest.param({}, cells("ledger", {(1, 0): "id"}), "ledger", id="ledger_header"),
+        pytest.param({}, cells("queries", {(3, 0): "x"}), "queries", id="query_id"),
+        pytest.param({}, cells("ledger", {(3, 0): "2"}), "ledger", id="ledger_index"),
+        pytest.param({}, cells("queries", {(4, 2): "1,1"}), "queries", id="queries_extra_cell"),
+        pytest.param({}, cells("ledger", {(4, 3): ","}), "ledger", id="ledger_extra_cell"),
+        pytest.param({}, cells("queries", {(2, 5): "nan"}), "queries", id="queries_nan"),
+        pytest.param({}, cells("ledger", {(2, 4): "nan"}), "ledger", id="ledger_nan"),
+        pytest.param({}, cells("queries", {(2, 1): " +1_0"}), "queries", id="int_spelling"),
+        pytest.param({}, cells("queries", {(2, 5): " 1_0.5"}), "queries", id="float_spelling"),
+        pytest.param({}, cells("queries", {(3, 1): "10"}), "queries", id="returned_label_10"),
+        pytest.param({}, cells("queries", {(3, 2): "-1"}), "queries", id="clean_label_-1"),
+        pytest.param({}, cells("queries", {(3, 3): "10"}), "queries", id="truth_label_10"),
+        # a query row that disagrees with its ledger row
+        pytest.param({}, cells("queries", {(2, 5): "123"}), "queries", id="query_sensitivity"),
+        pytest.param({}, cells("queries", {(2, 6): ""}), "queries", id="query_epsilon_empty"),
+        pytest.param(GAUSSIAN, cells("queries", {(2, 6): "9"}), "queries",
+                     id="gaussian_query_epsilon"),
+        pytest.param({}, lambda paths: rewrite(paths["ledger"], lambda lines: [
+            *lines, f"3,{lines[-1].split(',', 1)[1]}"]), "ledger", id="ledger_extra_row"),
+        # a ledger row that disagrees with the config
+        pytest.param({}, cells("ledger", {(3, 1): "lnmax", (3, 4): "1"}), "ledger",
+                     id="ledger_mechanism"),
+        pytest.param({}, cells("ledger", {(3, 2): "0.5"}), "ledger", id="ledger_gamma"),
+        pytest.param(GAUSSIAN, cells("ledger", {(3, 3): "3"}), "ledger", id="ledger_sigma"),
+        pytest.param({"gamma": None, "scale": 2.0}, forge_gamma_in_a_scale_run, "summary",
+                     id="gamma_forged_in_a_scale_run"),
+        pytest.param({**GAP_25, "gamma": None, "scale": 2.0},
+                     forge_a_sensitivity_the_gap_rules_out, "summary",
+                     id="sensitivity_the_gap_rules_out"),
+        pytest.param({"mechanism": "lnmax", "gamma": 0.5},
+                     lambda paths: forge_row(paths, 1, "0.5"), "queries",
+                     id="lnmax_sensitivity_not_one"),
+        pytest.param(GAP_4, forge_the_other_sensitivity_at_a_gap_of_four(0), "queries",
+                     id="gap_of_four_row_0_other_sensitivity"),
+        pytest.param(GAP_4, forge_the_other_sensitivity_at_a_gap_of_four(11), "queries",
+                     id="gap_of_four_row_11_other_sensitivity"),
+        pytest.param(GAP_4, lambda paths: forge_row(paths, 0, "4"), "queries",
+                     id="gap_of_four_neither_sensitivity"),
+        pytest.param({**GAP_25, "gamma": 0.5, "distance_grid": ()},
+                     cells("queries", {(2, 4): str(2**70)}), "queries", id="gap_beyond_int64"),
+        pytest.param({**GAP_25, "gamma": 0.5, "distance_grid": ()},
+                     lambda paths: (set_cells(paths["queries"], {(2, 4): str(2**70)}),
+                                    forge_row(paths, 0, repr(11.0 * math.exp(-1.0)))),
+                     "queries", id="gap_beyond_int64_and_its_sensitivity"),
+        # summary.json
+        *[pytest.param({}, without(key), "summary", id=f"missing_{key}")
+          for key in ("clean_accuracy_pct", "mechanism_accuracy_pct", "agreement_pct",
+                      "privacy")],
+        pytest.param({}, summary_edit(lambda summary: {**summary, "privacy": None}), "summary",
+                     id="privacy_null"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "privacy": {
+            "eps_simple": 0.1}}), "summary", id="privacy_object"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "privacy": [
+            {"accounting": "paper-simple"}]}), "summary", id="privacy_record_missing_key"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "privacy": [
+            {**summary["privacy"][0], "alpha": 1.0}]}), "summary",
+            id="privacy_record_extra_key"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "privacy": [
+            *summary["privacy"], {}]}), "summary", id="privacy_extra_record"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "clean_accuracy_pct": "x"}),
+                     "summary", id="accuracy_string"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "agreement_pct": True}),
+                     "summary", id="accuracy_bool"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "qualified_fractions": [
+            {"n": 1, "fraction": None}]}), "summary", id="fraction_null"),
+        pytest.param({}, set_privacy(0, "eps", "abc"), "summary", id="eps_string"),
+        pytest.param({}, set_privacy(0, "eps", math.nan), "summary", id="eps_nan"),
+        pytest.param({}, set_privacy(0, "delta", None), "summary", id="delta_null"),
+        pytest.param({}, set_privacy(0, "accounting", 3), "summary", id="accounting_int"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "beta": 1}), "summary",
+                     id="float_field_int"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "note": 1}), "summary",
+                     id="unknown_key"),
+        # a summary figure that the query columns or the ledger contradict
+        pytest.param({}, summary_edit(lambda summary: {**summary, "agreement_pct": 12}),
+                     "summary", id="agreement_12"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "agreement_pct": 100}),
+                     "summary", id="agreement_100_as_an_int"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "clean_accuracy_pct": 33}),
+                     "summary", id="clean_accuracy_33"),
+        pytest.param({}, summary_edit(lambda summary: {
+            **summary, "mechanism_accuracy_pct": None}), "summary",
+            id="mechanism_accuracy_null"),
+        pytest.param({}, summary_edit(lambda summary: {**summary, "qualified_fractions": [
+            {**summary["qualified_fractions"][0], "fraction": 0.5},
+            *summary["qualified_fractions"][1:]]}), "summary", id="fraction_0.5"),
+        pytest.param({}, set_privacy(1, "eps", 9), "summary", id="paper_simple_eps"),
+        pytest.param({}, set_privacy(0, "eps", None), "summary", id="paper_moments_eps_null"),
+        pytest.param({}, set_privacy(0, "delta", 1e-4), "summary", id="paper_moments_delta"),
+        pytest.param({}, set_privacy(2, "definition", "advanced composition"), "summary",
+                     id="paper_advanced_definition"),
+        pytest.param({}, set_privacy(2, "accounting", "paper-simple"), "summary",
+                     id="paper_advanced_accounting"),
+        # query columns that contradict the summary
+        pytest.param({"distance_grid": (0, 5, 25)},
+                     cells("queries", {(line, 4): "0" for line in (2, 3, 4)}), "queries",
+                     id="gap_column"),
+        pytest.param({"distance_grid": (0, 5, 25)}, cells("queries", {(2, 3): ""}), "queries",
+                     id="truth_on_some_rows"),
+        pytest.param({"distance_grid": (0, 5, 25)},
+                     cells("queries", {(line, 3): "" for line in (2, 3, 4)}), "queries",
+                     id="truth_on_no_row"),
+        pytest.param({"distance_grid": (0, 5, 25)}, cells("queries", {(2, 6): "0.5"}),
+                     "queries", id="query_epsilon"),
     ])
-    def test_table_fault_is_one_line_error_naming_its_line(self, tmp_path, name, line, cell,
-                                                           value, message):
-        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
-        lines = paths[name].read_text().splitlines()
-        cells = lines[line - 1].split(",")
-        cells[cell] = value
-        lines[line - 1] = ",".join(cells)
-        paths[name].write_text("\n".join(lines) + "\n")
+    def test_edited_report_is_refused_at_its_first_differing_line(self, tmp_path, overrides,
+                                                                 edit, name):
+        # the run that read_report makes writes what the first one wrote, so the refused
+        # line is the first that the edit changed
+        paths = emit_report(run_experiment(small_config(**{"queries": 3, **overrides})),
+                            tmp_path / "r")
+        written = paths[name].read_text()
+        edit(paths)
+        line, expected, found = first_difference(written, paths[name].read_text())
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
-        assert str(info.value) == f"{paths[name]}{message}"
+        assert str(info.value) == (f"{paths[name]}:{line}: expected {shown(expected)}, "
+                                   f"found {shown(found)}")
 
-    # (config overrides, cell index in row 0 of queries.csv, new cell text, error after its path)
-    @pytest.mark.parametrize("overrides, cell, value, message", [
-        ({}, 5, "123", ":2: sensitivity 123.0 differs from the {sensitivity!r} of ledger.csv row 0"),
-        ({}, 6, "", ":2: epsilon None differs from the 0.02 of ledger.csv row 0"),
-        ({"mechanism": "nzc-gaussian", "gamma": None, "sigma": 2.0}, 6, "9",
-         ":2: epsilon 9.0 differs from the None of ledger.csv row 0"),
+    # (summary.json key, edited value, the line read_report refuses, the re-run's text of it)
+    @pytest.mark.parametrize("key, value, line, expected", [
+        # beta sets no gamma and no figure of a gamma run, but the run's noise scale
+        ("beta", 2.0, 17, '  "mechanism_accuracy_pct": 33.3333333333,\n'),
     ])
-    def test_query_row_that_disagrees_with_its_ledger_row_is_one_line_error(
-            self, tmp_path, overrides, cell, value, message):
-        paths = emit_report(run_experiment(small_config(queries=3, **overrides)), tmp_path / "r")
-        lines = paths["queries"].read_text().splitlines()
-        cells = lines[1].split(",")
-        cells[cell] = value
-        lines[1] = ",".join(cells)
-        paths["queries"].write_text("\n".join(lines) + "\n")
+    def test_edited_config_is_refused_where_its_run_differs(self, tmp_path, key, value, line,
+                                                           expected):
+        paths = emit_report(run_experiment(small_config(queries=3, **GAP_25)), tmp_path / "r")
+        edit_summary(paths["summary"], lambda summary: {**summary, key: value})
+        found = paths["summary"].read_text().splitlines(keepends=True)[line - 1]
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
-        sensitivity = PrivacyLedger.load(paths["ledger"]).entries[0].sensitivity
-        assert str(info.value) == f"{paths['queries']}{message.format(sensitivity=sensitivity)}"
+        assert str(info.value) == (f"{paths['summary']}:{line}: expected {shown(expected)}, "
+                                   f"found {shown(found)}")
 
-    @pytest.mark.parametrize("name, rows", [("queries", 2), ("ledger", 4)])
-    def test_row_count_other_than_query_count_is_one_line_error(self, tmp_path, name, rows):
+    def test_row_count_other_than_query_count_is_refused_before_the_run(self, tmp_path,
+                                                                         monkeypatch):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
-        lines = paths[name].read_text().splitlines()
-        lines = lines[:rows + 1] if rows < 3 else lines + [f"3,{lines[-1].split(',', 1)[1]}"]
-        paths[name].write_text("\n".join(lines) + "\n")
+        rewrite(paths["queries"], lambda lines: lines[:3])
+        monkeypatch.setattr(pipeline, "run_experiment", lambda config: pytest.fail("ran"))
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
-        assert str(info.value) == f"{paths[name]}: {rows} rows, but query_count is 3"
+        assert str(info.value) == f"{paths['queries']}: 2 rows, but query_count is 3"
+
+    def test_query_count_beyond_the_file_starts_no_run(self, tmp_path, monkeypatch):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        edit_summary(paths["summary"], lambda summary: {**summary, "query_count": 10**20})
+        monkeypatch.setattr(pipeline, "run_experiment", lambda config: pytest.fail("ran"))
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == f"{paths['queries']}: 3 rows, but query_count is {10**20}"
 
     @pytest.mark.parametrize("overrides", [
         {}, {"mechanism": "nzc-gaussian", "gamma": None, "sigma": 2.0}, {"queries": 0}])
@@ -379,145 +575,6 @@ class TestEmitAndRead:
         for each in (report, read_report(tmp_path / "r")):
             assert [len(column) for column in each.columns] == [each.query_count] * 7
             assert each.results == tuple(map(QueryResult, *each.columns))
-
-    # (config overrides, ledger.csv row 1 as edited, error after the ledger's path)
-    @pytest.mark.parametrize("overrides, row, message", [
-        ({}, "1,lnmax,0.01,,1", ":3: mechanism 'lnmax' differs from the config's 'nzc-laplace'"),
-        ({}, "1,nzc-laplace,0.5,,{sensitivity}",
-         ":3: gamma 0.5 differs from the config's 0.01 at sensitivity {sensitivity}"),
-        ({"mechanism": "nzc-gaussian", "gamma": None, "sigma": 2.0},
-         "1,nzc-gaussian,,3,{sensitivity}",
-         ":3: sigma 3.0 differs from the config's 2.0 at sensitivity {sensitivity}"),
-    ], ids=["mechanism", "gamma", "sigma"])
-    def test_ledger_row_that_disagrees_with_the_config_is_one_line_error(
-            self, tmp_path, overrides, row, message):
-        paths = emit_report(run_experiment(small_config(queries=3, **overrides)), tmp_path / "r")
-        lines = paths["ledger"].read_text().splitlines()
-        cell = lines[2].rsplit(",", 1)[1]
-        lines[2] = row.format(sensitivity=cell)
-        paths["ledger"].write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        assert str(info.value) == f"{paths['ledger']}{message.format(sensitivity=float(cell))}"
-
-    def test_ledger_forged_to_another_gamma_in_a_scale_run_is_one_line_error(self, tmp_path):
-        # every gamma, every epsilon and the summary's privacy figures agree with each other,
-        # but a scale run charges each row sensitivity / scale
-        report = run_experiment(small_config(gamma=None, scale=2.0, queries=3))
-        paths = emit_report(report, tmp_path / "r")
-        for name, cell, value in (("ledger", 2, "0.5"), ("queries", 6, "1")):
-            header, *rows = paths[name].read_text().splitlines()
-            rows = [",".join([*row.split(",")[:cell], value, *row.split(",")[cell + 1:]])
-                    for row in rows]
-            paths[name].write_text("\n".join([header, *rows]) + "\n")
-        summary = json.loads(paths["summary"].read_text())
-        summary["privacy"] = [{**vars(f), "eps": float(f"{f.eps:.12g}")}
-                              for f in PrivacyLedger.load(paths["ledger"]).figures(1e-5)]
-        paths["summary"].write_text(json.dumps(summary, indent=2) + "\n")
-        sensitivity = report.ledger.entries[0].sensitivity
-        with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        assert str(info.value) == (f"{paths['ledger']}:2: gamma 0.5 differs from the config's "
-                                   f"{sensitivity / 2.0!r} at sensitivity {sensitivity!r}")
-
-    @staticmethod
-    def forge_row(paths, row, sensitivity, gamma=None, epsilon=None):
-        """Give query ``row`` another sensitivity in both tables (and another gamma and epsilon)."""
-        for name, cells in (("ledger", {4: sensitivity, 2: gamma}),
-                            ("queries", {5: sensitivity, 6: epsilon})):
-            lines = paths[name].read_text().splitlines()
-            row_cells = lines[row + 1].split(",")
-            for cell, value in cells.items():
-                if value is not None:
-                    row_cells[cell] = value
-            lines[row + 1] = ",".join(row_cells)
-            paths[name].write_text("\n".join(lines) + "\n")
-
-    def test_ledger_sensitivity_that_the_gap_rules_out_is_one_line_error(self, tmp_path):
-        # every file agrees with every other, but a gap of 25 votes gives e^-beta, not 4
-        report = run_experiment(small_config(seed=3, teachers=25, queries=3, boost_constant=10.0,
-                                             gamma=None, scale=2.0))
-        assert report.columns[4][0] == 25
-        paths = emit_report(report, tmp_path / "r")
-        self.forge_row(paths, 0, "4", gamma="2", epsilon="4")
-        summary = json.loads(paths["summary"].read_text())
-        summary["privacy"] = [{**vars(f), "eps": float(f"{f.eps:.12g}")}
-                              for f in PrivacyLedger.load(paths["ledger"]).figures(1e-5)]
-        paths["summary"].write_text(json.dumps(summary, indent=2) + "\n")
-        with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        assert str(info.value) == (f"{paths['ledger']}:2: sensitivity 4.0 differs from the "
-                                   f"config's {math.exp(-1.0)!r} at gap 25")
-
-    def test_lnmax_ledger_sensitivity_other_than_one_is_one_line_error(self, tmp_path):
-        report = run_experiment(small_config(mechanism="lnmax", gamma=0.5, queries=3))
-        paths = emit_report(report, tmp_path / "r")
-        self.forge_row(paths, 1, "0.5")
-        with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        assert str(info.value) == (f"{paths['ledger']}:3: sensitivity 0.5 differs from the "
-                                   f"config's 1.0 at gap {report.columns[4][1]}")
-
-    @pytest.mark.parametrize("beta, message", [
-        (2.0, f"ledger.csv:2: sensitivity {math.exp(-1.0)!r} differs from the config's "
-              f"{math.exp(-2.0)!r} at gap 25"),
-        (1000.0, "summary.json: beta 1000.0 is too large: e^-beta underflows to 0, "
-                 "which leaves no sensitivity to scale the noise to"),
-    ])
-    def test_beta_that_the_ledger_contradicts_is_one_line_error(self, tmp_path, beta, message):
-        # beta sets no gamma and no figure of a gamma run; only the sensitivities show it
-        report = run_experiment(small_config(seed=3, teachers=25, queries=3, boost_constant=10.0))
-        paths = emit_report(report, tmp_path / "r")
-        summary = json.loads(paths["summary"].read_text())
-        paths["summary"].write_text(json.dumps({**summary, "beta": beta}, indent=2) + "\n")
-        with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        assert str(info.value) == f"{tmp_path / 'r'}/{message}"
-
-    @pytest.mark.parametrize("row", [0, 11])
-    def test_gap_of_four_loads_at_either_sensitivity(self, tmp_path, row):
-        # at a gap of 4 the flip distance is 2 or 3, by which of the two leading bins comes first
-        report = run_experiment(small_config(seed=2, teachers=10, teacher_accuracy=0.5,
-                                             queries=12, boost_constant=10.0, gamma=0.5))
-        low, high = math.exp(-1.0), 11.0 * math.exp(-1.0)
-        assert report.columns[4][row] == 4 and report.columns[5][0] == low
-        assert report.columns[5][11] == high
-        paths = emit_report(report, tmp_path / "r")
-        other = high if report.columns[5][row] == low else low
-        self.forge_row(paths, row, repr(other))
-        loaded = read_report(tmp_path / "r")
-        assert loaded.columns[5][row] == other
-        assert loaded.ledger.entries[row].sensitivity == other
-
-    def test_sensitivity_at_a_gap_of_four_that_neither_value_gives_names_both(self, tmp_path):
-        report = run_experiment(small_config(seed=2, teachers=10, teacher_accuracy=0.5,
-                                             queries=12, boost_constant=10.0, gamma=0.5))
-        assert report.columns[4][0] == 4
-        paths = emit_report(report, tmp_path / "r")
-        self.forge_row(paths, 0, "4")
-        with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        assert str(info.value) == (f"{paths['ledger']}:2: sensitivity 4.0 differs from the "
-                                   f"config's {11.0 * math.exp(-1.0)!r} or {math.exp(-1.0)!r} "
-                                   "at gap 4")
-
-    def test_gap_beyond_int64_is_checked_as_any_other(self, tmp_path):
-        # such a gap column is object dtype; with no distance grid no figure reads it
-        report = run_experiment(small_config(seed=3, teachers=25, queries=3, boost_constant=10.0,
-                                             gamma=0.5, distance_grid=()))
-        assert report.columns[4][0] == 25
-        paths = emit_report(report, tmp_path / "r")
-        lines = paths["queries"].read_text().splitlines()
-        cells = lines[1].split(",")
-        cells[4] = str(2**70)
-        lines[1] = ",".join(cells)
-        paths["queries"].write_text("\n".join(lines) + "\n")
-        assert read_report(tmp_path / "r").columns[4][0] == 2**70
-        self.forge_row(paths, 0, repr(11.0 * math.exp(-1.0)))
-        with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        assert str(info.value) == (f"{paths['ledger']}:2: sensitivity {11.0 * math.exp(-1.0)!r} "
-                                   f"differs from the config's {math.exp(-1.0)!r} at gap {2**70}")
 
     @pytest.mark.parametrize("mechanism, parameter", [
         ("nzc-laplace", {"gamma": 0.1234567890123456}),
@@ -556,88 +613,43 @@ class TestEmitAndRead:
         "qualified_fractions", "privacy",
     ]
 
-    @pytest.mark.parametrize("key", SUMMARY_KEYS)
-    def test_summary_missing_key_is_rejected_with_its_name(self, tmp_path, key):
+    # the keys the config is parsed from; the test above refuses a missing figure
+    @pytest.mark.parametrize("key", SUMMARY_KEYS[:14] + ["qualified_fractions"])
+    def test_summary_missing_config_key_is_rejected_with_its_name(self, tmp_path, key):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
-        summary = json.loads(paths["summary"].read_text())
-        assert list(summary) == self.SUMMARY_KEYS
-        del summary[key]
-        paths["summary"].write_text(json.dumps(summary))
-        with pytest.raises(ValueError, match=rf"summary.json: missing key '{key}'"):
-            read_report(tmp_path / "r")
-
-    # (edit, name in the error, the edited part as it reads in the error)
-    @pytest.mark.parametrize("mutate, name, stated", [
-        (lambda summary: [], None, None),
-        (lambda summary: {**summary, "qualified_fractions": 5}, None, None),
-        (lambda summary: {**summary, "privacy": None}, "privacy", "null"),
-        (lambda summary: {**summary, "privacy": {"eps_simple": 0.1}}, "privacy",
-         '{"eps_simple": 0.1}'),
-        (lambda summary: {**summary, "privacy": [{"accounting": "paper-simple"}]},
-         "privacy paper-moments", '{"accounting": "paper-simple"}'),
-        (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "alpha": 1.0}]},
-         "privacy paper-moments", None),
-        (lambda summary: {**summary, "privacy": summary["privacy"] + [{}]}, "privacy", "{}"),
-    ], ids=["list", "qualified_fractions_int", "privacy_null", "privacy_object",
-            "privacy_record_missing_key", "privacy_record_extra_key", "privacy_extra_record"])
-    def test_summary_of_wrong_shape_is_one_line_error_naming_the_file(
-            self, tmp_path, mutate, name, stated):
-        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
-        summary = json.loads(paths["summary"].read_text())
-        paths["summary"].write_text(json.dumps(mutate(summary)))
+        assert list(json.loads(paths["summary"].read_text())) == self.SUMMARY_KEYS
+        edit_summary(paths["summary"], lambda summary: {k: v for k, v in summary.items()
+                                                        if k != key})
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
-        message = str(info.value)
-        assert "\n" not in message
-        if name is None:  # a shape that leaves no config to derive the report from
-            assert message.startswith(f"{paths['summary']}: expected an object")
-        else:
-            assert message.startswith(f"{paths['summary']}: {name} is {stated or ''}")
-            assert ", but ledger.csv gives " in message
+        assert str(info.value) == f"{paths['summary']}: missing key '{key}'"
 
-    # a privacy record as it reads in an error: the first record of the run below, edited
-    FIRST_FIGURE = ('{{"accounting": {accounting}, "definition": "moments accountant: '
-                    '2*gamma^2*l*(l+1) per query at orders 1..32, tail bound (paper; Abadi et al. '
-                    '2016)", "eps": {eps}, "delta": {delta}}}')
+    @pytest.mark.parametrize("mutate", [
+        lambda summary: [],
+        lambda summary: {**summary, "qualified_fractions": 5},
+    ], ids=["list", "qualified_fractions_int"])
+    def test_summary_of_wrong_shape_is_one_line_error_naming_the_file(self, tmp_path, mutate):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        edit_summary(paths["summary"], mutate)
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == f"{paths['summary']}: {SHAPE}"
 
     @pytest.mark.parametrize("mutate,message", [
-        (lambda summary: {**summary, "clean_accuracy_pct": "x"},
-         'clean_accuracy_pct is "x", but queries.csv gives 100.0'),
-        (lambda summary: {**summary, "agreement_pct": True},
-         "agreement_pct is true, but queries.csv gives 100.0"),
-        (lambda summary: {**summary, "qualified_fractions": [{"n": 1, "fraction": None}]},
-         'qualified_fractions is [{"n": 1, "fraction": null}], but queries.csv gives '
-         '[{"n": 1, "fraction": 1.0}]'),
-        (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "eps": "abc"}]},
-         "privacy paper-moments is " + FIRST_FIGURE.format(
-             accounting='"paper-moments"', eps='"abc"', delta=1e-05) + ", but ledger.csv gives "
-         + FIRST_FIGURE.format(accounting='"paper-moments"', eps=0.37957892078, delta=1e-05)),
-        (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "eps": math.nan}]},
-         "privacy paper-moments is " + FIRST_FIGURE.format(
-             accounting='"paper-moments"', eps="NaN", delta=1e-05) + ", but ledger.csv gives "
-         + FIRST_FIGURE.format(accounting='"paper-moments"', eps=0.37957892078, delta=1e-05)),
-        (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "delta": None}]},
-         "privacy paper-moments is " + FIRST_FIGURE.format(
-             accounting='"paper-moments"', eps=0.37957892078, delta="null")
-         + ", but ledger.csv gives "
-         + FIRST_FIGURE.format(accounting='"paper-moments"', eps=0.37957892078, delta=1e-05)),
-        (lambda summary: {**summary, "privacy": [{**summary["privacy"][0], "accounting": 3}]},
-         "privacy paper-moments is " + FIRST_FIGURE.format(
-             accounting=3, eps=0.37957892078, delta=1e-05) + ", but ledger.csv gives "
-         + FIRST_FIGURE.format(accounting='"paper-moments"', eps=0.37957892078, delta=1e-05)),
         (lambda summary: {**summary, "seed": "x"}, "config field seed must be an integer, got 'x'"),
         (lambda summary: {**summary, "teacher_accuracy": 5.0},
          "teacher_accuracy must lie in [0, 1], got 5.0"),
-        (lambda summary: {**summary, "beta": 1}, "beta is 1, but the config gives 1.0"),
-        (lambda summary: {**summary, "note": 1}, "unknown key 'note'"),
-    ], ids=["accuracy_string", "accuracy_bool", "fraction_null", "eps_string", "eps_nan",
-          "delta_null", "accounting_int", "seed_string", "teacher_accuracy_above_one",
-          "float_field_int", "unknown_key"])
-    def test_summary_value_of_wrong_type_is_one_line_error_naming_the_file(
+        (lambda summary: {**summary, "beta": 1000.0},
+         "beta 1000.0 is too large: e^-beta underflows to 0, which leaves no sensitivity to "
+         "scale the noise to"),
+        (lambda summary: {**summary, "teachers": 2**63},
+         f"teachers must be below 2**63, got {2**63}"),
+    ], ids=["seed_string", "teacher_accuracy_above_one", "beta_that_discounts_to_zero",
+            "teachers_beyond_int64"])
+    def test_summary_config_that_does_not_validate_is_one_line_error_naming_the_file(
             self, tmp_path, mutate, message):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
-        summary = json.loads(paths["summary"].read_text())
-        paths["summary"].write_text(json.dumps(mutate(summary)))
+        edit_summary(paths["summary"], mutate)
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
         assert str(info.value) == f"{paths['summary']}: {message}"
@@ -653,85 +665,47 @@ class TestEmitAndRead:
         summary = json.loads(paths["summary"].read_text())
         assert summary["teacher_accuracy"] is None
         read_report(tmp_path / "r")
-        paths["summary"].write_text(json.dumps({**summary, "teacher_accuracy": 0.5}, indent=2))
+        edit_summary(paths["summary"], lambda summary: {**summary, "teacher_accuracy": 0.5})
         with pytest.raises(ValueError) as info:
             read_report(tmp_path / "r")
         assert str(info.value) == (f"{paths['summary']}: prediction-file runs have no synthetic "
                                    "teachers; they take no teacher_accuracy")
 
-    @pytest.mark.parametrize("key, value", [
-        ("agreement_pct", 12),
-        ("agreement_pct", 100),  # JSON types count: the columns give 100.0
-        ("clean_accuracy_pct", 33),
-        ("mechanism_accuracy_pct", None),
-        ("qualified_fractions", 0.5),
-    ])
-    def test_summary_figure_that_the_query_columns_contradict_is_one_line_error(
-            self, tmp_path, key, value):
-        report = run_experiment(small_config(queries=3))
-        assert report.agreement_pct == 100.0
-        paths = emit_report(report, tmp_path / "r")
-        summary = json.loads(paths["summary"].read_text())
-        edited = json.loads(paths["summary"].read_text())
-        if key == "qualified_fractions":
-            edited[key][0]["fraction"] = value
-        else:
-            edited[key] = value
-        paths["summary"].write_text(json.dumps(edited))
-        with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        assert str(info.value) == (f"{paths['summary']}: {key} is {json.dumps(edited[key])}, "
-                                   f"but queries.csv gives {json.dumps(summary[key])}")
+    @staticmethod
+    def replay(directory):
+        """A replay report in ``directory``, the working directory, whose summary.json names
+        its prediction CSV by the relative path preds.csv; every label is the plurality's."""
+        Path("preds.csv").write_text("query_id,teacher_id,label\n" + "\n".join(
+            f"{q},{t},{(q + (t == 0)) % 3}" for q in range(4) for t in range(5)) + "\n")
+        config = ExperimentConfig(mechanism="lnmax", seed=1, num_classes=3,
+                                  predictions="preds.csv", gamma=50.0, distance_grid=())
+        return emit_report(run_experiment(config), directory)
 
-    # (privacy record index, field, edited value)
-    @pytest.mark.parametrize("index, field, value", [
-        (1, "eps", 9),  # paper-simple: the ledger gives 3 queries at 2 * 0.01
-        (0, "eps", None),
-        (0, "delta", 1e-4),
-        (2, "definition", "advanced composition"),
-        (2, "accounting", "paper-simple"),
-    ])
-    def test_summary_privacy_figure_that_the_ledger_contradicts_is_one_line_error(
-            self, tmp_path, index, field, value):
-        report = run_experiment(small_config(queries=3))
-        assert report.eps_simple == 0.06
-        paths = emit_report(report, tmp_path / "r")
-        summary = json.loads(paths["summary"].read_text())
-        edited = json.loads(paths["summary"].read_text())
-        edited["privacy"][index][field] = value
-        paths["summary"].write_text(json.dumps(edited))
+    def test_replay_without_its_prediction_file_is_one_line_naming_the_summary(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        paths = self.replay("r")
+        read_report("r")
+        Path("preds.csv").unlink()
         with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        derived = summary["privacy"][index]
-        assert str(info.value) == (
-            f"{paths['summary']}: privacy {derived['accounting']} is "
-            f"{json.dumps(edited['privacy'][index])}, but ledger.csv gives {json.dumps(derived)}")
+            read_report("r")
+        message = str(info.value)
+        assert message.startswith(f"{paths['summary']}: ") and "preds.csv" in message
+        assert "\n" not in message
 
-    # (cell index in queries.csv, new text of that cell on the given rows, error after the path)
-    @pytest.mark.parametrize("cell, value, rows, message", [
-        (4, "0", [0, 1, 2], 'summary.json: qualified_fractions is [{"n": 0, "fraction": 1.0}, '
-                            '{"n": 5, "fraction": 1.0}, {"n": 25, "fraction": 1.0}], but '
-                            'queries.csv gives [{"n": 0, "fraction": 0.0}, {"n": 5, "fraction": '
-                            '0.0}, {"n": 25, "fraction": 0.0}]'),
-        (3, "", [0], "queries.csv: truth_label is set on 2 of 3 rows; set it on every row or none"),
-        (3, "", [0, 1, 2], "summary.json: clean_accuracy_pct is 100.0, but queries.csv gives null"),
-        (6, "0.5", [0], "queries.csv:2: epsilon 0.5 differs from the 0.02 of ledger.csv row 0"),
-    ], ids=["gap", "truth_on_some_rows", "truth_on_no_row", "epsilon"])
-    def test_query_columns_that_contradict_the_summary_are_one_line_error(
-            self, tmp_path, cell, value, rows, message):
-        report = run_experiment(small_config(queries=3, distance_grid=(0, 5, 25)))
-        assert report.clean_accuracy_pct == 100.0
-        assert report.qualified_fractions == ((0, 1.0), (5, 1.0), (25, 1.0))
-        paths = emit_report(report, tmp_path / "r")
-        lines = paths["queries"].read_text().splitlines()
-        for row in rows:
-            cells = lines[row + 1].split(",")
-            cells[cell] = value
-            lines[row + 1] = ",".join(cells)
-        paths["queries"].write_text("\n".join(lines) + "\n")
+    def test_prediction_file_edited_after_the_run_is_refused_at_a_queries_line(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        paths = self.replay("r")
+        written = paths["queries"].read_text()
+        # query 2 gets votes 3, 2 for its two leading labels: the same plurality, a gap of 1
+        rewrite(Path("preds.csv"), lambda lines: [*lines[:12], "2,1,0", *lines[13:]])
         with pytest.raises(ValueError) as info:
-            read_report(tmp_path / "r")
-        assert str(info.value) == f"{tmp_path / 'r'}/{message}"
+            read_report("r")
+        found = written.splitlines(keepends=True)[3]
+        assert found.split(",")[4] == "3"
+        assert str(info.value) == (f"{paths['queries']}:4: expected "
+                                   f"{shown(found.replace(',3,', ',1,', 1))}, found {shown(found)}")
 
     def test_qualified_table_has_one_row_per_grid_entry(self, tmp_path):
         report = run_experiment(small_config(queries=30))
@@ -872,7 +846,8 @@ def _cell_variants(cell: str) -> list:
 
 
 class TestEditedReport:
-    """read_report derives every figure, so any edit either is refused or is what loads."""
+    """read_report runs the report's config again, so any edit either is refused or is
+    what that run writes."""
 
     CELLS = st.one_of(st.sampled_from(["", "0", "1", "-0", "2", "x", "nan", "inf", "1e-05"]),
                       st.integers(-2, 10**20).map(str),
