@@ -186,8 +186,10 @@ def _cmd_account(args) -> int:
         raise ValueError(f"eps must be a finite non-negative number, got {args.eps!r}")
     ledger = PrivacyLedger.load(args.ledger)
     print(f"queries recorded: {ledger.query_count}")
-    _print_privacy(ledger.figures(args.delta))
-    if args.eps is not None and any(e.epsilon is not None for e in ledger.entries):
+    figures = ledger.figures(args.delta)
+    _print_privacy(figures)
+    # a paper-moments figure exists exactly when a query is charged a Laplace gamma
+    if args.eps is not None and any(f.accounting == "paper-moments" for f in figures):
         print(f"delta_at_eps({args.eps:g}): {ledger.delta_for_eps(args.eps):.6g}")
     return 0
 

@@ -109,6 +109,10 @@ class PredictionTable:
     def counts(self) -> np.ndarray:
         """(queries, classes) vote counts in query-id order, from one offset bincount."""
         rows, classes = len(self.query_ids), self.num_classes
+        # in Python ints, before any numpy call: the offsets, and classes itself, are int64
+        if max(rows, 1) * classes >= 2**63:
+            raise ValueError(f"{rows} queries x {classes} classes make a count matrix beyond "
+                             f"the int64 range")
         offsets = self.labels + classes * np.arange(rows)[:, None]
         return np.bincount(offsets.ravel(), minlength=rows * classes).reshape(rows, classes)
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .accountant import NOISE_KIND, LedgerEntry
+from .accountant import NOISE_KIND
 from .noise import (MonteCarloEstimate, NoiseSpec, RngLike, ensure_generator, noise_blocks,
                     row_chunks)
 from .sensitivity import (enumerate_neighbors, smooth_from_moves, smooth_sensitivity,
@@ -37,21 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class MechanismBatch:
-    """What a mechanism returned for each query, and what each answer cost; a histogram is one row.
-
-    Rows with the same sensitivity share one (immutable) ledger entry, their charge.
-    """
+    """What a mechanism returned for each query, and what each answer is charged at; a histogram
+    is one row."""
 
     returned_labels: np.ndarray  # (queries,) int64
     sensitivities: np.ndarray  # (queries,) float64
-    parameters: np.ndarray  # (queries,) float64: each row's gamma or sigma, as in its ledger entry
-    charges: tuple[LedgerEntry, ...]  # one per distinct sensitivity
-    charge_rows: np.ndarray  # (queries,) each row's index into charges
-
-    @property
-    def ledger_entries(self) -> tuple[LedgerEntry, ...]:
-        """Each row's charge, in order."""
-        return tuple(map(self.charges.__getitem__, self.charge_rows.tolist()))
+    parameters: np.ndarray  # (queries,) float64: each row's gamma or sigma
 
 
 def noisy_argmax(values, noise):
@@ -74,7 +65,7 @@ def noise_parameters(mechanism: str, sens: np.ndarray, param: Optional[float],
     That is ``param``, or, as experiments sometimes pin the noise magnitude with ``scale``
     instead, the effective parameter it implies: sens / scale (Laplace) or scale / sens
     (Gaussian), so accounting stays consistent either way.  Exactly one of the two is given
-    and it must be positive; so must every effective parameter, which must also be finite.
+    and it must be positive; so must every parameter, which must also be finite.
     """
     kind = NOISE_KIND[mechanism]
     if (param is None) == (scale is None):
@@ -83,6 +74,8 @@ def noise_parameters(mechanism: str, sens: np.ndarray, param: Optional[float],
     if not given > 0.0:
         raise ValueError(f"{mechanism}: {name} must be positive, got {given!r}")
     if param is not None:
+        if param == np.inf:  # an infinite gamma or sigma would draw at scale 0 or inf
+            raise ValueError(f"{mechanism}: {name} must be a finite number, got {param!r}")
         return np.full_like(sens, param)
     with np.errstate(over="ignore"):
         params = kind.implied(sens, scale)
@@ -105,12 +98,11 @@ def _release(mechanism: str, counts: np.ndarray, sens: np.ndarray, param: Option
     sensitivity column, and one ``noisy_argmax`` call reduces it.  So no temporary is as large
     as the block, and the draws are those of one (rows, classes) array.  A block whose rows
     share one sensitivity draws at that scalar scale, which gives the same values as the column
-    of it.
+    of it.  The rows' charges are the caller's to record.
     """
     params = noise_parameters(mechanism, sens, param, scale)
     kind = NOISE_KIND[mechanism]
-    distinct, first, rows = np.unique(sens, return_index=True, return_inverse=True)
-    at = float(distinct[0]) if len(distinct) == 1 else sens[:, None]
+    at = float(sens[0]) if len(sens) and sens.min() == sens.max() else sens[:, None]
     # with ``scale`` pinned, a unit parameter and sensitivity = scale draw at exactly scale
     spec = NoiseSpec(kind.name, sensitivity=at if scale is None else scale,
                      **{kind.param: param if scale is None else 1.0})
@@ -121,9 +113,7 @@ def _release(mechanism: str, counts: np.ndarray, sens: np.ndarray, param: Option
         if boosted is not None:
             values = boost(values, boosted[0], winners=boosted[1][chunk])
         labels[chunk] = noisy_argmax(values, noise)
-    shared = tuple(LedgerEntry(mechanism, sensitivity=s, **{kind.param: p})  # p is a function of s
-                   for s, p in zip(distinct.tolist(), params[first].tolist()))
-    return MechanismBatch(labels, sens, params, shared, rows)
+    return MechanismBatch(labels, sens, params)
 
 
 def lnmax(votes: Votes, gamma: Optional[float], rng: RngLike, *,

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._table import check_type, field_types, format_table, write_fresh
-from .accountant import NOISE_KIND, PrivacyFigure, PrivacyLedger
+from .accountant import NOISE_KIND, LedgerEntry, PrivacyFigure, PrivacyLedger
 from .ensemble import (
     SyntheticTeacherSpec,
     default_accuracy,
@@ -260,7 +260,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"the vote counts do not fit in memory: {exc}") from None
     queries = len(counts)
 
-    ledger = PrivacyLedger()
     labels = np.empty(queries, dtype=np.int64)
     sensitivities = np.empty(queries)
     parameters = np.empty(queries)
@@ -269,11 +268,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         labels[rows] = batch.returned_labels
         sensitivities[rows] = batch.sensitivities
         parameters[rows] = batch.parameters
-        ledger.record(*batch.charges, rows=batch.charge_rows)
+    # one charge per distinct sensitivity, as each row's parameter is a function of it
+    kind = NOISE_KIND[config.mechanism]
+    distinct, first, charged = np.unique(sensitivities, return_index=True, return_inverse=True)
+    ledger = PrivacyLedger()
+    ledger.record(*(LedgerEntry(config.mechanism, sensitivity=s, **{kind.param: p})
+                    for s, p in zip(distinct.tolist(), parameters[first].tolist())), rows=charged)
     clean, gaps = argmax(counts), gap(counts)
-    charge = NOISE_KIND[config.mechanism].epsilon
     with np.errstate(over="ignore"):  # 2 * gamma is inf above about 9e307, as in LedgerEntry
-        epsilons = charge(parameters).tolist() if charge else None
+        epsilons = kind.epsilon(parameters).tolist() if kind.epsilon else None
     columns = [list(range(queries)), labels.tolist(), clean.tolist(), truths or [None] * queries,
                gaps.tolist(), sensitivities.tolist(), epsilons or [None] * queries]
 
@@ -385,9 +388,12 @@ def read_report(out_dir) -> ExperimentReport:
     out = Path(out_dir)
     summary_path = out / SUMMARY_FILE
     where = f"{summary_path}:"
-    # bytes decoded here, so a line end is compared as written and a bad byte as U+FFFD
-    found = {name: (out / name).read_bytes().decode("utf-8", errors="replace")
-             for name in (SUMMARY_FILE, QUERIES_FILE, LEDGER_FILE)}
+    found = {}
+    for name in (SUMMARY_FILE, QUERIES_FILE, LEDGER_FILE):
+        try:  # bytes decoded here, so a line end is compared as written and a bad byte as U+FFFD
+            found[name] = (out / name).read_bytes().decode("utf-8", errors="replace")
+        except OSError as exc:
+            raise ValueError(f"{out / name}: {exc.strerror or exc}") from None
     try:
         summary = json.loads(found[SUMMARY_FILE])
     except json.JSONDecodeError as exc:

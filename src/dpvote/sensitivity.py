@@ -24,8 +24,6 @@ __all__ = [
     "SensitivityEstimate",
     "flip_moves",
     "top_two_flip_moves",
-    "gap_flip_moves",
-    "smooth_levels",
     "smooth_from_moves",
     "smooth_values",
     "smooth_sensitivity",
@@ -72,26 +70,18 @@ def flip_moves(votes: Votes) -> np.ndarray:
     return top_two_flip_moves(*top_two(count_matrix(votes)))
 
 
-def gap_flip_moves(gaps) -> tuple[np.ndarray, np.ndarray]:
-    """The two values ``flip_moves`` can take at each top-two gap g: (ceil(g/2), floor(g/2) + 1).
+def top_two_flip_moves(winners, runners, gaps) -> np.ndarray:
+    """k* of each row from its ``votes.top_two`` columns.
 
-    A runner-up has the smallest margin, g, so it needs the fewest moves: ceil(g/2)
-    when it comes before the winner, floor(g/2) + 1 when it comes after.  ``gaps``
-    may be of any integer dtype, object included.
+    A runner-up at top-two gap g has the smallest margin, so it needs the fewest moves:
+    ceil(g/2) when it comes before the winner, floor(g/2) + 1 when it comes after.  That is
+    the minimum over the rivals.  A rival tied with it comes after it, so it comes before the
+    winner only when the runner-up does too; a rival at margin g + 1 or more needs at least
+    ceil((g + 1)/2) = floor(g/2) + 1 moves.  ``gaps`` may be of any integer dtype, object
+    included.
     """
     gaps = np.asarray(gaps)
-    return (gaps + 1) // 2, gaps // 2 + 1
-
-
-def top_two_flip_moves(winners, runners, gaps) -> np.ndarray:
-    """k* of each row from its ``votes.top_two`` columns: the ``gap_flip_moves`` value that the
-    runner-up's place before or after the winner picks.
-
-    The runner-up's moves are the minimum over the rivals.  A rival tied with it comes
-    after it, so it comes before the winner only when the runner-up does too; a rival
-    at margin g + 1 or more needs at least ceil((g + 1)/2) = floor(g/2) + 1 moves.
-    """
-    return np.where(runners < winners, *gap_flip_moves(gaps))
+    return np.where(runners < winners, (gaps + 1) // 2, gaps // 2 + 1)
 
 
 def _discount(beta: float) -> float:
@@ -106,17 +96,12 @@ def _discount(beta: float) -> float:
     return discount
 
 
-def smooth_levels(boost_constant: float, beta: float) -> tuple[float, float]:
-    """The only two smooth sensitivities: (e^-beta, (1 + c) * e^-beta), far from and near a flip."""
+def smooth_from_moves(moves, boost_constant: float, beta: float) -> np.ndarray:
+    """The smooth sensitivity at each k* in ``moves``, one of the only two: (1 + c) * e^-beta
+    near a flip (k* <= 2), else e^-beta."""
     c = check_boost_constant(boost_constant)
     discount = _discount(beta)
-    return discount, (1.0 + c) * discount
-
-
-def smooth_from_moves(moves, boost_constant: float, beta: float) -> np.ndarray:
-    """The smooth sensitivity at each k* in ``moves``: near a flip when k* <= 2, else far."""
-    far, near = smooth_levels(boost_constant, beta)
-    return np.where(np.asarray(moves) <= 2, near, far)
+    return np.where(np.asarray(moves) <= 2, (1.0 + c) * discount, discount)
 
 
 def smooth_values(votes: Votes, boost_constant: float, beta: float) -> np.ndarray:

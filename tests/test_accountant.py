@@ -425,16 +425,17 @@ class TestDistinctCharges:
                                   teachers=5, boost_constant=2.0, scale=3.0)
         return run_experiment(config)
 
-    def test_run_ledger_holds_at_most_two_charges_per_block(self, report):
-        ledger = report.ledger
+    def test_run_ledger_holds_one_charge_per_distinct_sensitivity(self, report, monkeypatch):
+        calls = []
+        record = PrivacyLedger.record
+        monkeypatch.setattr(PrivacyLedger, "record", lambda self, *entries, rows=None: (
+            calls.append(len(entries)), record(self, *entries, rows=rows))[1])
+        ledger = run_experiment(report.config).ledger
+        assert calls == [2]  # the run's two charges, from one record call over its 3 blocks
         entries = ledger.entries
         assert ledger.query_count == len(entries) == 2500
         assert [e.sensitivity for e in entries] == report.columns[5]  # each row its own
-        per_block = [{id(e) for e in entries[start:start + BLOCK]}
-                     for start in range(0, 2500, BLOCK)]
-        assert [len(ids) for ids in per_block] == [2, 2, 2]
-        assert len(set().union(*per_block)) == 6  # blocks share no entry object
-        assert len({e.gamma for e in entries}) == 2
+        assert len({id(e) for e in entries}) == len({e.gamma for e in entries}) == 2
 
     def test_run_ledger_matches_the_per_row_definitions(self, report):
         ledger = report.ledger
@@ -546,7 +547,7 @@ class TestCostPerDistinctCharge:
     def test_large_ledger_is_never_read_row_by_row(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(28)
         ledger, queries = PrivacyLedger(), 10 ** 5
-        for start in range(0, queries, BLOCK):  # two charges per block, as an nzc run makes
+        for start in range(0, queries, BLOCK):  # BLOCK rows a record call, each of two charges
             sens = (math.exp(-1), 3.0 * math.exp(-1))
             charges = [LedgerEntry("nzc-laplace", sensitivity=s, gamma=s / 1e10) for s in sens]
             rows = rng.integers(2, size=min(BLOCK, queries - start)).tolist()

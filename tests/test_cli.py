@@ -201,6 +201,17 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith("teachers must be below 2**63, got 10000000000000000000\n")
 
+    @pytest.mark.parametrize("classes", ["4000000000000000000", "10000000000000000000"])
+    def test_class_count_beyond_int64_on_a_prediction_file_is_one_line_error(
+            self, tmp_path, capsys, classes):
+        preds = tmp_path / "p.csv"
+        preds.write_text("query_id,teacher_id,label\n0,0,1\n1,0,2\n2,0,0\n", encoding="utf-8")
+        code = run_cli(["run", "--mechanism", "lnmax", "--predictions", str(preds),
+                        "--classes", classes, "--gamma", "0.1", "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: 3 queries x {classes} classes make a count matrix beyond the int64 range\n")
+
     @pytest.mark.parametrize("queries, printed", [("0", False), ("3", True)])
     def test_gaussian_inapplicable_line_needs_an_answered_query(self, capsys, queries, printed):
         code = run_cli(["run", "--mechanism", "nzc-gaussian", "--teachers", "5",

@@ -63,18 +63,22 @@ class TestLnmax:
         )
         assert hits / 10_000 == pytest.approx(0.5, abs=0.02)
 
-    def test_ledger_entry_is_two_gamma(self):
+    def test_row_is_charged_its_gamma_at_sensitivity_one(self):
         out = lnmax(VoteHistogram([5, 1]), 0.25, RngStream(103))
-        assert out.ledger_entries[0].epsilon == 0.5
-        assert out.ledger_entries[0].mechanism == "lnmax"
+        assert out.parameters.tolist() == [0.25]
+        assert out.sensitivities.tolist() == [1.0]
 
     def test_raw_scale_mode_sets_effective_gamma(self):
         out = lnmax(VoteHistogram([5, 1]), None, RngStream(104), scale=10.0)
-        assert out.ledger_entries[0].gamma == pytest.approx(0.1, rel=1e-12)
+        assert out.parameters[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_rejects_both_gamma_and_scale(self):
         with pytest.raises(ValueError):
             lnmax(VoteHistogram([5, 1]), 0.5, RngStream(105), scale=1.0)
+
+    def test_rejects_infinite_gamma(self):
+        with pytest.raises(ValueError, match=r"^lnmax: gamma must be a finite number, got inf$"):
+            lnmax(VoteHistogram([5, 1]), math.inf, RngStream(106))
 
 
 class TestNzcLaplace:
@@ -112,6 +116,11 @@ class TestNzcLaplace:
         out = nzc_laplace(v, 0.0, 1e12, 1.0, RngStream(113))
         assert out.returned_labels[0] == argmax(v)
 
+    def test_rejects_infinite_gamma(self):
+        with pytest.raises(ValueError,
+                           match=r"^nzc-laplace: gamma must be a finite number, got inf$"):
+            nzc_laplace(STRONG, 10.0, math.inf, 1.0, RngStream(114))
+
 
 class TestNzcGaussian:
     def test_tiny_sigma_recovers_argmax(self):
@@ -136,10 +145,15 @@ class TestNzcGaussian:
         est = flip_probability_mc(STRONG, c, spec, 100_000, RngStream(122))
         assert est.estimate <= tau + 3 * max(est.standard_error, 1e-12)
 
-    def test_ledger_entry_records_sigma(self):
+    def test_row_is_charged_its_sigma(self):
         out = nzc_gaussian(STRONG, 10.0, 3.0, 1.0, RngStream(123))
-        assert out.ledger_entries[0].sigma == 3.0
-        assert out.ledger_entries[0].epsilon is None
+        assert out.parameters.tolist() == [3.0]
+        assert out.sensitivities.tolist() == [math.exp(-1.0)]  # far from a flip
+
+    def test_rejects_infinite_sigma(self):
+        with pytest.raises(ValueError,
+                           match=r"^nzc-gaussian: sigma must be a finite number, got inf$"):
+            nzc_gaussian(STRONG, 10.0, math.inf, 1.0, RngStream(124))
 
 
 class TestBatch:
@@ -157,19 +171,17 @@ class TestBatch:
         call = self.CALLS[mechanism]
         batch = call(self.COUNTS, RngStream(130))
         assert isinstance(batch, MechanismBatch)
-        assert batch.returned_labels.shape == (5,)
-        assert len(batch.ledger_entries) == 5
-        for k in range(1, 6):
-            # the first k rows of the matrix draw the same noise as the whole batch
-            head = call(self.COUNTS[:k], RngStream(130))
-            assert head.returned_labels.tolist() == batch.returned_labels[:k].tolist()
-            assert head.ledger_entries == batch.ledger_entries[:k]
-        # a histogram is a batch of one row
+        assert batch.returned_labels.shape == batch.sensitivities.shape == (5,)
+        assert batch.parameters.shape == (5,)
+        # the first k rows of the matrix draw the same noise as the whole batch, and a
+        # histogram is a batch of one row
+        heads = [call(self.COUNTS[:k], RngStream(130)) for k in range(1, 6)]
         one = call(VoteHistogram(self.COUNTS[0]), RngStream(130))
         assert isinstance(one, MechanismBatch)
-        assert one.returned_labels.tolist() == batch.returned_labels[:1].tolist()
-        assert one.sensitivities.tolist() == batch.sensitivities[:1].tolist()
-        assert one.ledger_entries == batch.ledger_entries[:1]
+        for head in (*heads, one):
+            k = len(head.returned_labels)
+            for column in ("returned_labels", "sensitivities", "parameters"):
+                assert getattr(head, column).tolist() == getattr(batch, column)[:k].tolist()
 
     def test_raw_scale_is_drawn_exactly(self, monkeypatch):
         # at c=1e100 most rows have sensitivity 3.68e99, where sens / (sens / 0.7) != 0.7
@@ -186,9 +198,10 @@ class TestBatch:
         assert len(scales) == 2
         assert all(np.all(np.asarray(scale) == 0.7) for scale in scales)
 
-    def test_rows_with_one_sensitivity_share_a_ledger_entry(self):
+    def test_rows_with_one_sensitivity_share_one_parameter(self):
         batch = nzc_laplace(self.COUNTS, 3.0, None, 1.0, RngStream(131), scale=2.0)
-        assert len({id(e) for e in batch.ledger_entries}) == len(set(batch.sensitivities.tolist()))
+        pairs = set(zip(batch.sensitivities.tolist(), batch.parameters.tolist()))
+        assert len(pairs) == len(set(batch.sensitivities.tolist())) == 2
 
     @pytest.mark.parametrize("mechanism", ["nzc-laplace", "nzc-gaussian"])
     def test_boosted_values_and_sensitivities_are_those_of_the_public_functions(
@@ -288,7 +301,7 @@ class TestDpRatioCheck:
 
 class TestRowChunks:
     """A labeling block is drawn, added and reduced in row chunks of the Monte-Carlo block
-    size; the chunk size changes no label, sensitivity, charge or top-two column."""
+    size; the chunk size changes no label, sensitivity, parameter or top-two column."""
 
     COUNTS = np.random.default_rng(140).multinomial(30, np.full(12, 1 / 12), size=301)
 
@@ -299,7 +312,7 @@ class TestRowChunks:
                    nzc_laplace(counts, 3.0, None, 1.0, RngStream(143), scale=2.0),
                    nzc_gaussian(counts, 3.0, 2.0, 1.0, RngStream(144))]
         columns = [(b.returned_labels.tobytes(), b.sensitivities.tobytes(),
-                    b.parameters.tobytes(), b.charges, b.charge_rows.tobytes()) for b in batches]
+                    b.parameters.tobytes()) for b in batches]
         tops = [tuple(column.tolist() for column in top_two(rows))
                 for rows in (counts, counts[:0], counts[:1])]
         return columns, tops
@@ -311,7 +324,8 @@ class TestRowChunks:
             monkeypatch.setattr(noise, "_MC_BLOCK", values)
             outputs[values] = self.outputs()
         (columns, tops), *_ = outputs.values()
-        assert len(columns[1][3]) > 1  # nzc_laplace at gamma draws at a sensitivity column
+        # nzc_laplace at gamma draws at a column of two sensitivities
+        assert len(set(np.frombuffer(columns[1][1]).tolist())) == 2
         assert tops[1] == ([], [], []) and len(tops[2][0]) == 1
         assert all(each == outputs[1] for each in outputs.values())
 

@@ -599,6 +599,14 @@ class TestEmitAndRead:
         for key in ("summary", "queries", "ledger"):
             assert paths[key].read_bytes() == again[key].read_bytes()
 
+    @pytest.mark.parametrize("name", ["summary", "queries", "ledger"])
+    def test_missing_report_file_is_one_line_error_naming_it(self, tmp_path, name):
+        paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
+        paths[name].unlink()
+        with pytest.raises(ValueError) as info:
+            read_report(tmp_path / "r")
+        assert str(info.value) == f"{paths[name]}: No such file or directory"
+
     def test_malformed_summary_is_one_line_error_naming_the_file(self, tmp_path):
         paths = emit_report(run_experiment(small_config(queries=3)), tmp_path / "r")
         paths["summary"].write_text("{not json")

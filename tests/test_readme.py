@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from dpvote import read_report, smooth_levels
+from dpvote import read_report, smooth_from_moves
 from dpvote.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -59,7 +59,8 @@ def test_quick_start_runs_give_the_quoted_figures(tmp_path, monkeypatch, capsys)
     [(count, total)] = _quoted(r"(\d+) of its (\d+) queries at k\* ≤ 2")
     for out_dir, expected in ((boosted[boosted.index("--out") + 1], 0), ("few", int(count))):
         report = read_report(out_dir)
-        _, near = smooth_levels(report.config.boost_constant, report.config.beta)
+        config = report.config
+        [near] = smooth_from_moves([1], config.boost_constant, config.beta).tolist()
         assert (report.columns[5].count(near), report.query_count) == (expected, int(total))
 
     [agreement] = _quoted(r"agreement (\d+\.\d+)%")

@@ -14,7 +14,6 @@ from dpvote import (
     enumerate_neighbors,
     flip_moves,
     gap,
-    gap_flip_moves,
     smooth_from_moves,
     smooth_sensitivity,
     smooth_values,
@@ -234,7 +233,9 @@ class TestFlipMoves:
         for num_classes in range(2, 7):
             counts = gen.integers(0, 6, size=(2000, num_classes))
             counts = counts[counts.sum(axis=1) > 0]  # a histogram holds a vote
-            before, after = gap_flip_moves(gap(counts))
+            gaps = gap(counts)
+            # a runner-up at index 0 before the winner (at 1), then after it (at -1)
+            before, after = (top_two_flip_moves(np.full_like(gaps, w), 0, gaps) for w in (1, -1))
             moves = flip_moves(counts)
             assert np.all((moves == before) | (moves == after))
             assert np.any(moves != before) and np.any(moves != after)
@@ -243,10 +244,11 @@ class TestFlipMoves:
                 assert np.all((smooth == smooth_from_moves(before, c, beta))
                               | (smooth == smooth_from_moves(after, c, beta)))
 
-    def test_gap_flip_moves_takes_an_object_column(self):
+    def test_top_two_flip_moves_takes_an_object_gap_column(self):
         # queries.csv allows a gap beyond int64, which numpy holds as Python ints
         gaps = np.array([0, 3, 4, 2**70], dtype=object)
-        before, after = gap_flip_moves(gaps)
+        # a runner-up at index 0 before the winner (at 1), then after it (at -1)
+        before, after = (top_two_flip_moves(np.full(4, w), 0, gaps) for w in (1, -1))
         assert before.tolist() == [0, 2, 2, 2**69] and after.tolist() == [1, 2, 3, 2**69 + 1]
         assert smooth_from_moves(after, 9.0, 1.0).tolist() == [10 * math.exp(-1)] * 2 + [
             math.exp(-1)] * 2
