@@ -2,7 +2,7 @@
 
 Votes come out as (queries, classes) count matrices: the synthetic model
 draws a whole block of queries from one stream, and a prediction table counts
-all its queries in one bincount.
+any slice of its queries, such as one block, in one bincount.
 """
 
 from __future__ import annotations
@@ -106,18 +106,19 @@ class PredictionTable:
     num_classes: int
     truth: Optional[dict[int, int]] = None
 
-    def counts(self) -> np.ndarray:
-        """(queries, classes) vote counts in query-id order, from one offset bincount."""
-        rows, classes = len(self.query_ids), self.num_classes
+    def counts(self, rows: slice) -> np.ndarray:
+        """(queries, classes) vote counts of the queries ``rows`` slices, from one bincount."""
+        labels, classes = self.labels[rows], self.num_classes
+        queries = len(labels)
         # in Python ints, before any numpy call: the offsets, and classes itself, are int64
-        if max(rows, 1) * classes >= 2**63:
-            raise ValueError(f"{rows} queries x {classes} classes make a count matrix beyond "
+        if max(queries, 1) * classes >= 2**63:
+            raise ValueError(f"{queries} queries x {classes} classes make a count matrix beyond "
                              f"the int64 range")
-        offsets = self.labels + classes * np.arange(rows)[:, None]
-        return np.bincount(offsets.ravel(), minlength=rows * classes).reshape(rows, classes)
+        offsets = labels + classes * np.arange(queries)[:, None]
+        return np.bincount(offsets.ravel(), minlength=queries * classes).reshape(queries, classes)
 
     def histograms(self) -> list[VoteHistogram]:
-        return [VoteHistogram(row) for row in self.counts()]
+        return [VoteHistogram(row) for row in self.counts(slice(None))]
 
     def truth_labels(self) -> Optional[list[int]]:
         if self.truth is None:

@@ -2,11 +2,13 @@
 
 Reports are deterministic functions of the configuration: identical configs
 produce byte-identical report and ledger files.  Wall-clock runtime is kept
-out of the emitted files for exactly that reason.  A run is one columnar pass
-over a (queries, classes) count matrix.  Queries are drawn and answered in
-fixed blocks of BLOCK, each block from its own substreams, so the first N
-queries of a run are the same whatever the query budget, and the privacy
-composition is an order-independent sum.
+out of the emitted files for exactly that reason.  A run is a map over fixed
+blocks of BLOCK queries: ``_answer_block`` makes one block's (queries, classes)
+count matrix, from its own substreams or from its rows of a prediction table,
+and answers it, so no count matrix holds more than one block.  The first N
+queries of a run are therefore the same whatever the query budget, blocks may
+be answered in any order, and the privacy composition is an order-independent
+sum.
 """
 
 from __future__ import annotations
@@ -214,34 +216,6 @@ def _blocks(queries: int):
                      for start in range(0, queries, BLOCK))
 
 
-def _build_counts(config: ExperimentConfig, root: RngStream):
-    """Returns (count matrix, truth labels or None, teacher accuracy used) for the configured source."""
-    if config.teachers is not None:
-        accuracy = config.teacher_accuracy
-        if accuracy is None:
-            accuracy = default_accuracy(config.teachers)
-        spec = SyntheticTeacherSpec(config.teachers, config.num_classes, accuracy)
-        truths = np.empty(config.queries, dtype=np.int64)
-        counts = np.empty((config.queries, config.num_classes), dtype=np.int64)
-        for block, rows in _blocks(config.queries):
-            size = rows.stop - rows.start
-            truths[rows] = root.substream(_TRUTH, block).generator().integers(
-                config.num_classes, size=size)
-            counts[rows] = synth_votes(spec, truths[rows], root.substream(_VOTES, block))
-        return counts, truths.tolist(), accuracy
-    table = load_predictions(config.predictions, num_classes=config.num_classes,
-                             truth_path=config.truth)
-    counts = table.counts()
-    truths = table.truth_labels()
-    if config.queries is not None:
-        if config.queries > len(counts):
-            raise ValueError(f"query budget {config.queries} exceeds the "
-                             f"{len(counts)} queries in {config.predictions}")
-        counts = counts[: config.queries]
-        truths = truths[: config.queries] if truths is not None else None
-    return counts, truths, None
-
-
 def _run_mechanism(config: ExperimentConfig, counts: np.ndarray, rng: RngStream):
     param = getattr(config, NOISE_KIND[config.mechanism].param)
     if config.mechanism == "lnmax":
@@ -250,34 +224,61 @@ def _run_mechanism(config: ExperimentConfig, counts: np.ndarray, rng: RngStream)
     return boosted(counts, config.boost_constant, param, config.beta, rng, scale=config.scale)
 
 
+def _answer_block(config: ExperimentConfig, root: RngStream, source, block: int, rows: slice):
+    """The truth, clean-label, gap, label, sensitivity and parameter columns of the queries
+    ``rows``, block ``block`` of the run.  A SyntheticTeacherSpec draws their truths and votes
+    from the block's substreams; a PredictionTable counts only these rows, and their truths,
+    which the run takes from the table whole, are None.  The noise is the block's own too."""
+    if isinstance(source, SyntheticTeacherSpec):
+        truths = root.substream(_TRUTH, block).generator().integers(
+            config.num_classes, size=rows.stop - rows.start)
+        counts = synth_votes(source, truths, root.substream(_VOTES, block))
+    else:
+        truths, counts = None, source.counts(rows)
+    batch = _run_mechanism(config, counts, root.substream(_MECH, block))
+    return (truths, argmax(counts), gap(counts), batch.returned_labels, batch.sensitivities,
+            batch.parameters)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     start = time.perf_counter()
     root = RngStream(config.seed)
-    try:
-        counts, truths, accuracy_used = _build_counts(config, root)
+    queries, accuracy_used = config.queries, config.teacher_accuracy
+    try:  # every column is allocated once, before the first block is answered
+        if config.teachers is not None:
+            if accuracy_used is None:
+                accuracy_used = default_accuracy(config.teachers)
+            source = SyntheticTeacherSpec(config.teachers, config.num_classes, accuracy_used)
+            truths = np.empty(queries, dtype=np.int64)
+        else:
+            source = load_predictions(config.predictions, num_classes=config.num_classes,
+                                      truth_path=config.truth)
+            available, truths = len(source.query_ids), source.truth_labels()
+            queries = available if queries is None else queries
+            if queries > available:
+                raise ValueError(f"query budget {queries} exceeds the "
+                                 f"{available} queries in {config.predictions}")
+            if truths is not None:
+                truths = np.array(truths[:queries], dtype=np.int64)
+        answers = [truths, *(np.empty(queries, dtype) for dtype in ["int64"] * 3 + ["float64"] * 2)]
+        for block, rows in _blocks(queries):
+            for column, values in zip(answers, _answer_block(config, root, source, block, rows)):
+                if values is not None:  # a table's truths are already in their column
+                    column[rows] = values
     except MemoryError as exc:  # numpy's message names the size and the shape
         raise ValueError(f"the vote counts do not fit in memory: {exc}") from None
-    queries = len(counts)
-
-    labels = np.empty(queries, dtype=np.int64)
-    sensitivities = np.empty(queries)
-    parameters = np.empty(queries)
-    for block, rows in _blocks(queries):
-        batch = _run_mechanism(config, counts[rows], root.substream(_MECH, block))
-        labels[rows] = batch.returned_labels
-        sensitivities[rows] = batch.sensitivities
-        parameters[rows] = batch.parameters
+    truths, clean, gaps, labels, sensitivities, parameters = answers
     # one charge per distinct sensitivity, as each row's parameter is a function of it
     kind = NOISE_KIND[config.mechanism]
     distinct, first, charged = np.unique(sensitivities, return_index=True, return_inverse=True)
     ledger = PrivacyLedger()
     ledger.record(*(LedgerEntry(config.mechanism, sensitivity=s, **{kind.param: p})
                     for s, p in zip(distinct.tolist(), parameters[first].tolist())), rows=charged)
-    clean, gaps = argmax(counts), gap(counts)
     with np.errstate(over="ignore"):  # 2 * gamma is inf above about 9e307, as in LedgerEntry
         epsilons = kind.epsilon(parameters).tolist() if kind.epsilon else None
-    columns = [list(range(queries)), labels.tolist(), clean.tolist(), truths or [None] * queries,
+    columns = [list(range(queries)), labels.tolist(), clean.tolist(),
+               [None] * queries if truths is None else truths.tolist(),
                gaps.tolist(), sensitivities.tolist(), epsilons or [None] * queries]
 
     pcts, fractions = (None, None, None), ()  # with no query, no accuracy and no fraction

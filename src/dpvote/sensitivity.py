@@ -25,7 +25,6 @@ __all__ = [
     "flip_moves",
     "top_two_flip_moves",
     "smooth_from_moves",
-    "smooth_values",
     "smooth_sensitivity",
     "enumerate_neighbors",
     "brute_force_local",
@@ -104,11 +103,6 @@ def smooth_from_moves(moves, boost_constant: float, beta: float) -> np.ndarray:
     return np.where(np.asarray(moves) <= 2, (1.0 + c) * discount, discount)
 
 
-def smooth_values(votes: Votes, boost_constant: float, beta: float) -> np.ndarray:
-    """``smooth_sensitivity`` of each row of ``count_matrix(votes)``, as a float64 array."""
-    return smooth_from_moves(flip_moves(votes), boost_constant, beta)
-
-
 def smooth_sensitivity(votes: VoteHistogram, boost_constant: float, beta: float) -> SensitivityEstimate:
     """Exponentially discounted worst local sensitivity over the radius-1 neighborhood.
 
@@ -116,7 +110,7 @@ def smooth_sensitivity(votes: VoteHistogram, boost_constant: float, beta: float)
     flipped by a further move, else (1 + c) * e^-beta.  A flip two moves away
     is exactly ``flip_moves`` <= 2.
     """
-    value = float(smooth_values(votes, boost_constant, beta)[0])
+    value = float(smooth_from_moves(flip_moves(votes), boost_constant, beta)[0])
     return SensitivityEstimate(value, float(beta))
 
 

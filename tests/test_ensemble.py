@@ -167,7 +167,7 @@ class TestLoadPredictions:
         for h in table.histograms():
             assert sum(h.counts) == 7
         per_row = [np.bincount(row, minlength=4).tolist() for row in table.labels]
-        assert table.counts().tolist() == per_row
+        assert table.counts(slice(None)).tolist() == per_row
 
     def test_truth_attachment(self, tmp_path):
         p = tmp_path / "preds.csv"
@@ -570,4 +570,4 @@ def test_load_matches_a_dict_reference_in_any_row_order(tmp_path_factory, table)
     counts = np.zeros((len(query_ids), 12), dtype=np.int64)
     row = {q: i for i, q in enumerate(loaded.query_ids)}
     np.add.at(counts, ([row[q] for q, _ in keys], list(cells.values())), 1)
-    assert np.array_equal(loaded.counts(), counts)
+    assert np.array_equal(loaded.counts(slice(None)), counts)

@@ -13,6 +13,7 @@ from dpvote import (
     boost,
     dp_ratio_check,
     enumerate_neighbors,
+    flip_moves,
     flip_probability_mc,
     gap,
     lnmax,
@@ -20,8 +21,8 @@ from dpvote import (
     nzc_gaussian,
     nzc_laplace,
     required_constant_gaussian,
+    smooth_from_moves,
     smooth_sensitivity,
-    smooth_values,
     top_two,
 )
 from dpvote import mechanisms, noise
@@ -207,7 +208,8 @@ class TestBatch:
     def test_boosted_values_and_sensitivities_are_those_of_the_public_functions(
             self, monkeypatch, mechanism):
         # the mechanisms boost the top-two winner of their one check; the values they
-        # add noise to are boost's own, and each sensitivity is smooth_values'
+        # add noise to are boost's own, and each sensitivity is smooth_from_moves' at the
+        # row's flip_moves
         gen = np.random.default_rng(135)
         counts = np.concatenate([self.COUNTS, gen.integers(0, 4, size=(500, 3))])
         counts = counts[counts.sum(axis=1) > 0]
@@ -219,7 +221,8 @@ class TestBatch:
         for c in (0.0, 3.0, 1e100):
             batch = call(counts, c, None, 1.0, RngStream(136), scale=2.0)
             assert np.array_equal(seen[-1], boost(counts, c))
-            assert np.array_equal(batch.sensitivities, smooth_values(counts, c, 1.0))
+            assert np.array_equal(batch.sensitivities,
+                                  smooth_from_moves(flip_moves(counts), c, 1.0))
 
     def test_rejects_a_malformed_count_matrix(self):
         for bad in (np.array([[1, -1], [2, 0]]), np.array([[0, 0]]), np.array([1, 2]),

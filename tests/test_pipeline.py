@@ -7,7 +7,6 @@ from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +25,7 @@ from dpvote import (
     required_constant_laplace,
     run_experiment,
 )
-from dpvote import mechanisms, pipeline
+from dpvote import mechanisms, pipeline, sensitivity, votes
 from dpvote.cli import main
 
 
@@ -205,16 +204,6 @@ class TestRunExperiment:
             assert str(info.value).startswith("the vote counts do not fit in memory: ")
             assert "\n" not in str(info.value)
 
-    def test_run_partitions_the_count_matrix_at_most_once(self, monkeypatch):
-        # one gap column fills queries.csv and gives every qualified fraction
-        calls = []
-        partition = np.partition
-        monkeypatch.setattr(np, "partition", lambda *args, **kwargs: (
-            calls.append(args[0].shape), partition(*args, **kwargs))[1])
-        report = run_experiment(small_config(queries=1000, teachers=250, boost_constant=1e100))
-        assert len(report.qualified_fractions) == 8
-        assert len(calls) <= 1
-
     def test_run_without_truth_reports_only_the_agreement(self, tmp_path):
         preds = tmp_path / "preds.csv"
         rows = [f"{q},{t},{(q + (t == 0)) % 3}" for q in range(8) for t in range(5)]
@@ -254,6 +243,51 @@ class TestBlockStreams:
         first = [(r.truth_label, r.clean_label, r.gap) for r in report.results[:BLOCK]]
         second = [(r.truth_label, r.clean_label, r.gap) for r in report.results[BLOCK:]]
         assert first != second
+
+    def test_no_count_matrix_holds_more_than_one_block(self, tmp_path, monkeypatch):
+        queries = 2 * BLOCK + 5  # three blocks, the last one short
+        preds = tmp_path / "preds.csv"
+        preds.write_text("query_id,teacher_id,label\n" + "".join(
+            f"{q},{t},{(q + t) % 4}\n" for q in range(queries) for t in range(3)))
+        rows = []
+        for module in (votes, sensitivity, mechanisms):
+            for name in ("count_matrix", "top_two"):
+                def recorded(*args, _original=getattr(votes, name), **kwargs):
+                    result = _original(*args, **kwargs)
+                    rows.append(len(result[0] if isinstance(result, tuple) else result))
+                    return result
+
+                monkeypatch.setattr(module, name, recorded)
+        for config in (small_config(queries=queries),
+                       ExperimentConfig(mechanism="lnmax", seed=1, num_classes=4, gamma=0.1,
+                                        predictions=str(preds))):
+            rows.clear()
+            assert run_experiment(config).query_count == queries
+            assert rows and max(rows) <= BLOCK, config
+
+    def test_a_budget_too_large_to_hold_is_refused_in_one_line_before_any_block(
+            self, monkeypatch):
+        # the run's columns are allocated before the first block, so a run whose columns
+        # cannot be held answers no block; one that grew them block by block would
+        monkeypatch.setattr(pipeline, "synth_votes", lambda *args: pytest.fail("a block ran"))
+        with pytest.raises(ValueError) as info:
+            run_experiment(small_config(queries=10**15))
+        assert str(info.value).startswith("the vote counts do not fit in memory: ")
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_blocks_answered_in_reverse_give_the_same_report(self, tmp_path, monkeypatch,
+                                                              mechanism):
+        config = ExperimentConfig(mechanism=mechanism, seed=31, num_classes=4, teachers=5,
+                                  queries=2 * BLOCK + 5, scale=3.0,
+                                  boost_constant=0.0 if mechanism == "lnmax" else 2.0)
+        forward = emit_report(run_experiment(config), tmp_path / "forward")
+        reverse = list(pipeline._blocks(config.queries))[::-1]
+        assert [block for block, _ in reverse] == [2, 1, 0]
+        monkeypatch.setattr(pipeline, "_blocks", lambda queries: reverse)
+        backward = emit_report(run_experiment(config), tmp_path / "backward")
+        for name, path in forward.items():
+            assert path.read_bytes() == backward[name].read_bytes(), name
 
 
 def rewrite(path, change):

@@ -16,7 +16,6 @@ from dpvote import (
     gap,
     smooth_from_moves,
     smooth_sensitivity,
-    smooth_values,
     top_two,
     top_two_flip_moves,
 )
@@ -209,7 +208,7 @@ class TestFlipMoves:
     def test_zero_boost_constant_collapses_both_branches(self, counts):
         v = VoteHistogram(counts)
         assert local_from_flip_moves(v, 0.0) == 1.0 == brute_force_local(v, 0.0)
-        assert smooth_values(v, 0.0, 1.0).tolist() == [math.exp(-1)]
+        assert smooth_from_moves(flip_moves(v), 0.0, 1.0).tolist() == [math.exp(-1)]
         assert brute_force_smooth(v, 0.0, 1.0) == math.exp(-1)
 
     def test_batch_matches_brute_force_row_by_row(self):
@@ -220,14 +219,14 @@ class TestFlipMoves:
             counts = np.stack([gen.multinomial(t, gen.dirichlet(np.ones(num_classes)))
                                for t in teachers])
             for c, beta in [(0.0, 1.0), (1.0, 0.5), (9.0, 2.0), (100.0, 1.0)]:
-                smooth = smooth_values(counts, c, beta)
+                smooth = smooth_from_moves(flip_moves(counts), c, beta)
                 local = np.where(flip_moves(counts) <= 1, 1.0 + c, 1.0)
                 for row, s, loc in zip(counts, smooth, local):
                     v = VoteHistogram(row)
                     assert s == brute_force_smooth(v, c, beta), (row, c, beta)
                     assert loc == brute_force_local(v, c), (row, c)
 
-    def test_flip_moves_and_smooth_values_are_one_of_the_two_at_the_rows_gap(self):
+    def test_flip_moves_and_smooth_sensitivities_are_one_of_the_two_at_the_rows_gap(self):
         # few votes per bin, so ties at the top and either order of the leading bins are common
         gen = np.random.default_rng(20261020)
         for num_classes in range(2, 7):
@@ -240,7 +239,7 @@ class TestFlipMoves:
             assert np.all((moves == before) | (moves == after))
             assert np.any(moves != before) and np.any(moves != after)
             for c, beta in [(0.0, 1.0), (9.0, 0.5), (1e100, 2.0)]:
-                smooth = smooth_values(counts, c, beta)
+                smooth = smooth_from_moves(flip_moves(counts), c, beta)
                 assert np.all((smooth == smooth_from_moves(before, c, beta))
                               | (smooth == smooth_from_moves(after, c, beta)))
 
@@ -255,7 +254,7 @@ class TestFlipMoves:
 
     def test_scalar_functions_are_a_batch_of_one(self):
         counts = np.array([[5, 3], [3, 5], [9, 1]])
-        smooth = smooth_values(counts, 9.0, 1.0)
+        smooth = smooth_from_moves(flip_moves(counts), 9.0, 1.0)
         for row, value in zip(counts, smooth):
             estimate = smooth_sensitivity(VoteHistogram(row), 9.0, 1.0)
             assert estimate == SensitivityEstimate(value, 1.0)
