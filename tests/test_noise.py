@@ -18,6 +18,7 @@ from dpvote import (
     dp_ratio_check,
     exceedance_probability_mc,
     flip_probability_mc,
+    mechanisms,
     noise,
     required_constant_gaussian,
     required_constant_laplace,
@@ -282,12 +283,28 @@ def test_probability_outputs_in_unit_interval(threshold, gamma):
 class TestMonteCarloBlocks:
     TRIALS = 2_003  # prime, so no block of more than one row divides it
     FLIP_VOTES = VoteHistogram([3, 6, 5, 1, 0, 2, 0, 0, 1, 2])
+    # (substream, boost constant, noise) of each flip call.  At c = 1 the winner screen of
+    # _label_counts settles next to no block; at the calibrated Laplace constant it settles
+    # most single rows but not all, and one row flips; at the Gaussian one it settles every
+    # block, the whole array too.
+    FLIP_CASES = ((0, 1.0, laplace(2.0)), (1, 1.0, gaussian(2.0)),
+                  (5, required_constant_laplace(10, 0.01, 1.0), laplace(1.0)),
+                  (6, required_constant_gaussian(10, 1e-12, 1.0), gaussian(1.0)))
+    # what the per-row reducers (argmax + bincount, any over each row) gave for the calls of
+    # oracle_outputs; the log-ratios of integer counts are compared to 1e-12, as a changed
+    # count moves one by far more and np.log may round the last bit differently elsewhere
+    FLIPS = [845, 596, 1, 0]
+    EXCEEDANCES = [807, 722]
+    LOG_RATIOS = (0.0, 0.029270382300113473, 0.07928080287477468, 0.09440968447107467,
+                  0.06081874003503929, 0.08535984895115689, 0.06797298358620596)
+
+    def flip_hits(self, substream, boost_constant, spec):
+        return flip_probability_mc(self.FLIP_VOTES, boost_constant, spec, self.TRIALS,
+                                   RngStream(70).substream(substream)).hits
 
     def oracle_outputs(self):
         stream = RngStream(70)
-        flips = [flip_probability_mc(self.FLIP_VOTES, 1.0, spec, self.TRIALS,
-                                     stream.substream(i)).hits
-                 for i, spec in enumerate([laplace(2.0), gaussian(2.0)])]
+        flips = [self.flip_hits(*case) for case in self.FLIP_CASES]
         exceedances = [exceedance_probability_mc(spec, 10, 3.0, self.TRIALS,
                                                  stream.substream(2 + i)).hits
                        for i, spec in enumerate([laplace(1.0), gaussian(1.5)])]
@@ -296,14 +313,30 @@ class TestMonteCarloBlocks:
         return flips, exceedances, ratio.neighbor_log_ratios
 
     def test_block_size_does_not_change_any_oracle(self, monkeypatch):
-        # values per block: one row, rows that do not divide the trials, the default, one array
+        counted = []  # the rows of each block that the winner screen leaves to be counted
+        argmax_counts = mechanisms._argmax_counts
+
+        def counting(block, boosted):
+            counted.append(len(block))
+            return argmax_counts(block, boosted)
+
+        monkeypatch.setattr(mechanisms, "_argmax_counts", counting)
         outputs = {}
+        # values per block: one row, rows that do not divide the trials, the default, one array
         for values in (1, 700, noise._MC_BLOCK, 10 * self.TRIALS + 1):
             monkeypatch.setattr(noise, "_MC_BLOCK", values)
             outputs[values] = self.oracle_outputs()
-        (flips, exceedances, _), *_ = outputs.values()
-        assert 0 < min(flips + exceedances) and max(flips + exceedances) < self.TRIALS
+            left = []
+            for case in self.FLIP_CASES:
+                counted.clear()
+                self.flip_hits(*case)
+                left.append(sum(counted))
+            # some flip blocks are settled by the screen and some are counted, at every size
+            assert min(left) < self.TRIALS and max(left) > 0, (values, left)
         assert all(each == outputs[1] for each in outputs.values())
+        flips, exceedances, ratios = outputs[1]
+        assert (flips, exceedances) == (self.FLIPS, self.EXCEEDANCES)
+        assert ratios == pytest.approx(self.LOG_RATIOS, rel=1e-12, abs=0.0)
 
     def test_a_block_is_the_whole_rows_that_fit_and_at_least_one(self):
         rows = [len(block) for block in noise.noise_blocks(laplace(1.0), 10, 50_000,
@@ -322,14 +355,136 @@ class TestMonteCarloBlocks:
         assert np.array_equal(spec.sample(RngStream(74)),
                               spec.scale * RngStream(74).generator().standard_normal())
 
-    def test_exceedance_peak_memory_stays_under_a_megabyte(self):
+    @pytest.mark.parametrize("oracle", [
+        lambda: exceedance_probability_mc(laplace(1.0), 10, 3.0, 100_000, RngStream(75)),
+        # every value a hit: one hit position per value
+        lambda: exceedance_probability_mc(laplace(1.0), 10, 0.0, 100_000, RngStream(79)),
+        # 10 classes: every block counted by argmax, then nearly every block settled by the screen
+        lambda: flip_probability_mc(TestMonteCarloBlocks.FLIP_VOTES, 1.0, laplace(2.0), 100_000,
+                                    RngStream(76)),
+        lambda: flip_probability_mc(TestMonteCarloBlocks.FLIP_VOTES,
+                                    required_constant_laplace(10, 1e-9, 1e-3),
+                                    NoiseSpec("laplace", gamma=1e-3), 100_000, RngStream(77)),
+        # 3 classes, counted class by class from a transposed copy of each block
+        lambda: dp_ratio_check(VoteHistogram([6, 3, 3]), 100.0, 0.5, 1.0, 100_000, RngStream(78)),
+    ], ids=["exceedance", "exceedance-all-hits", "flip-counted", "flip-screened", "dp-ratio"])
+    def test_oracle_peak_memory_stays_under_a_megabyte(self, oracle):
         tracemalloc.start()
         try:
-            exceedance_probability_mc(laplace(1.0), 10, 3.0, 100_000, RngStream(75))
+            oracle()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def argmax_reference(block, boosted):
+    return np.bincount(np.argmax(block + boosted, axis=1), minlength=len(boosted))
+
+
+def hit_reference(block, threshold):
+    return int(np.count_nonzero((np.abs(block) >= threshold).any(axis=1)))
+
+
+class TestBlockReducersMatchPerRowReferences:
+    """The winner screen, the class-by-class count and the hit rows of the Monte-Carlo oracles,
+    each against its per-row numpy reference on hand-built noise blocks."""
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        """Make the oracles draw the blocks put in ``self.given`` instead of random ones."""
+        self.given = []
+        fake = lambda spec, num_classes, trials, rng: (block.copy() for block in self.given)
+        monkeypatch.setattr(mechanisms, "noise_blocks", fake)
+        monkeypatch.setattr(noise, "noise_blocks", fake)
+
+    def rows(self):
+        return sum(len(block) for block in self.given)
+
+    def label_counts(self, boosted, *blocks):
+        self.given = [np.asarray(block, dtype=np.float64) for block in blocks]
+        boosted = np.asarray(boosted, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN here on purpose
+            counts = mechanisms._label_counts(boosted, laplace(1.0), self.rows(), RngStream(0))
+            expected = sum(argmax_reference(block, boosted) for block in self.given)
+        assert counts.tolist() == expected.tolist()
+        return counts.tolist()
+
+    def hits(self, threshold, *blocks):
+        self.given = [np.asarray(block, dtype=np.float64) for block in blocks]
+        num_classes = self.given[0].shape[1]
+        estimate = exceedance_probability_mc(laplace(1.0), num_classes, threshold, self.rows(),
+                                             RngStream(0))
+        assert estimate.hits == sum(hit_reference(block, threshold) for block in self.given)
+        return estimate.hits
+
+    @pytest.fixture(params=["default", "all-by-class"])
+    def rule(self, request, monkeypatch):
+        """The class-count rule as it stands, and with every width counted class by class."""
+        if request.param == "all-by-class":
+            monkeypatch.setattr(mechanisms, "_FEW_CLASSES", 13)
+
+    @pytest.mark.parametrize("num_classes", range(1, 13))
+    def test_ties_signed_zeros_and_infinities(self, rule, num_classes):
+        gen = np.random.default_rng(num_classes)
+        special = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf]
+        block = gen.choice(special, size=(400, num_classes))
+        block[:6] = np.array(special)[:, None]  # rows of one repeated value
+        for boosted in (np.zeros(num_classes), gen.integers(0, 2, num_classes).astype(float)):
+            self.label_counts(boosted, block, block[::-1])
+
+    def test_signed_zeros_tie_with_the_lowest_index_first(self, rule):
+        assert self.label_counts([0.0, 0.0, 0.0], [[-0.0, 0.0, -1.0], [0.0, -0.0, 0.0],
+                                                   [-1.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]) == [3, 1, 0]
+
+    def test_an_infinite_boost_meeting_minus_infinity_gives_its_first_nan(self, rule):
+        # inf + -inf is NaN, which argmax ranks first wherever it stands
+        boosted = [np.inf, 0.0, np.inf, 0.0]
+        counts = self.label_counts(boosted, [[-np.inf, 0.0, 0.0, 5.0], [0.0, 0.0, -np.inf, np.inf],
+                                             [-np.inf, 1.0, -np.inf, 1.0], [1.0, 2.0, 3.0, 4.0],
+                                             [0.0, np.nan, 0.0, np.nan]])
+        assert counts == [3, 1, 1, 0]
+
+    @pytest.mark.parametrize("num_classes", range(2, 13))
+    def test_random_blocks_of_every_width(self, rule, num_classes):
+        gen = np.random.default_rng(100 + num_classes)
+        boosted = gen.integers(0, 4, num_classes).astype(float)
+        block = gen.laplace(0.0, 2.0, (700, num_classes))
+        self.label_counts(boosted, block, np.round(block), block[:1])
+
+    def test_the_screen_at_its_equality_boundary_counts_the_block(self, rule):
+        # winner 1, runner-up 0: 2 + min == 0 + max, and the tied row goes to label 0
+        assert self.label_counts([0.0, 2.0], [[1.0, -1.0], [0.0, 0.0]]) == [1, 1]
+        # one ulp more boost and the screen credits the winner, as each row agrees
+        assert self.label_counts([0.0, np.nextafter(2.0, 3.0)], [[1.0, -1.0], [0.0, 0.0]]) == [0, 2]
+
+    def test_rounding_that_ties_the_sides_is_refused(self, rule):
+        # in reals 1e16 - 1.3 > (1e16 - 2) + 0.6, but both round to 1e16 - 2 at a spacing of 2,
+        # and argmax gives the tie to the runner-up at index 0: a gap test in reals would miss it
+        boosted = [1e16 - 2.0, 1e16]
+        assert self.label_counts(boosted, [[0.6, -1.3], [0.0, 0.0]]) == [1, 1]
+        assert self.label_counts(boosted, [[0.6, -0.9], [0.0, 0.0]]) == [0, 2]
+
+    def test_a_screened_block_goes_to_the_winner_whatever_its_noise(self, rule):
+        gen = np.random.default_rng(7)
+        block = gen.uniform(-1.0, 1.0, (300, 5))
+        assert self.label_counts([0.0, 0.0, 3.0, 1.0, 0.0], block) == [0, 0, 300, 0, 0]
+        assert self.label_counts([5.0], block[:, :1]) == [300]
+
+    @pytest.mark.parametrize("num_classes", [1, 2, 3, 10, 12])
+    def test_hit_rows(self, num_classes):
+        gen = np.random.default_rng(num_classes)
+        block = gen.laplace(0.0, 1.0, (500, num_classes))
+        assert self.hits(np.inf, block) == 0
+        assert self.hits(0.0, block, block) == 1000
+        assert self.hits(-np.log(0.1), block) > 0
+        self.hits(1.5, block, block[:1], block[::-1])
+        edges = np.zeros((4, num_classes))
+        edges[0, 0] = edges[1, -1] = 2.0
+        edges[2, :] = -np.inf
+        edges[3, :] = np.nan
+        assert self.hits(2.0, edges) == 3
+        assert self.hits(0.0, -0.0 * edges[:1]) == 1
 
 
 def test_only_the_noise_module_compares_noise_kind_names():
