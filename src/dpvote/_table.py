@@ -1,12 +1,11 @@
-"""Declared field types, their checks, the one grammar of queries.csv and ledger.csv, and
-the one writer of every report file (``write_fresh``).
+"""Field types and their checks, the one grammar of queries.csv and ledger.csv, the one writer
+of every report file (``write_fresh``) and the one refusal of any other (``_first_difference``).
 
 A table is a header of column names, then one row per record starting with its
 position (0, 1, ...): ints in full, floats in their shortest round-trip form
 (``repr`` without a trailing ``.0``: 1.0 is ``1``, -0.0 is ``-0``), None as an
 empty cell.  A float reads back as the float written, so a figure derived from
-a table is the run's own.  Reading skips empty lines and takes a cell only as
-it is written.
+a table is the run's own; a reader takes only the text written for what it read.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ import numbers
 import os
 import typing
 from dataclasses import fields
+from itertools import zip_longest
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -39,12 +38,12 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    """Whether ``value`` is a real that converts to a float other than NaN; infinities count."""
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a real, not a bool, whose float is finite."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
-        return not math.isnan(float(value))
+        return math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -52,7 +51,7 @@ def _is_number(value) -> bool:
 # declared base type -> (what the error message asks for, check)
 TYPE_CHECKS = {
     int: ("an integer", _is_int),
-    float: ("a finite number", lambda v: _is_number(v) and math.isfinite(v)),
+    float: ("a finite number", _is_finite),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of integers", lambda v: isinstance(v, tuple) and all(map(_is_int, v))),
 }
@@ -123,58 +122,14 @@ def write_fresh(path, text: str) -> None:
             data = data[file.write(data):]
 
 
-def read_table(path, types: dict[str, tuple[type, bool]], make):
-    """The distinct records of a ``format_table`` file, and each row's index into them.
-
-    ``make(position, *values of the other cells)`` is called once per distinct text of a
-    row's other cells, and the records are in order of first appearance.  Every error
-    is one ValueError line naming ``path:line``: a header other than the names of
-    ``types``, a row without one cell per column or whose first cell is not its
-    position, a cell that does not fit its declared type or that ``format_table``
-    would write otherwise, or a ValueError from ``make``.
-    """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = ",".join(types)
-    if not lines or lines[0] != header:
-        raise ValueError(f"{path}:1: expected the header {header!r}")
-    position, *names = types
-    parsers = [_cell_parser(name, types[name]) for name in names]
-    rows, records, known = [], [], {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        try:
-            if len(cells) != len(types):
-                raise ValueError(f"expected {len(types)} fields, got {len(cells)}")
-            if cells[0] != str(len(rows)):
-                raise ValueError(f"{position} must be {len(rows)}, got {cells[0]!r}")
-            text = line[len(cells[0]) + 1:]  # the cells after the position
-            if text not in known:
-                records.append(make(len(rows), *[parse(c) for parse, c in zip(parsers, cells[1:])]))
-                known[text] = len(records) - 1
-            rows.append(known[text])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return records, rows
+SHOWN_WIDTH = 80  # characters of a line that a refusal shows
 
 
-def _cell_parser(name: str, declared: tuple[type, bool]):
-    """Cell text -> value; each distinct cell is checked once, and only as it is written."""
-    base, optional = declared
-    wanted, fits = TYPE_CHECKS[base]
-    write = _format_float if base is float else str
-    known = {"": None} if optional else {}
-
-    def parse(cell: str):
-        if cell not in known:
-            try:
-                value = base(cell)
-            except ValueError:
-                value = None
-            if value is None or not fits(value) or write(value) != cell:
-                raise ValueError(f"{name} must be {wanted}, got {cell!r}")
-            known[cell] = value
-        return known[cell]
-
-    return parse
+def _first_difference(path, expected: str, found: str) -> ValueError:
+    """The error for a file whose text is ``found`` where it should be ``expected``: the
+    first line that differs, each side cut to SHOWN_WIDTH characters (a line's end included)."""
+    pairs = zip_longest(expected.splitlines(keepends=True), found.splitlines(keepends=True),
+                        fillvalue="")  # "" past a text's end, which no line of it is
+    number, lines = next((n, pair) for n, pair in enumerate(pairs, start=1) if pair[0] != pair[1])
+    want, got = (repr(line[:SHOWN_WIDTH] + "..." * (len(line) > SHOWN_WIDTH)) for line in lines)
+    return ValueError(f"{path}:{number}: expected {want}, found {got}")

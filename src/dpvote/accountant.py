@@ -6,11 +6,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from ._table import field_types, format_table, read_table, write_fresh
+from ._table import _first_difference, field_types, format_table, write_fresh
 from .noise import GAUSSIAN, LAPLACE, NoiseKind
 
 __all__ = [
@@ -181,17 +182,12 @@ class PrivacyLedger:
         if rows.ndim != 1 or rows.size and rows.dtype.kind not in "iu":
             raise ValueError(f"rows must be a 1-D integer array, got {rows.dtype} "
                              f"of shape {rows.shape}")
-        index = rows.astype(np.intp, copy=False)
-        tallies = None
-        # bincount refuses a negative row; the max goes first, as near 2**63 its length overflows
-        if not rows.size or rows.max() < len(entries):
-            try:
-                tallies = np.bincount(index, minlength=len(entries))
-            except ValueError:
-                pass
-        if tallies is None:
+        index = rows.astype(np.intp, copy=False)  # a uint64 beyond intp wraps below 0
+        # one reduction checks both ends: viewed as unsigned, a negative index is past any length
+        if index.size and index.view(np.uintp).max() >= len(entries):
             raise ValueError(f"rows must index the {len(entries)} entries, "
                              f"got values from {rows.min()} to {rows.max()}")
+        tallies = np.bincount(index, minlength=len(entries))
         slots = []
         for entry, tally in zip(entries, tallies.tolist()):
             slot = self._slots.get(id(entry))
@@ -275,10 +271,40 @@ class PrivacyLedger:
 
     @classmethod
     def load(cls, path) -> "PrivacyLedger":
-        """Read an exported ledger, one entry per distinct row; every error is one line
-        naming ``path:line``."""
-        charges, rows = read_table(path, _ROW_TYPES,
-                                   lambda index, *row: LedgerEntry(*row[:-1], sensitivity=row[-1]))
+        """Read a ledger.csv that is exactly the ``export_text()`` of its charges, parsing each
+        distinct row once; every error is one ValueError line naming ``path:line``, and a file
+        that differs from that text is refused at its first differing line."""
+        text = Path(path).read_bytes().decode("utf-8", errors="replace")  # line ends as written
+        lines = text.splitlines()
+        header = ",".join(_ROW_TYPES)
+        if not lines or lines[0] != header:
+            raise ValueError(f"{path}:1: expected the header {header!r}")
+        slots, charges, rows = {}, [], []
+        try:
+            for number, line in enumerate(lines[1:], start=2):
+                cells = line.partition(",")[2]  # the index is checked with the whole text
+                if cells not in slots:
+                    slots[cells] = len(charges)
+                    charges.append(_entry(line))
+                rows.append(slots[cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
         ledger = cls()
         ledger.record(*charges, rows=rows)
+        if ledger.export_text() != text:
+            raise _first_difference(path, ledger.export_text(), text)
         return ledger
+
+
+def _entry(line: str) -> LedgerEntry:
+    """The charge of a ledger.csv row; ``load`` checks its index and how it is written."""
+    cells = line.split(",")
+    if len(cells) != len(_ROW_TYPES):
+        raise ValueError(f"expected {len(_ROW_TYPES)} fields, got {len(cells)}")
+    values = [cells[1]]
+    for cell, (name, (_, optional)) in zip(cells[2:], list(_ENTRY_TYPES.items())[1:]):
+        try:
+            values.append(None if optional and not cell else float(cell))
+        except ValueError:
+            raise ValueError(f"{name} must be a finite number, got {cell!r}") from None
+    return LedgerEntry(*values[:-1], sensitivity=values[-1])

@@ -65,7 +65,7 @@ def _cmd_run(args) -> int:
     raw = {}
     if args.config:
         try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            raw = json.loads(Path(args.config).read_bytes().decode("utf-8", errors="replace"))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}: not valid JSON ({exc})") from None
         if not isinstance(raw, dict):

@@ -164,9 +164,9 @@ _DATA = re.compile(rb"[^ \t\n\r]")  # a byte that is not blank in a plain file
 def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Callable[[int], int]]:
     """The cells of a CSV of integers under ``header``, and a map from row to file line.
 
-    Whitespace-only lines are skipped.  A cell is a base-10 integer in int64
-    with an optional sign and surrounding spaces; ``#`` starts no comment.  The
-    whole file is one ``np.loadtxt`` pass, by one of two routes:
+    Whitespace-only lines are skipped, and a byte that is not UTF-8 reads as U+FFFD.  A
+    cell is a base-10 integer in int64 with an optional sign and surrounding spaces;
+    ``#`` starts no comment.  The whole file is one ``np.loadtxt`` pass, by one of two routes:
 
     - a plain file (its first line is exactly ``header`` and a newline, a data
       row follows, and every byte is printable ASCII, tab, LF or CR) is handed to
@@ -182,7 +182,7 @@ def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Callable[[int], 
     """
     def lineno(row: int) -> int:
         """File line of data row ``row``, from the file read again; only an error needs one."""
-        lines = path.read_bytes().decode("utf-8").splitlines()
+        lines = path.read_bytes().decode("utf-8", errors="replace").splitlines()
         return [n for n, line in enumerate(lines[1:], start=2) if line.strip()][row]
 
     names = header.split(",")
@@ -197,7 +197,7 @@ def _read_int_csv(path: Path, header: str) -> tuple[np.ndarray, Callable[[int], 
         except ValueError:
             pass
         raw = path.read_bytes()
-    lines = raw.decode("utf-8").splitlines()
+    lines = raw.decode("utf-8", errors="replace").splitlines()
     if not lines or lines[0].strip() != header:
         raise ValueError(f"{path}:1: expected header {header!r}")
     rows = list(filter(str.strip, lines[1:]))

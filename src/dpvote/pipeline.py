@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
-from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._table import check_type, field_types, format_table, write_fresh
+from ._table import SHOWN_WIDTH  # noqa: F401  the width read_report's refusals show
+from ._table import _first_difference, check_type, field_types, format_table, write_fresh
 from .accountant import NOISE_KIND, LedgerEntry, PrivacyFigure, PrivacyLedger
 from .ensemble import (
     SyntheticTeacherSpec,
@@ -359,21 +359,6 @@ def emit_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
             "ledger": out / LEDGER_FILE}
 
 
-SHOWN_WIDTH = 80  # characters of a line that a read_report error shows
-
-
-def _first_difference(path: Path, expected: str, found: str) -> ValueError:
-    """The error for a file whose text is ``found`` where it should be ``expected``: the
-    first line that differs, each side cut to SHOWN_WIDTH characters (a line's end included)."""
-    lines = zip_longest(expected.splitlines(keepends=True), found.splitlines(keepends=True),
-                        fillvalue="")  # "" past a text's end, which no line of it is
-    number, (want, got) = next((n, pair) for n, pair in enumerate(lines, start=1)
-                               if pair[0] != pair[1])
-    want, got = (repr(line if len(line) <= SHOWN_WIDTH else line[:SHOWN_WIDTH] + "...")
-                 for line in (want, got))
-    return ValueError(f"{path}:{number}: expected {want}, found {got}")
-
-
 def read_report(out_dir) -> ExperimentReport:
     """Check a report directory by running its config again, and return the run's report.
 
@@ -418,7 +403,6 @@ def read_report(out_dir) -> ExperimentReport:
     except (ValueError, OSError) as exc:
         raise ValueError(f"{where} {exc}") from None
     for name, text in _texts(report).items():
-        expected = text()
-        if expected != found[name]:
-            raise _first_difference(out / name, expected, found[name])
+        if text() != found[name]:
+            raise _first_difference(out / name, text(), found[name])
     return report

@@ -212,6 +212,26 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             f"error: 3 queries x {classes} classes make a count matrix beyond the int64 range\n")
 
+    @pytest.mark.parametrize("name, good, bad, message", [
+        ("p.csv", b"0,1,2", b"0,1,\xff2", "p.csv:3: label must be an integer, got '�2'"),
+        ("t.csv", b"1,1", b"1,\xff1", "t.csv:3: label must be an integer, got '�1'"),
+        ("c.json", b'"lnmax"', b'"lnm\xffax"', "c.json: unknown mechanism 'lnm�ax'"),
+    ])
+    def test_input_that_is_not_utf8_names_its_file(self, tmp_path, capsys, name, good, bad,
+                                                    message):
+        # a byte that is not UTF-8 reads as U+FFFD, so the file's own check names it
+        config = {"mechanism": "lnmax", "predictions": str(tmp_path / "p.csv"),
+                  "truth": str(tmp_path / "t.csv"), "num_classes": 3, "gamma": 0.1, "seed": 1}
+        files = {"p.csv": b"query_id,teacher_id,label\n0,0,1\n0,1,2\n1,0,1\n1,1,1\n",
+                 "t.csv": b"query_id,label\n0,1\n1,1\n", "c.json": json.dumps(config).encode()}
+        files[name] = files[name].replace(good, bad)
+        for file, data in files.items():
+            (tmp_path / file).write_bytes(data)
+        code = run_cli(["run", "--config", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path / message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("queries, printed", [("0", False), ("3", True)])
     def test_gaussian_inapplicable_line_needs_an_answered_query(self, capsys, queries, printed):
         code = run_cli(["run", "--mechanism", "nzc-gaussian", "--teachers", "5",
@@ -389,13 +409,13 @@ class TestAccountCommand:
 
     @pytest.mark.parametrize("line, cell, value, expected", [
         (2, 2, "abc", "ledger.csv:2: gamma must be a finite number, got 'abc'"),
-        (3, 2, "inf", "ledger.csv:3: gamma must be a finite number, got 'inf'"),
-        (2, 2, " 0.5", "ledger.csv:2: gamma must be a finite number, got ' 0.5'"),
+        (3, 2, "inf", "ledger.csv:3: gamma must be a finite number, got inf"),
+        (2, 2, " 0.5", "ledger.csv:2: expected '0,lnmax,0.5,,1\\n', found '0,lnmax, 0.5,,1\\n'"),
         (1, 4, "sensitivity,epsilon,alpha_1",
          "ledger.csv:1: expected the header 'index,mechanism,gamma,sigma,sensitivity'"),
         (2, 1, "magic", "ledger.csv:2: unknown mechanism 'magic'"),
         (2, 1, "nzc-gaussian", "ledger.csv:2: a nzc-gaussian entry carries sigma and no gamma"),
-        (3, 0, "x", "ledger.csv:3: index must be 1, got 'x'"),
+        (3, 0, "x", "ledger.csv:3: expected '1,lnmax,0.5,,1\\n', found 'x,lnmax,0.5,,1\\n'"),
     ])
     def test_bad_ledger_cell_is_one_line_error(self, tmp_path, capsys, line, cell, value, expected):
         out_dir = tmp_path / "report"

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 from dpvote import (
     BLOCK,
     MECHANISMS,
+    NOISE_KIND,
     ExperimentConfig,
+    LedgerEntry,
     NoiseSpec,
     PrivacyLedger,
     QueryResult,
@@ -946,3 +949,95 @@ class TestEditedReport:
                 emitted = emit_report(report, again)
                 assert {k: path.read_text() for k, path in emitted.items()} == {
                     k: path.read_text() for k, path in paths.items()}
+
+
+@st.composite
+def small_ledgers(draw) -> PrivacyLedger:
+    """Up to 6 queries over up to 3 charges of either noise kind, zeros of both signs included."""
+    values = st.one_of(st.sampled_from([0.5, 1.0, 10.0, 1e-05, 0.36787944117144233]),
+                       st.floats(1e-300, 1e300))
+    charges = []
+    for _ in range(draw(st.integers(1, 3))):
+        mechanism = draw(st.sampled_from(MECHANISMS))
+        param = draw(st.one_of(st.sampled_from([0.0, -0.0]), values)
+                     if NOISE_KIND[mechanism].param == "gamma" else values)
+        charges.append(LedgerEntry(mechanism, **{NOISE_KIND[mechanism].param: param},
+                                   sensitivity=draw(values)))
+    ledger = PrivacyLedger()
+    ledger.record(*charges, rows=draw(st.lists(st.integers(0, len(charges) - 1), max_size=6)))
+    return ledger
+
+
+class TestEditedLedger:
+    """PrivacyLedger.load takes a file only if it is the text its charges export, so any edit
+    either is refused at a line or is what the loaded ledger writes."""
+
+    HEADER = "index,mechanism,gamma,sigma,sensitivity\n"
+    TEXT = HEADER + "0,lnmax,0.5,,1\n1,nzc-gaussian,,10,0.5\n2,lnmax,0.5,,1\n"
+    OLD_HEADER = ",".join(["index", "mechanism", "gamma", "sigma", "sensitivity", "epsilon",
+                           *(f"alpha_{order}" for order in range(1, 33))])  # 38 columns
+
+    @staticmethod
+    def edit(data: bytes, draw) -> bytes:
+        """``data`` with one drawn edit: a character changed, dropped or inserted, two cells of
+        a line swapped, a blank line inserted, or a line end written as CRLF."""
+        kind = draw(st.sampled_from(["change", "drop", "insert", "swap", "blank", "crlf"]))
+        char = draw(st.sampled_from([*b"0123456789-+._e, x\n\r", 0xFF]))
+        at = draw(st.integers(0, len(data) - 1))
+        ends = [i for i, byte in enumerate(data) if byte == ord("\n")]
+        if kind == "change":
+            return data[:at] + bytes([char]) + data[at + 1:]
+        if kind == "drop":
+            return data[:at] + data[at + 1:]
+        if kind == "insert":
+            return data[:at] + bytes([char]) + data[at:]
+        if kind == "swap":
+            lines = data.split(b"\n")
+            line = draw(st.integers(0, len(lines) - 2))
+            cells = lines[line].split(b",")
+            i, j = draw(st.integers(0, len(cells) - 1)), draw(st.integers(0, len(cells) - 1))
+            cells[i], cells[j] = cells[j], cells[i]
+            lines[line] = b",".join(cells)
+            return b"\n".join(lines)
+        end = draw(st.sampled_from(ends))
+        return data[:end] + (b"\n" if kind == "blank" else b"\r") + data[end:]
+
+    @settings(max_examples=300, deadline=None)
+    @given(ledger=small_ledgers(), data=st.data())
+    def test_single_edit_is_refused_at_a_line_or_loaded_as_written(self, ledger, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "ledger.csv")
+            ledger.export(path)
+            assert PrivacyLedger.load(path).export_text() == ledger.export_text()
+            path.write_bytes(self.edit(path.read_bytes(), data.draw))
+            try:
+                loaded = PrivacyLedger.load(path)
+            except ValueError as exc:
+                assert "\n" not in str(exc)
+                assert re.match(rf"{re.escape(str(path))}:[0-9]+: ", str(exc))
+                return
+            assert loaded.export_text().encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("0,lnmax,0.5", "0,lnmax,+0.5",
+         "2: expected '0,lnmax,0.5,,1\\n', found '0,lnmax,+0.5,,1\\n'"),
+        ("0,lnmax,0.5", "0,lnmax,0.50",
+         "2: expected '0,lnmax,0.5,,1\\n', found '0,lnmax,0.50,,1\\n'"),
+        ("0,lnmax,0.5", "0,lnmax, 0.5",
+         "2: expected '0,lnmax,0.5,,1\\n', found '0,lnmax, 0.5,,1\\n'"),
+        (",,10,", ",,1_0,", "3: expected '1,nzc-gaussian,,10,0.5\\n', "
+                            "found '1,nzc-gaussian,,1_0,0.5\\n'"),
+        ("2,lnmax", "3,lnmax", "4: expected '2,lnmax,0.5,,1\\n', found '3,lnmax,0.5,,1\\n'"),
+        ("0,lnmax,0.5,,1\n", "0,lnmax,0.5,,1\n\n", "3: expected 5 fields, got 1"),
+        ("\n", "\r\n", "1: expected 'index,mechanism,gamma,sigma,sensitivity\\n', "
+                        "found 'index,mechanism,gamma,sigma,sensitivity\\r\\n'"),
+        (HEADER, OLD_HEADER + "\n",
+         "1: expected the header 'index,mechanism,gamma,sigma,sensitivity'"),
+    ])
+    def test_an_edit_that_reads_as_a_value_is_refused_at_its_line(self, tmp_path, old, new,
+                                                                   message):
+        path = tmp_path / "ledger.csv"
+        path.write_bytes(self.TEXT.replace(old, new).encode())  # line ends as given
+        with pytest.raises(ValueError) as err:
+            PrivacyLedger.load(path)
+        assert str(err.value) == f"{path}:{message}"
